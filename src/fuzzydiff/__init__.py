@@ -8,14 +8,11 @@ feeds back into the sampler as a conditioning weight map.
 """
 
 from .config import ConfigError, build_model, build_schedule, load_config
-from .core import Grid, RngStream, ValidationError, clamp_unit, grid_stats, randn_grid
+from .core import Grid, RngStream, ValidationError, clamp_unit
 from .denoiser import (
     EpsilonModel,
     GaussianFieldModel,
     GmmPixelModel,
-    gaussian_predict,
-    gmm_predict,
-    log_marginal,
 )
 from .gridio import read_grid, write_grid, write_pgm, write_ppm
 from .harness import (
@@ -36,7 +33,7 @@ from .projection import (
     ValidationStats,
     attention_from_discrepancies,
     attention_map,
-    discrepancy,
+    default_depths,
     project_reconstruct,
     validation_stats,
     weight_from_attention,
@@ -45,13 +42,8 @@ from .sampler import (
     FuzzySamplerConfig,
     WeightMap,
     ancestral_sample,
-    forward_mean,
-    forward_sample,
     fuzzy_fuse,
     fuzzy_sample,
-    renoise,
-    reverse_mean,
-    reverse_step,
 )
 from .schedule import NoiseSchedule, linear_schedule, posterior_mean_coeffs
 
@@ -66,8 +58,6 @@ __all__ = [
     "RngStream",
     "ValidationError",
     "clamp_unit",
-    "grid_stats",
-    "randn_grid",
     "read_grid",
     "write_grid",
     "write_pgm",
@@ -78,23 +68,15 @@ __all__ = [
     "EpsilonModel",
     "GaussianFieldModel",
     "GmmPixelModel",
-    "gaussian_predict",
-    "gmm_predict",
-    "log_marginal",
     "WeightMap",
     "FuzzySamplerConfig",
-    "forward_sample",
-    "forward_mean",
-    "reverse_step",
-    "reverse_mean",
     "ancestral_sample",
     "fuzzy_fuse",
     "fuzzy_sample",
-    "renoise",
     "ValidationStats",
     "AttentionMap",
     "project_reconstruct",
-    "discrepancy",
+    "default_depths",
     "validation_stats",
     "attention_map",
     "attention_from_discrepancies",

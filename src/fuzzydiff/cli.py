@@ -31,7 +31,13 @@ from .config import (
 from .core import Grid, RngStream, ValidationError, clamp_unit
 from .gridio import read_grid, write_grid, write_preview
 from .harness import DegradeParams, ExperimentConfig, degrade, run_correction_experiment
-from .projection import ValidationStats, attention_map, validation_stats, weight_from_attention
+from .projection import (
+    ValidationStats,
+    attention_map,
+    default_depths,
+    validation_stats,
+    weight_from_attention,
+)
 from .sampler import FuzzySamplerConfig, WeightMap, ancestral_sample, fuzzy_sample
 
 log = logging.getLogger("fuzzydiff")
@@ -98,10 +104,27 @@ def _sha256(path: Path) -> str:
 
 
 def _prepare_out(out: Path, force: bool) -> Path:
+    """Create --out; with --force, first delete what the previous run's manifest lists.
+
+    Only listed files inside --out are removed, so two runs' artifacts never
+    mix and nothing else in the directory is touched. Handlers read their
+    inputs before calling this, so a missing input leaves the old run intact.
+    """
     out.mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.json"
-    if manifest.exists() and not force:
-        raise FileExistsError(f"{manifest} exists; pass --force to overwrite")
+    if manifest.exists():
+        if not force:
+            raise FileExistsError(f"{manifest} exists; pass --force to overwrite")
+        try:
+            listed = json.loads(manifest.read_text())["files"].keys()
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
+        root = out.resolve()
+        for rel in listed:
+            path = (out / rel).resolve()
+            if root in path.parents and path.is_file():
+                path.unlink()
+        manifest.unlink()
     return manifest
 
 
@@ -136,6 +159,16 @@ def _parallel_indexed(worker, count: int, workers: int) -> list:
         return list(pool.map(worker, range(count)))
 
 
+def _write_grids(out: Path, named) -> list[Path]:
+    """Write each (name, grid) as name.fdg plus its preview; returns the paths written."""
+    files: list[Path] = []
+    for name, g in named:
+        path = out / f"{name}.fdg"
+        write_grid(path, g)
+        files += [path, write_preview(out / name, g)]
+    return files
+
+
 def _read_image(path_text: str, model) -> Grid:
     g = read_grid(path_text)
     if g.shape != model.shape:
@@ -146,21 +179,14 @@ def _read_image(path_text: str, model) -> Grid:
 def _cmd_sample(args, cfg, model, schedule, out: Path) -> int:
     section = cfg.get("sample") or section_defaults("sample")
     count = section["count"]
-    if count < 1:
-        raise ConfigError("'sample.count' must be >= 1")
     manifest = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
 
     def worker(i: int) -> Grid:
-        return ancestral_sample(model, schedule, model.shape, root.child(i))
+        return ancestral_sample(model, schedule, root.child(i))
 
     grids = _parallel_indexed(worker, count, args.workers)
-    files: list[Path] = []
-    for i, g in enumerate(grids):
-        path = out / f"sample_{i:04d}.fdg"
-        write_grid(path, g)
-        files.append(path)
-        files.append(write_preview(out / f"sample_{i:04d}", g))
+    files = _write_grids(out, ((f"sample_{i:04d}", g) for i, g in enumerate(grids)))
     _write_manifest(manifest, "sample", args, cfg, model, schedule, files)
     log.info("wrote %d samples to %s", count, out)
     return EXIT_OK
@@ -181,43 +207,25 @@ def _load_weight_map(section: dict, model) -> WeightMap:
 
 def _cmd_fuzzy(args, cfg, model, schedule, out: Path) -> int:
     section = require_section(cfg, "fuzzy")
-    if section["count"] < 1:
-        raise ConfigError("'fuzzy.count' must be >= 1")
-    manifest = _prepare_out(out, args.force)
     image = _read_image(section["image"], model)
     weights = _load_weight_map(section, model)
     fuzzy_cfg = FuzzySamplerConfig(J=section["J"])
+    manifest = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
 
     def worker(i: int) -> Grid:
         return fuzzy_sample(model, schedule, image, weights, fuzzy_cfg, root.child(i))
 
     grids = _parallel_indexed(worker, section["count"], args.workers)
-    files: list[Path] = []
-    for i, g in enumerate(grids):
-        path = out / f"fuzzy_{i:04d}.fdg"
-        write_grid(path, g)
-        files.append(path)
-        files.append(write_preview(out / f"fuzzy_{i:04d}", g))
+    files = _write_grids(out, ((f"fuzzy_{i:04d}", g) for i, g in enumerate(grids)))
     _write_manifest(manifest, "fuzzy", args, cfg, model, schedule, files)
     log.info("wrote %d conditioned samples to %s", section["count"], out)
     return EXIT_OK
 
 
-def _default_depths(T: int) -> list[int]:
-    out: list[int] = []
-    for frac in (0.3, 0.4, 0.5, 0.6):
-        t = max(1, round(frac * T))
-        if t not in out:
-            out.append(t)
-    return out
-
-
 def _cmd_stats(args, cfg, model, schedule, out: Path) -> int:
     section = cfg.get("stats") or section_defaults("stats")
-    if section["v_count"] < 1:
-        raise ConfigError("'stats.v_count' must be >= 1")
-    depths = section["depths"] if section["depths"] is not None else _default_depths(schedule.T)
+    depths = section["depths"] if section["depths"] is not None else default_depths(schedule.T)
     manifest = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     rows = model.sample_x0(section["v_count"], root.child(0))
@@ -233,49 +241,32 @@ def _cmd_stats(args, cfg, model, schedule, out: Path) -> int:
 
 def _cmd_attend(args, cfg, model, schedule, out: Path) -> int:
     section = require_section(cfg, "attend")
-    manifest = _prepare_out(out, args.force)
     stats = ValidationStats.load(section["stats_dir"])
     image = _read_image(section["image"], model)
+    manifest = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     amap = attention_map(image, stats, model, schedule, reps=section["reps"], rng=root.child(0))
     weights = weight_from_attention(amap)
-    files: list[Path] = []
-    for name, g in (("attention", amap.grid), ("weights", weights.grid)):
-        path = out / f"{name}.fdg"
-        write_grid(path, g)
-        files.append(path)
-        files.append(write_preview(out / name, g))
+    files = _write_grids(out, (("attention", amap.grid), ("weights", weights.grid)))
     _write_manifest(manifest, "attend", args, cfg, model, schedule, files)
     return EXIT_OK
 
 
 def _cmd_degrade(args, cfg, model, schedule, out: Path) -> int:
     section = cfg.get("degrade") or section_defaults("degrade")
+    image = None if section["image"] is None else _read_image(section["image"], model)
     manifest = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     files: list[Path] = []
-    if section["image"] is not None:
-        image = _read_image(section["image"], model)
-    else:
+    if image is None:
         image = Grid(model.sample_x0(1, root.child(0))[0].reshape(model.shape))
-        path = out / "clean.fdg"
-        write_grid(path, image)
-        files.append(path)
-        files.append(write_preview(out / "clean", image))
+        files = _write_grids(out, [("clean", image)])
 
-    base = DegradeParams.for_model(model, section["sigma_low"], section["sigma_high"])
-    params = DegradeParams(
-        side_min=base.side_min if section["side_min"] is None else section["side_min"],
-        side_max=base.side_max if section["side_max"] is None else section["side_max"],
-        threshold_low=base.threshold_low,
-        threshold_high=base.threshold_high,
+    params = DegradeParams.for_model(
+        model, section["sigma_low"], section["sigma_high"], section["side_min"], section["side_max"]
     )
     degraded, record = degrade(image, params, root.child(1))
-    for name, g in (("degraded", degraded), ("mask", record.mask)):
-        path = out / f"{name}.fdg"
-        write_grid(path, g)
-        files.append(path)
-        files.append(write_preview(out / name, g))
+    files += _write_grids(out, (("degraded", degraded), ("mask", record.mask)))
     record_path = out / "record.json"
     record_path.write_text(json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n")
     files.append(record_path)
@@ -300,7 +291,6 @@ def _cmd_eval(args, cfg, model, schedule, out: Path) -> int:
         sigma_high=section["sigma_high"],
         side_min=section["side_min"],
         side_max=section["side_max"],
-        record_artifacts=section["record_artifacts"],
         artifacts_dir=str(out / "artifacts") if section["record_artifacts"] else None,
     )
     report = run_correction_experiment(exp, RngStream(args.seed, 0))

@@ -169,6 +169,31 @@ _SECTION_FIELDS = {
     "eval": _EVAL_FIELDS,
 }
 
+# Range policy, checked at load time: fields that must be >= 1, and
+# projection depths that must lie in [0, schedule.T].
+_POSITIVE = (
+    ("model", "height"),
+    ("model", "width"),
+    ("model", "channels"),
+    ("sample", "count"),
+    ("fuzzy", "count"),
+    ("stats", "v_count"),
+    ("eval", "trials"),
+)
+_DEPTHS = (("stats", "depths"), ("eval", "depths"), ("eval", "baseline_depth"))
+
+
+def _check_ranges(cfg: dict) -> None:
+    for name, key in _POSITIVE:
+        if name in cfg and cfg[name][key] < 1:
+            raise ConfigError(f"'{name}.{key}' must be >= 1")
+    T = cfg["schedule"]["T"]
+    for name, key in _DEPTHS:
+        value = cfg.get(name, {}).get(key)
+        for t in value if isinstance(value, list) else [value]:
+            if t is not None and not 0 <= t <= T:
+                raise ConfigError(f"'{name}.{key}' must lie in [0, {T}], got {t}")
+
 
 def load_config(path) -> dict:
     """Parse and validate a config file; returns the normalized dict.
@@ -222,6 +247,7 @@ def load_config(path) -> dict:
             if not isinstance(raw[name], dict):
                 raise ConfigError(f"'{name}' must be an object")
             out[name] = _check_fields(raw[name], fields, name)
+    _check_ranges(out)
     return out
 
 

@@ -10,8 +10,6 @@ __all__ = [
     "ValidationError",
     "Grid",
     "RngStream",
-    "randn_grid",
-    "grid_stats",
     "clamp_unit",
 ]
 
@@ -79,11 +77,6 @@ class Grid:
     def flat(self) -> np.ndarray:
         """The values as a flat (h*w*c,) view."""
         return self._values.reshape(-1)
-
-    def allclose(self, other: "Grid", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        return self.shape == other.shape and np.allclose(
-            self._values, other._values, atol=atol, rtol=rtol
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
@@ -172,24 +165,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id:#x})"
-
-
-def randn_grid(shape: tuple[int, int, int], rng: RngStream) -> Grid:
-    """Grid of i.i.d. standard normals with the given (h, w, c) shape."""
-    if len(shape) != 3:
-        raise ValidationError(f"shape must be (h, w, c), got {shape!r}")
-    h, w, c = (int(d) for d in shape)
-    if min(h, w, c) < 1:
-        raise ValidationError(f"grid dimensions must be >= 1, got {(h, w, c)}")
-    return Grid(rng.normals(h * w * c).reshape(h, w, c))
-
-
-def grid_stats(g: Grid) -> tuple[float, float]:
-    """(mean, population variance) over every entry of ``g``."""
-    flat = g.flat()
-    mean = float(flat.mean())
-    var = float(flat.var())
-    return mean, var
 
 
 def clamp_unit(g: Grid) -> Grid:

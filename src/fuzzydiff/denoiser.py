@@ -20,16 +20,13 @@ import struct
 
 import numpy as np
 
-from .core import Grid, RngStream, ValidationError
+from .core import RngStream, ValidationError
 from .schedule import NoiseSchedule
 
 __all__ = [
     "EpsilonModel",
     "GaussianFieldModel",
     "GmmPixelModel",
-    "gaussian_predict",
-    "gmm_predict",
-    "log_marginal",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -50,9 +47,8 @@ class EpsilonModel(abc.ABC):
     """Contract for noise predictors operating on flattened pixel vectors.
 
     ``shape`` is the (h, w, c) grid shape the model is defined over and
-    D = h*w*c its flattened dimension. ``predict`` is the Grid-facing entry
-    point; ``predict_array`` is the batched core that samplers drive, taking
-    and returning arrays of shape (n, D).
+    D = h*w*c its flattened dimension. ``predict_array`` is the batched core
+    that samplers drive, taking and returning arrays of shape (n, D).
     """
 
     shape: tuple[int, int, int]
@@ -62,17 +58,6 @@ class EpsilonModel(abc.ABC):
         h, w, c = self.shape
         return h * w * c
 
-    def _check_grid(self, x: Grid) -> np.ndarray:
-        if x.shape != self.shape:
-            raise ValidationError(f"grid shape {x.shape} != model shape {self.shape}")
-        return x.flat()[None, :]
-
-    def predict(self, x_t: Grid, t: int, s: NoiseSchedule) -> Grid:
-        """Noise estimate for a single grid at step t."""
-        row = self._check_grid(x_t)
-        out = self.predict_array(row, t, s)
-        return Grid(out.reshape(self.shape))
-
     @abc.abstractmethod
     def predict_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         """Noise estimates for a batch; x has shape (n, D), 1 <= t <= T."""
@@ -81,10 +66,6 @@ class EpsilonModel(abc.ABC):
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         """log q(x_t) per batch row at step t (t=0 gives the data density)."""
 
-    def log_marginal(self, x_t: Grid, t: int, s: NoiseSchedule) -> float:
-        row = self._check_grid(x_t)
-        return float(self.log_marginal_array(row, t, s)[0])
-
     @abc.abstractmethod
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         """(mean (D,), covariance (D, D)) of q(x_0)."""
@@ -92,12 +73,6 @@ class EpsilonModel(abc.ABC):
     @abc.abstractmethod
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
         """n exact draws from q(x_0), shape (n, D)."""
-
-    def sample_x0_grid(self, rng: RngStream) -> Grid:
-        return Grid(self.sample_x0(1, rng)[0].reshape(self.shape))
-
-    def mean_grid(self) -> Grid:
-        return Grid(self.moments()[0].reshape(self.shape))
 
     def marginal_std(self) -> float:
         """Scalar spread of a typical pixel (root mean marginal variance)."""
@@ -313,21 +288,3 @@ class GmmPixelModel(EpsilonModel):
             _f8(self.variances),
         )
 
-
-def gaussian_predict(model: GaussianFieldModel, x_t: Grid, t: int, s: NoiseSchedule) -> Grid:
-    """Exact conditional-mean noise prediction under a Gaussian field."""
-    if not isinstance(model, GaussianFieldModel):
-        raise ValidationError("gaussian_predict requires a GaussianFieldModel")
-    return model.predict(x_t, t, s)
-
-
-def gmm_predict(model: GmmPixelModel, x_t: Grid, t: int, s: NoiseSchedule) -> Grid:
-    """Exact per-pixel conditional-mean noise prediction under a pixel GMM."""
-    if not isinstance(model, GmmPixelModel):
-        raise ValidationError("gmm_predict requires a GmmPixelModel")
-    return model.predict(x_t, t, s)
-
-
-def log_marginal(model: EpsilonModel, x_t: Grid, t: int, s: NoiseSchedule) -> float:
-    """log q(x_t) of the exact noised marginal at step t."""
-    return model.log_marginal(x_t, t, s)

@@ -17,6 +17,7 @@ from .denoiser import EpsilonModel
 from .gridio import write_grid
 from .projection import (
     attention_map,
+    default_depths,
     project_reconstruct,
     validation_stats,
     weight_from_attention,
@@ -50,8 +51,8 @@ class DegradeParams:
     Side lengths are drawn uniformly from [side_min, side_max] (inclusive,
     per axis); the replacement threshold uniformly from
     [threshold_low, threshold_high]. Use :meth:`for_model` to derive the
-    conventional defaults: sides in [h/4, h/2], threshold between 4 and 8
-    marginal standard deviations above the data mean.
+    conventional defaults: sides in [h/4, h/2] unless overridden, threshold
+    between 4 and 8 marginal standard deviations above the data mean.
     """
 
     side_min: int
@@ -73,13 +74,15 @@ class DegradeParams:
         model: EpsilonModel,
         sigma_low: float = 4.0,
         sigma_high: float = 8.0,
+        side_min: int | None = None,
+        side_max: int | None = None,
     ) -> "DegradeParams":
         h = model.shape[0]
         mean = float(np.mean(model.moments()[0]))
         std = model.marginal_std()
         return cls(
-            side_min=max(1, h // 4),
-            side_max=max(1, h // 2),
+            side_min=max(1, h // 4) if side_min is None else int(side_min),
+            side_max=max(1, h // 2) if side_max is None else int(side_max),
             threshold_low=mean + sigma_low * std,
             threshold_high=mean + sigma_high * std,
         )
@@ -247,7 +250,8 @@ class ExperimentConfig:
     depths defaults to the conventional projection set
     {0.3T, 0.4T, 0.5T, 0.6T} (rounded); baseline_depth to 0.4T. Disabling
     degradation turns the run into a fixed-point check: the map should stay
-    near 1 and the output near the input.
+    near 1 and the output near the input. With artifacts_dir set, every
+    trial's grids are written there.
     """
 
     model: EpsilonModel
@@ -263,20 +267,12 @@ class ExperimentConfig:
     sigma_high: float = 8.0
     side_min: int | None = None
     side_max: int | None = None
-    record_artifacts: bool = False
     artifacts_dir: str | None = None
 
     def resolved_depths(self) -> tuple[int, ...]:
         if self.depths is not None:
             return tuple(int(t) for t in self.depths)
-        T = self.schedule.T
-        # Deduplicate for tiny T where the rounded fractions collide.
-        out: list[int] = []
-        for frac in (0.3, 0.4, 0.5, 0.6):
-            t = max(1, round(frac * T))
-            if t not in out:
-                out.append(t)
-        return tuple(out)
+        return default_depths(self.schedule.T)
 
     def resolved_baseline_depth(self) -> int:
         if self.baseline_depth is not None:
@@ -284,14 +280,8 @@ class ExperimentConfig:
         return max(1, round(0.4 * self.schedule.T))
 
     def degrade_params(self) -> DegradeParams:
-        base = DegradeParams.for_model(self.model, self.sigma_low, self.sigma_high)
-        side_min = base.side_min if self.side_min is None else int(self.side_min)
-        side_max = base.side_max if self.side_max is None else int(self.side_max)
-        return DegradeParams(
-            side_min=side_min,
-            side_max=side_max,
-            threshold_low=base.threshold_low,
-            threshold_high=base.threshold_high,
+        return DegradeParams.for_model(
+            self.model, self.sigma_low, self.sigma_high, self.side_min, self.side_max
         )
 
     def describe(self) -> dict:
@@ -364,9 +354,7 @@ def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> Exper
     stats = validation_stats(model, s, V, list(depths), reps=config.reps, rng=rng.child(1))
 
     art_dir: Path | None = None
-    if config.record_artifacts:
-        if config.artifacts_dir is None:
-            raise ValidationError("record_artifacts requires artifacts_dir")
+    if config.artifacts_dir is not None:
         art_dir = Path(config.artifacts_dir)
         art_dir.mkdir(parents=True, exist_ok=True)
 

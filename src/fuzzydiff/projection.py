@@ -12,6 +12,7 @@ weight 0.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ __all__ = [
     "AttentionMap",
     "project_reconstruct",
     "project_reconstruct_array",
-    "discrepancy",
+    "default_depths",
     "validation_stats",
     "attention_map",
     "attention_from_discrepancies",
@@ -82,9 +83,13 @@ class ValidationStats:
     def __post_init__(self) -> None:
         if not self.depths:
             raise ValidationError("stats need at least one depth")
+        shape = None
         for t in self.depths:
             if t not in self.mu or t not in self.sigma:
                 raise ValidationError(f"stats missing grids for depth {t}")
+            shape = shape or self.mu[t].shape
+            if self.mu[t].shape != shape or self.sigma[t].shape != shape or shape[2] != 1:
+                raise ValidationError(f"mu/sigma at depth {t}: shapes differ or not single-channel")
             if self.mu[t].values.min() < 0.0:
                 raise ValidationError(f"mu at depth {t} has negative entries")
             if self.sigma[t].values.min() < self.sigma_floor:
@@ -115,28 +120,33 @@ class ValidationStats:
         manifest_path = directory / _MANIFEST_NAME
         if not manifest_path.is_file():
             raise FileNotFoundError(f"no stats manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("schema_version") != 1:
-            raise ValidationError(f"unsupported stats schema: {manifest.get('schema_version')!r}")
-        depths = tuple(int(t) for t in manifest["depths"])
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            version = manifest.get("schema_version")
+            if version != 1:
+                raise ValidationError(f"unsupported stats schema: {version!r}")
+            depths = tuple(int(t) for t in manifest["depths"])
+            meta = dict(
+                v_count=int(manifest["v_count"]),
+                reps=int(manifest["reps"]),
+                sigma_floor=float(manifest["sigma_floor"]),
+                model_fingerprint=str(manifest["model_fingerprint"]),
+                schedule_fingerprint=str(manifest["schedule_fingerprint"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed stats manifest {manifest_path}: {exc}") from exc
         mu = {t: read_grid(directory / f"mu_{t:05d}.fdg") for t in depths}
         sigma = {t: read_grid(directory / f"sigma_{t:05d}.fdg") for t in depths}
-        return cls(
-            depths=depths,
-            mu=mu,
-            sigma=sigma,
-            v_count=int(manifest["v_count"]),
-            reps=int(manifest["reps"]),
-            sigma_floor=float(manifest["sigma_floor"]),
-            model_fingerprint=str(manifest["model_fingerprint"]),
-            schedule_fingerprint=str(manifest["schedule_fingerprint"]),
-        )
+        return cls(depths=depths, mu=mu, sigma=sigma, **meta)
 
     def check_compatible(self, model: EpsilonModel, s: NoiseSchedule) -> None:
         if self.model_fingerprint != model.fingerprint():
             raise ValidationError("stats were computed under a different model (stale cache?)")
         if self.schedule_fingerprint != s.fingerprint():
             raise ValidationError("stats were computed under a different schedule (stale cache?)")
+        h, w, _ = model.shape
+        if self.mu[self.depths[0]].shape != (h, w, 1):
+            raise ValidationError(f"stats grids do not match the model's {h}x{w} pixels")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +173,6 @@ def project_reconstruct(
     """Stochastic reconstruction of x through projection depth t; t=0 is exact."""
     if x.shape != model.shape:
         raise ValidationError(f"grid shape {x.shape} != model shape {model.shape}")
-    if s.check_step(t, lowest=0) == 0:
-        return x
     out = project_reconstruct_array(model, s, x.flat()[None, :], t, rng)
     return Grid(out.reshape(x.shape))
 
@@ -176,17 +184,43 @@ def _discrepancy_rows(a: np.ndarray, b: np.ndarray, shape: tuple[int, int, int])
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-def discrepancy(x: Grid, xhat: Grid) -> Grid:
-    """Pixel-wise distance between x and xhat: L2 across channels, c=1 output."""
-    shape = x.shape
-    if xhat.shape != shape:
-        raise ValidationError(f"grid shapes differ: {x.shape} vs {xhat.shape}")
-    rows = _discrepancy_rows(x.flat()[None, :], xhat.flat()[None, :], shape)
-    return Grid(rows.reshape(shape[0], shape[1], 1))
+def _depth_discrepancies(
+    model: EpsilonModel,
+    s: NoiseSchedule,
+    X: np.ndarray,
+    depths: Iterable[int],
+    reps: int,
+    rng: RngStream,
+) -> Iterator[np.ndarray]:
+    """Per depth, the (n, h*w) discrepancy of X averaged over ``reps`` reconstructions.
+
+    Depth k draws only from rng.child(k), so validation statistics and the
+    attention map of a probe are computed by the same code on the same
+    stream layout. Yields one depth at a time, so only one is held.
+    """
+    reps = int(reps)
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    h, w, _ = model.shape
+    for k, t in enumerate(depths):
+        stream = rng.child(k)
+        acc = np.zeros((X.shape[0], h * w))
+        for _ in range(reps):
+            xhat = project_reconstruct_array(model, s, X, t, stream)
+            acc += _discrepancy_rows(X, xhat, model.shape)
+        yield acc / reps
 
 
 # ---------------------------------------------------------------------------
 # validation statistics
+
+
+def default_depths(T: int) -> tuple[int, ...]:
+    """The conventional projection set {0.3T, 0.4T, 0.5T, 0.6T}, rounded.
+
+    Depths that collide for tiny T appear once.
+    """
+    return tuple(dict.fromkeys(max(1, round(frac * T)) for frac in (0.3, 0.4, 0.5, 0.6)))
 
 
 def validation_stats(
@@ -202,8 +236,8 @@ def validation_stats(
     Each depth consumes draws only from its own child stream, so the set of
     depths can be processed in any execution order with identical results;
     accumulation follows the order of PS. Each member's discrepancy sample is
-    the average over ``reps`` independent reconstructions, mirroring exactly
-    what :func:`attention_map` computes for the probe image.
+    the average over ``reps`` independent reconstructions, computed by the
+    same loop :func:`attention_map` runs for the probe image.
 
     Depth 0 is allowed and gives the degenerate exact reconstruction (mu = 0,
     sigma at the floor): useful as a fixed-point check of the whole pipeline.
@@ -215,9 +249,6 @@ def validation_stats(
     depths = [s.check_step(t, lowest=0) for t in PS]
     if len(set(depths)) != len(depths):
         raise ValidationError(f"duplicate depths in PS: {PS}")
-    reps = int(reps)
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
 
     shape = model.shape
     for g in V:
@@ -230,13 +261,7 @@ def validation_stats(
     h, w, _ = shape
     mu: dict[int, Grid] = {}
     sigma: dict[int, Grid] = {}
-    for k, t in enumerate(depths):
-        stream = rng.child(k)
-        acc = np.zeros((n, h * w))
-        for _ in range(reps):
-            xhat = project_reconstruct_array(model, s, X, t, stream)
-            acc += _discrepancy_rows(X, xhat, shape)
-        d = acc / reps
+    for t, d in zip(depths, _depth_discrepancies(model, s, X, depths, reps, rng)):
         mu[t] = Grid(d.mean(axis=0).reshape(h, w, 1))
         sig = np.maximum(d.std(axis=0), floor)
         sigma[t] = Grid(sig.reshape(h, w, 1))
@@ -246,7 +271,7 @@ def validation_stats(
         mu=mu,
         sigma=sigma,
         v_count=n,
-        reps=reps,
+        reps=int(reps),
         sigma_floor=floor,
         model_fingerprint=model.fingerprint(),
         schedule_fingerprint=s.fingerprint(),
@@ -296,20 +321,10 @@ def attention_map(
     stats.check_compatible(model, s)
     if x.shape != model.shape:
         raise ValidationError(f"grid shape {x.shape} != model shape {model.shape}")
-    reps = int(reps)
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
 
     h, w, _ = x.shape
-    row = x.flat()[None, :]
-    dmaps: dict[int, Grid] = {}
-    for k, t in enumerate(stats.depths):
-        stream = rng.child(k)
-        acc = np.zeros((1, h * w))
-        for _ in range(reps):
-            xhat = project_reconstruct_array(model, s, row, t, stream)
-            acc += _discrepancy_rows(row, xhat, x.shape)
-        dmaps[t] = Grid((acc / reps).reshape(h, w, 1))
+    rows = _depth_discrepancies(model, s, x.flat()[None, :], stats.depths, reps, rng)
+    dmaps = {t: Grid(d.reshape(h, w, 1)) for t, d in zip(stats.depths, rows)}
     return attention_from_discrepancies(dmaps, stats)
 
 

@@ -1,9 +1,9 @@
 """Ancestral diffusion sampling and fuzzy per-pixel conditioning.
 
-The public operations take and return :class:`~fuzzydiff.core.Grid` values.
-Internally everything runs on (n, D) float64 arrays so batches share one
-vectorized trajectory; the Grid entry points are the n=1 case of the same
-code path, so draw order is identical either way.
+Everything runs on (n, D) float64 arrays so batches share one vectorized
+trajectory; the Grid entry points :func:`ancestral_sample` and
+:func:`fuzzy_sample` are the n=1 case of the same code path, so draw order is
+identical either way.
 
 Draw order per trajectory is part of the determinism contract:
 
@@ -28,14 +28,9 @@ from .schedule import NoiseSchedule
 __all__ = [
     "WeightMap",
     "FuzzySamplerConfig",
-    "forward_sample",
-    "forward_mean",
-    "reverse_step",
-    "reverse_mean",
     "ancestral_sample",
     "ancestral_sample_array",
     "fuzzy_fuse",
-    "renoise",
     "fuzzy_sample",
     "fuzzy_sample_array",
 ]
@@ -80,12 +75,10 @@ class FuzzySamplerConfig:
     """Knobs for :func:`fuzzy_sample`.
 
     J is the number of harmonization iterations per step; J=1 disables
-    harmonization. record_trajectory makes fuzzy_sample also return the
-    carried state after every step, for debugging.
+    harmonization.
     """
 
     J: int = 5
-    record_trajectory: bool = False
 
     def __post_init__(self) -> None:
         if int(self.J) < 1:
@@ -101,86 +94,21 @@ def _coerce_map(m, shape: tuple[int, int, int]) -> np.ndarray:
     return m.broadcast_to(shape).reshape(-1)
 
 
-def _check_same_shape(*grids: Grid) -> tuple[int, int, int]:
-    shape = grids[0].shape
-    for g in grids[1:]:
-        if g.shape != shape:
-            raise ValidationError(f"grid shapes differ: {g.shape} vs {shape}")
-    return shape
-
-
-# ---------------------------------------------------------------------------
-# forward process
-
-
-def forward_sample(x0: Grid, t: int, s: NoiseSchedule, rng: RngStream) -> Grid:
-    """One draw of the noised state at step t given clean data x0.
-
-    t=0 returns x0 itself (alpha_bar[0] = 1) and consumes no randomness.
-    """
-    t = s.check_step(t, lowest=0)
-    if t == 0:
-        return x0
-    eps = rng.normals(x0.size).reshape(x0.shape)
-    return Grid(s.sqrt_alpha_bar[t] * x0.values + s.sqrt_one_minus_alpha_bar[t] * eps)
-
-
-def forward_mean(x0: Grid, t: int, s: NoiseSchedule) -> Grid:
-    """The zero-noise forward point sqrt(alpha_bar[t]) * x0."""
-    t = s.check_step(t, lowest=0)
-    if t == 0:
-        return x0
-    return Grid(s.sqrt_alpha_bar[t] * x0.values)
-
-
-def renoise(x: Grid, t: int, s: NoiseSchedule, rng: RngStream) -> Grid:
-    """One forward Markov step onto level t: sqrt(1-beta_t)*x + sqrt(beta_t)*eps."""
-    t = s.check_step(t)
-    eps = rng.normals(x.size).reshape(x.shape)
-    return Grid(np.sqrt(s.alpha[t]) * x.values + np.sqrt(s.beta[t]) * eps)
-
-
 # ---------------------------------------------------------------------------
 # reverse process
-
-
-def _reverse_mean_array(
-    model: EpsilonModel, x: np.ndarray, t: int, s: NoiseSchedule
-) -> np.ndarray:
-    eps_hat = model.predict_array(x, t, s)
-    scale = (1.0 - s.alpha[t]) / s.sqrt_one_minus_alpha_bar[t]
-    return (x - scale * eps_hat) / np.sqrt(s.alpha[t])
 
 
 def _reverse_step_array(
     model: EpsilonModel, x: np.ndarray, t: int, s: NoiseSchedule, rng: RngStream
 ) -> np.ndarray:
-    mean = _reverse_mean_array(model, x, t, s)
+    """One ancestral step t -> t-1 on (n, D) rows; drawless at t=1 (beta_tilde[1] = 0)."""
+    eps_hat = model.predict_array(x, t, s)
+    scale = (1.0 - s.alpha[t]) / s.sqrt_one_minus_alpha_bar[t]
+    mean = (x - scale * eps_hat) / np.sqrt(s.alpha[t])
     if t == 1:
         return mean
     eps2 = rng.normals(x.size).reshape(x.shape)
     return mean + np.sqrt(s.beta_tilde[t]) * eps2
-
-
-def reverse_mean(model: EpsilonModel, x_t: Grid, t: int, s: NoiseSchedule) -> Grid:
-    """Mean of the reverse kernel at step t (no noise term)."""
-    t = s.check_step(t)
-    row = x_t.flat()[None, :]
-    if x_t.shape != model.shape:
-        raise ValidationError(f"grid shape {x_t.shape} != model shape {model.shape}")
-    return Grid(_reverse_mean_array(model, row, t, s).reshape(x_t.shape))
-
-
-def reverse_step(
-    model: EpsilonModel, x_t: Grid, t: int, s: NoiseSchedule, rng: RngStream
-) -> Grid:
-    """One ancestral step t -> t-1; deterministic at t=1 (beta_tilde[1] = 0)."""
-    t = s.check_step(t)
-    if x_t.shape != model.shape:
-        raise ValidationError(f"grid shape {x_t.shape} != model shape {model.shape}")
-    row = x_t.flat()[None, :]
-    out = _reverse_step_array(model, row, t, s, rng)
-    return Grid(out.reshape(x_t.shape))
 
 
 def ancestral_sample_array(
@@ -196,12 +124,8 @@ def ancestral_sample_array(
     return x
 
 
-def ancestral_sample(
-    model: EpsilonModel, s: NoiseSchedule, shape: tuple[int, int, int], rng: RngStream
-) -> Grid:
+def ancestral_sample(model: EpsilonModel, s: NoiseSchedule, rng: RngStream) -> Grid:
     """One unconditional sample from the model's learned-data surrogate."""
-    if tuple(shape) != model.shape:
-        raise ValidationError(f"requested shape {tuple(shape)} != model shape {model.shape}")
     return Grid(ancestral_sample_array(model, s, 1, rng)[0].reshape(model.shape))
 
 
@@ -246,7 +170,9 @@ def fuzzy_fuse(
     diffusion marginal. m=0 returns x_synth and m=1 returns x_reproj, bit-exact.
     """
     t = s.check_step(t)
-    shape = _check_same_shape(x_synth, x_reproj, x_cond)
+    shape = x_synth.shape
+    if not x_reproj.shape == x_cond.shape == shape:
+        raise ValidationError(f"grid shapes differ: {(shape, x_reproj.shape, x_cond.shape)}")
     m_flat = _coerce_map(m, shape)
     out = _fuse_array(
         x_synth.flat(), x_reproj.flat(), x_cond.flat(), m_flat, t, s
@@ -262,7 +188,6 @@ def fuzzy_sample_array(
     J: int,
     n: int,
     rng: RngStream,
-    record: list | None = None,
 ) -> np.ndarray:
     """Batched fuzzy-conditioned sampler core on (n, D) rows.
 
@@ -297,8 +222,6 @@ def fuzzy_sample_array(
                 eps3 = rng.normals(n * D).reshape(n, D)
                 x_t = np.sqrt(s.alpha[t]) * x_m + np.sqrt(s.beta[t]) * eps3
         x = x_m
-        if record is not None:
-            record.append(x.copy())
     return x
 
 
@@ -309,22 +232,13 @@ def fuzzy_sample(
     m,
     cfg: FuzzySamplerConfig,
     rng: RngStream,
-):
+) -> Grid:
     """Sample conditioned on x_cond at per-pixel strength m.
 
-    m=1 pixels reproduce x_cond exactly; m=0 pixels are unconditional. With
-    cfg.record_trajectory the return value is (sample, states) where states
-    holds the carried grid after each step t = T..1.
+    m=1 pixels reproduce x_cond exactly; m=0 pixels are unconditional.
     """
     if x_cond.shape != model.shape:
         raise ValidationError(f"grid shape {x_cond.shape} != model shape {model.shape}")
     m_flat = _coerce_map(m, x_cond.shape)
-    record: list | None = [] if cfg.record_trajectory else None
-    out = fuzzy_sample_array(
-        model, s, x_cond.flat(), m_flat, cfg.J, 1, rng, record=record
-    )
-    result = Grid(out[0].reshape(x_cond.shape))
-    if record is None:
-        return result
-    states = tuple(Grid(r[0].reshape(x_cond.shape)) for r in record)
-    return result, states
+    out = fuzzy_sample_array(model, s, x_cond.flat(), m_flat, cfg.J, 1, rng)
+    return Grid(out[0].reshape(x_cond.shape))

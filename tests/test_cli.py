@@ -90,6 +90,43 @@ class TestSample:
         cfg = make_config(tmp_path, {"sample": {"count": 0}})
         assert run("sample", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
 
+    def test_force_replaces_previous_artifacts(self, tmp_path):
+        out = tmp_path / "out"
+        keep = tmp_path / "out" / "notes.txt"
+        cfg = make_config(tmp_path, {"sample": {"count": 4}})
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        keep.write_text("not an artifact")
+        cfg = make_config(tmp_path, {"sample": {"count": 2}}, name="cfg2.json")
+        assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_OK
+        present = {p.name for p in out.iterdir()} - {"manifest.json", "notes.txt"}
+        assert present == set(manifest_of(out)["files"])
+        assert len(present) == 4
+        assert keep.read_text() == "not an artifact"
+
+    def test_force_with_missing_input_keeps_previous_run(self, tmp_path):
+        img = tmp_path / "image.fdg"
+        write_grid(img, Grid(np.full((4, 4, 1), 0.5)))
+        out = tmp_path / "out"
+        cfg = make_config(tmp_path, {"fuzzy": {"image": str(img), "map": 0.5, "count": 2}})
+        assert run("fuzzy", "--config", cfg, "--out", out) == EXIT_OK
+        before = fdg_bytes(out)
+        img.unlink()
+        assert run("fuzzy", "--config", cfg, "--out", out, "--force") == EXIT_IO
+        assert fdg_bytes(out) == before
+        assert set(manifest_of(out)["files"]) == {p.name for p in out.iterdir()} - {"manifest.json"}
+
+    def test_force_never_deletes_outside_out(self, tmp_path):
+        out = tmp_path / "out"
+        outside = tmp_path / "precious.fdg"
+        outside.write_bytes(b"keep")
+        cfg = make_config(tmp_path)
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        manifest = manifest_of(out)
+        manifest["files"]["../precious.fdg"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_OK
+        assert outside.read_bytes() == b"keep"
+
 
 class TestFuzzy:
     def write_image(self, tmp_path, value=0.5):
@@ -200,6 +237,29 @@ class TestStatsAttend:
         )
         assert run("attend", "--config", cfg2, "--out", tmp_path / "o") == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("corrupt", ["not json", "missing key", "shape mismatch", "resized"])
+    def test_attend_malformed_stats_is_validation_error(self, tmp_path, corrupt):
+        cfg_sections = {"stats": {"v_count": 4, "depths": [2]}}
+        stats_dir = self.build_stats(tmp_path, make_config(tmp_path, cfg_sections))
+        manifest = stats_dir / "manifest.json"
+        if corrupt == "not json":
+            manifest.write_text("{oops")
+        elif corrupt == "missing key":
+            manifest.write_text(json.dumps({"schema_version": 1}))
+        elif corrupt == "shape mismatch":
+            write_grid(stats_dir / "mu_00002.fdg", Grid(np.zeros((4, 3, 1))))
+        else:
+            write_grid(stats_dir / "mu_00002.fdg", Grid(np.zeros((4, 3, 1))))
+            write_grid(stats_dir / "sigma_00002.fdg", Grid(np.ones((4, 3, 1))))
+        img = tmp_path / "probe.fdg"
+        write_grid(img, Grid(np.full((4, 4, 1), 0.3)))
+        cfg = make_config(
+            tmp_path,
+            {"attend": {"image": str(img), "stats_dir": str(stats_dir)}},
+            name="cfg_attend.json",
+        )
+        assert run("attend", "--config", cfg, "--out", tmp_path / "o") == EXIT_VALIDATION
+
     def test_attend_missing_stats_dir(self, tmp_path):
         img = tmp_path / "probe.fdg"
         write_grid(img, Grid(np.full((4, 4, 1), 0.3)))
@@ -289,6 +349,23 @@ class TestErrors:
     def test_unknown_field(self, tmp_path):
         cfg = make_config(tmp_path, {"sample": {"count": 1, "typo": 2}})
         assert run("sample", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command,sections",
+        [
+            ("stats", {"stats": {"v_count": 2, "depths": [25]}}),
+            ("stats", {"stats": {"v_count": 0}}),
+            ("eval", {"eval": {"trials": -3}}),
+            ("eval", {"eval": {"depths": [-1]}}),
+            ("eval", {"eval": {"baseline_depth": 7}}),
+            ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.0, "count": 0}}),
+        ],
+    )
+    def test_out_of_range_values_exit_two(self, tmp_path, command, sections):
+        cfg = make_config(tmp_path, sections)
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_argparse_failures_exit_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

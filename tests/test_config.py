@@ -108,6 +108,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'fuzzy'"):
             require_section(cfg, "fuzzy")
 
+    @pytest.mark.parametrize(
+        "section,values,message",
+        [
+            ("stats", {"depths": [3, 11]}, r"'stats.depths' must lie in \[0, 10\]"),
+            ("stats", {"depths": [-1]}, "'stats.depths' must lie"),
+            ("eval", {"depths": [25]}, "'eval.depths' must lie"),
+            ("eval", {"baseline_depth": 11}, "'eval.baseline_depth' must lie"),
+            ("eval", {"trials": -3}, "'eval.trials' must be >= 1"),
+            ("eval", {"trials": 0}, "'eval.trials' must be >= 1"),
+            ("sample", {"count": 0}, "'sample.count' must be >= 1"),
+            ("fuzzy", {"image": "x.fdg", "map": 0.5, "count": -1}, "'fuzzy.count' must be >= 1"),
+            ("stats", {"v_count": 0}, "'stats.v_count' must be >= 1"),
+            ("model", dict(MINIMAL["model"], height=-2), "'model.height' must be >= 1"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, tmp_path, section, values, message):
+        payload = dict(MINIMAL, **{section: values})
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_cfg(tmp_path, payload))
+
+    def test_depth_bounds_are_inclusive(self, tmp_path):
+        payload = dict(MINIMAL, stats={"depths": [0, 10]}, eval={"baseline_depth": 0})
+        cfg = load_config(write_cfg(tmp_path, payload))
+        assert cfg["stats"]["depths"] == [0, 10]
+
     def test_section_defaults(self):
         assert section_defaults("sample") == {"count": 1}
         with pytest.raises(ConfigError):

@@ -7,13 +7,9 @@ from hypothesis.extra.numpy import arrays
 from fuzzydiff import (
     GaussianFieldModel,
     GmmPixelModel,
-    Grid,
     RngStream,
     ValidationError,
-    gaussian_predict,
-    gmm_predict,
     linear_schedule,
-    log_marginal,
 )
 
 
@@ -26,8 +22,9 @@ def std_normal_model() -> GaussianFieldModel:
     return GaussianFieldModel((1, 1, 1), 0.0, np.array([[1.0]]))
 
 
-def one(v: float) -> Grid:
-    return Grid(np.full((1, 1, 1), v))
+def one(v: float) -> np.ndarray:
+    """A single one-pixel row."""
+    return np.full((1, 1), v)
 
 
 class TestGaussianField:
@@ -35,35 +32,34 @@ class TestGaussianField:
         s = scalar_schedule(0.5)
         model = std_normal_model()
         for v in (-1.3, 0.0, 0.4, 2.0):
-            eps = gaussian_predict(model, one(v), 1, s)
-            assert abs(eps.values[0, 0, 0] - np.sqrt(0.5) * v) < 1e-12
+            eps = model.predict_array(one(v), 1, s)
+            assert abs(eps[0, 0] - np.sqrt(0.5) * v) < 1e-12
 
     def test_deterministic_data_gives_pure_noise_residual(self):
         s = scalar_schedule(0.7)
         model = GaussianFieldModel((1, 1, 1), 0.25, np.array([[0.0]]))
         v = 1.1
-        eps = model.predict(one(v), 1, s)
+        eps = model.predict_array(one(v), 1, s)
         expected = (v - np.sqrt(0.7) * 0.25) / np.sqrt(0.3)
-        assert abs(eps.values[0, 0, 0] - expected) < 1e-12
+        assert abs(eps[0, 0] - expected) < 1e-12
 
     def test_zero_residual_at_scaled_mean(self, field_model, sched200):
         for t in (1, 57, 200):
-            x = Grid(
-                (sched200.sqrt_alpha_bar[t] * field_model.mu).reshape(field_model.shape)
-            )
-            eps = field_model.predict(x, t, sched200)
-            assert np.abs(eps.values).max() < 1e-10
+            x = (sched200.sqrt_alpha_bar[t] * field_model.mu)[None, :]
+            eps = field_model.predict_array(x, t, sched200)
+            assert np.abs(eps).max() < 1e-10
 
     def test_shape_mismatch_rejected(self, field_model, sched200):
-        with pytest.raises(ValidationError):
-            field_model.predict(Grid(np.zeros((4, 4, 1))), 10, sched200)
+        # Rows of the wrong width must fail loudly, never broadcast silently.
+        with pytest.raises(ValueError):
+            field_model.predict_array(np.zeros((1, 16)), 10, sched200)
 
     def test_step_range(self, field_model, sched200):
-        x = field_model.mean_grid()
+        x = field_model.mu[None, :]
         with pytest.raises(IndexError):
-            field_model.predict(x, 0, sched200)
+            field_model.predict_array(x, 0, sched200)
         with pytest.raises(IndexError):
-            field_model.predict(x, 201, sched200)
+            field_model.predict_array(x, 201, sched200)
 
     def test_rejects_bad_covariance(self):
         with pytest.raises(ValidationError):
@@ -100,24 +96,24 @@ class TestGmmPixel:
         s = scalar_schedule(0.6)
         gmm = GmmPixelModel((2, 3, 1), [1.0], [0.3], [0.02])
         gauss = GaussianFieldModel((2, 3, 1), 0.3, 0.02 * np.eye(6))
-        x = Grid(np.linspace(-0.5, 1.2, 6).reshape(2, 3, 1))
-        a = gmm_predict(gmm, x, 1, s)
-        b = gaussian_predict(gauss, x, 1, s)
-        assert np.abs(a.values - b.values).max() < 1e-10
+        x = np.linspace(-0.5, 1.2, 6)[None, :]
+        a = gmm.predict_array(x, 1, s)
+        b = gauss.predict_array(x, 1, s)
+        assert np.abs(a - b).max() < 1e-10
 
     def test_symmetric_mixture_zero_at_origin(self):
         s = scalar_schedule(0.5)
         model = GmmPixelModel((1, 1, 1), [0.5, 0.5], [-1.0, 1.0], [0.01, 0.01])
-        eps = model.predict(one(0.0), 1, s)
-        assert abs(eps.values[0, 0, 0]) < 1e-12
+        eps = model.predict_array(one(0.0), 1, s)
+        assert abs(eps[0, 0]) < 1e-12
 
     def test_far_component_negligible(self):
         s = scalar_schedule(0.99)
         mix = GmmPixelModel((1, 1, 1), [0.5, 0.5], [-1.0, 1.0], [0.01, 0.01])
         solo = GmmPixelModel((1, 1, 1), [1.0], [1.0], [0.01])
         x = one(0.995 * np.sqrt(0.99))
-        a = mix.predict(x, 1, s).values[0, 0, 0]
-        b = solo.predict(x, 1, s).values[0, 0, 0]
+        a = mix.predict_array(x, 1, s)[0, 0]
+        b = solo.predict_array(x, 1, s)[0, 0]
         assert abs(a - b) < 1e-3
 
     def test_two_mode_moments(self, gmm_model):
@@ -144,29 +140,20 @@ class TestGmmPixel:
         with pytest.raises(ValidationError):
             GmmPixelModel((1, 1, 1), [0.5, 0.5], [0.0], [0.1, 0.1])
 
-    def test_predict_validates_type(self, field_model, gmm_model, sched200):
-        x = field_model.mean_grid()
-        with pytest.raises(ValidationError):
-            gmm_predict(field_model, x, 10, sched200)  # type: ignore[arg-type]
-        with pytest.raises(ValidationError):
-            gaussian_predict(gmm_model, x, 10, sched200)  # type: ignore[arg-type]
-
 
 class TestLogMarginal:
     def test_standard_normal_invariant_across_steps(self, sched50):
         model = std_normal_model()
         for t in (0, 1, 25, 50):
-            val = model.log_marginal(one(0.0), t, sched50)
+            val = model.log_marginal_array(one(0.0), t, sched50)[0]
             assert abs(val - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
     def test_gmm_symmetry(self, sched50):
         model = GmmPixelModel((2, 2, 1), [0.5, 0.5], [-0.4, 0.4], [0.02, 0.02])
-        x = Grid(np.array([0.3, -0.1, 0.7, 0.05]).reshape(2, 2, 1))
-        neg = Grid(-x.values)
+        x = np.array([[0.3, -0.1, 0.7, 0.05]])
         for t in (0, 10, 40):
-            assert abs(
-                log_marginal(model, x, t, sched50) - log_marginal(model, neg, t, sched50)
-            ) < 1e-12
+            pos, neg = model.log_marginal_array(np.vstack([x, -x]), t, sched50)
+            assert abs(pos - neg) < 1e-12
 
     @pytest.mark.parametrize("kind", ["field", "gmm"])
     def test_density_integrates_to_one(self, kind, sched50):
@@ -183,7 +170,7 @@ class TestLogMarginal:
     def test_degenerate_covariance_rejected(self):
         model = GaussianFieldModel((1, 1, 1), 0.0, np.array([[0.0]]))
         with pytest.raises(ValidationError):
-            model.log_marginal(one(0.1), 0, linear_schedule(5, 0.1, 0.3))
+            model.log_marginal_array(one(0.1), 0, linear_schedule(5, 0.1, 0.3))
 
 
 def _fd_score(model, row: np.ndarray, t, s, i: int, h: float = 3e-5) -> float:
@@ -263,8 +250,8 @@ def test_predictions_finite_and_shaped(vals, t):
     s = linear_schedule(50, 1.2e-3, 0.24)
     gmm = GmmPixelModel.two_mode(2, 2, 1)
     field = GaussianFieldModel.exponential(2, 2, 1)
-    x = Grid(vals)
+    x = vals.reshape(1, 4)
     for model in (gmm, field):
-        out = model.predict(x, t, s)
+        out = model.predict_array(x, t, s)
         assert out.shape == x.shape
-        assert np.all(np.isfinite(out.values))
+        assert np.all(np.isfinite(out))

@@ -1,0 +1,133 @@
+"""Exit-code contract: on any config, entrypoint returns 0, 2, 3 or 4 and never raises.
+
+Configs are small (T <= 8, 2x2 grids) and mix valid values with out-of-range
+depths, non-positive counts and trials, missing input files and a corrupted
+statistics directory.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fuzzydiff import Grid, write_grid
+from fuzzydiff.cli import entrypoint
+
+CONTRACT = {0, 2, 3, 4}
+COMMANDS = ["sample", "fuzzy", "stats", "attend", "degrade", "eval"]
+
+FIELD = {"type": "gaussian_field", "height": 2, "width": 2}
+GMM = {
+    "type": "gmm_pixel",
+    "height": 2,
+    "width": 2,
+    "weights": [0.5, 0.5],
+    "means": [0.25, 0.75],
+    "variances": [0.005, 0.005],
+}
+MODELS = [FIELD, GMM, dict(FIELD, covariance_file="absent.fdg"), dict(GMM, variances=[0.1, -1.0])]
+
+# Input files as the config names them; each is written, missing, or malformed.
+IMAGES = ["probe.fdg", "wide.fdg", "absent.fdg"]
+MAPS = [0.5, 1.0, 1.5, "weights.fdg", "wide.fdg", "absent.fdg"]
+STATS_DIRS = ["stats", "absent"]
+STATS_DAMAGE = [None, "not json", "missing key", "missing grid", "wrong shape"]
+
+counts = st.integers(-2, 3)
+small = st.integers(0, 2)
+
+
+@st.composite
+def scenarios(draw):
+    T = draw(st.integers(1, 8))
+    depth = st.integers(-2, T + 2)
+    depths = st.none() | st.lists(depth, max_size=3)
+    sides = st.none() | st.integers(-1, 3)
+    cfg = {
+        "schedule": {"T": T, "beta_start": 0.05, "beta_end": draw(st.sampled_from([0.3, 1.5]))},
+        "model": draw(st.sampled_from(MODELS)),
+        "sample": {"count": draw(counts)},
+        "fuzzy": {
+            "image": draw(st.sampled_from(IMAGES)),
+            "map": draw(st.sampled_from(MAPS)),
+            "count": draw(counts),
+            "J": draw(small),
+        },
+        "stats": {"v_count": draw(counts), "depths": draw(depths), "reps": draw(small)},
+        "attend": {
+            "image": draw(st.sampled_from(IMAGES)),
+            "stats_dir": draw(st.sampled_from(STATS_DIRS)),
+            "reps": draw(small),
+        },
+        "degrade": {
+            "image": draw(st.none() | st.sampled_from(IMAGES)),
+            "side_min": draw(sides),
+            "side_max": draw(sides),
+        },
+        "eval": {
+            "trials": draw(counts),
+            "J": draw(small),
+            "v_count": draw(st.integers(-1, 4)),
+            "depths": draw(depths),
+            "baseline_depth": draw(st.none() | depth),
+            "degrade_enabled": draw(st.booleans()),
+            "side_max": draw(sides),
+            "record_artifacts": draw(st.booleans()),
+        },
+    }
+    return {
+        "cfg": cfg,
+        "command": draw(st.sampled_from(COMMANDS)),
+        "workers": draw(st.integers(1, 2)),
+        "damage": draw(st.sampled_from(STATS_DAMAGE)),
+        "rerun_with_force": draw(st.booleans()),
+    }
+
+
+def _absolute(cfg: dict, root: Path) -> dict:
+    """Input paths resolve against the working directory, so anchor them at root."""
+    for section, key in (("fuzzy", "image"), ("fuzzy", "map"), ("attend", "image"),
+                         ("attend", "stats_dir"), ("degrade", "image")):
+        if isinstance(cfg[section][key], str):
+            cfg[section][key] = str(root / cfg[section][key])
+    return cfg
+
+
+def _write_inputs(root: Path, schedule: dict, damage) -> None:
+    write_grid(root / "probe.fdg", Grid(np.full((2, 2, 1), 0.4)))
+    write_grid(root / "weights.fdg", Grid(np.array([[1.0, 0.5], [0.0, 0.25]])[:, :, None]))
+    write_grid(root / "wide.fdg", Grid(np.full((2, 3, 1), 0.5)))
+    # Statistics for the field model, built through the CLI, then damaged.
+    stats_cfg = root / "stats_cfg.json"
+    valid = {"schedule": dict(schedule, beta_end=0.3), "model": FIELD,
+             "stats": {"v_count": 3, "depths": [1]}}
+    stats_cfg.write_text(json.dumps(valid))
+    assert entrypoint(["stats", "--config", str(stats_cfg), "--out", str(root / "built")]) == 0
+    (root / "built" / "stats").rename(root / "stats")
+    manifest = root / "stats" / "manifest.json"
+    if damage == "not json":
+        manifest.write_text("{oops")
+    elif damage == "missing key":
+        manifest.write_text(json.dumps({"schema_version": 1, "depths": [1]}))
+    elif damage == "missing grid":
+        (root / "stats" / "sigma_00001.fdg").unlink()
+    elif damage == "wrong shape":
+        write_grid(root / "stats" / "mu_00001.fdg", Grid(np.zeros((3, 2, 1))))
+
+
+@given(scenarios())
+@settings(max_examples=50, deadline=None)
+def test_entrypoint_only_returns_documented_codes(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_inputs(root, scenario["cfg"]["schedule"], scenario["damage"])
+        config = root / "cfg.json"
+        config.write_text(json.dumps(_absolute(scenario["cfg"], root)))
+        argv = [scenario["command"], "--config", str(config), "--out", str(root / "out"),
+                "--workers", str(scenario["workers"])]
+        assert entrypoint(argv) in CONTRACT
+        if scenario["rerun_with_force"]:
+            assert entrypoint(argv + ["--force"]) in CONTRACT

@@ -23,6 +23,10 @@ from fuzzydiff import (
 )
 
 
+def mean_grid(model):
+    return Grid(model.moments()[0].reshape(model.shape))
+
+
 class TestDegradeParams:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -42,7 +46,7 @@ class TestDegradeParams:
 
 class TestDegrade:
     def test_zero_area_is_identity(self, field_model):
-        x = field_model.mean_grid()
+        x = mean_grid(field_model)
         params = DegradeParams(0, 0, 5.0, 5.0)
         out, record = degrade(x, params, RngStream(1, 0))
         assert out == x
@@ -74,10 +78,10 @@ class TestDegrade:
 
     def test_oversized_side_rejected(self, field_model):
         with pytest.raises(ValidationError):
-            degrade(field_model.mean_grid(), DegradeParams(2, 9, 0.0, 1.0), RngStream(0, 0))
+            degrade(mean_grid(field_model), DegradeParams(2, 9, 0.0, 1.0), RngStream(0, 0))
 
     def test_deterministic(self, field_model):
-        x = field_model.mean_grid()
+        x = mean_grid(field_model)
         params = DegradeParams.for_model(field_model)
         a = degrade(x, params, RngStream(5, 7))
         b = degrade(x, params, RngStream(5, 7))
@@ -266,9 +270,7 @@ class TestRunExperiment:
 
     def test_artifacts_written(self, field_model, sched50, tmp_path):
         art = tmp_path / "artifacts"
-        cfg = self.small_config(
-            field_model, sched50, trials=1, record_artifacts=True, artifacts_dir=str(art)
-        )
+        cfg = self.small_config(field_model, sched50, trials=1, artifacts_dir=str(art))
         run_correction_experiment(cfg, RngStream(101, 0))
         names = sorted(p.name for p in art.iterdir())
         assert names == [
@@ -280,10 +282,12 @@ class TestRunExperiment:
             "trial_000_weights.fdg",
         ]
 
-    def test_artifacts_require_directory(self, field_model, sched50):
-        cfg = self.small_config(field_model, sched50, record_artifacts=True)
-        with pytest.raises(ValidationError):
-            run_correction_experiment(cfg, RngStream(0, 0))
+    def test_artifacts_require_directory(self, field_model, sched50, tmp_path, monkeypatch):
+        # Without artifacts_dir the experiment writes nothing at all.
+        monkeypatch.chdir(tmp_path)
+        cfg = self.small_config(field_model, sched50, trials=1)
+        run_correction_experiment(cfg, RngStream(0, 0))
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_save_roundtrip(self, field_model, sched50, tmp_path):
         cfg = self.small_config(field_model, sched50, trials=1)
