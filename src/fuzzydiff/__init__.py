@@ -8,7 +8,7 @@ feeds back into the sampler as a conditioning weight map.
 """
 
 from .config import ConfigError, build_model, build_schedule, load_config
-from .core import Grid, RngStream, ValidationError, clamp_unit
+from .core import Grid, RngStream, RowStreams, ValidationError, clamp_unit
 from .denoiser import (
     EpsilonModel,
     GaussianFieldModel,
@@ -41,7 +41,6 @@ from .projection import (
 from .sampler import (
     FuzzySamplerConfig,
     WeightMap,
-    ancestral_sample,
     fuzzy_fuse,
     fuzzy_sample,
 )
@@ -56,6 +55,7 @@ __all__ = [
     "build_model",
     "Grid",
     "RngStream",
+    "RowStreams",
     "ValidationError",
     "clamp_unit",
     "read_grid",
@@ -70,7 +70,6 @@ __all__ = [
     "GmmPixelModel",
     "WeightMap",
     "FuzzySamplerConfig",
-    "ancestral_sample",
     "fuzzy_fuse",
     "fuzzy_sample",
     "ValidationStats",

@@ -2,9 +2,10 @@
 
 Every subcommand reads one JSON config, draws from streams derived only from
 (--seed, task index), and writes its artifacts plus a manifest.json into
---out. Reruns with the same config and seed are byte-identical, whatever
---workers says; the manifest records content hashes so that claim is easy to
-check.
+--out. Reruns with the same config and seed are byte-identical, and the
+manifest records content hashes so that claim is easy to check. `sample` and
+`fuzzy` run all their samples as one batch in which sample i draws only from
+child stream i. --workers is still accepted but has no effect.
 
 Exit codes: 0 success, 2 configuration problem, 3 file I/O problem,
 4 data validation failure (shapes, ranges, stale fingerprints).
@@ -16,8 +17,8 @@ import argparse
 import hashlib
 import json
 import logging
+import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import (
@@ -28,7 +29,7 @@ from .config import (
     require_section,
     section_defaults,
 )
-from .core import Grid, RngStream, ValidationError, clamp_unit
+from .core import Grid, RngStream, RowStreams, ValidationError, clamp_unit
 from .gridio import read_grid, write_grid, write_preview
 from .harness import DegradeParams, ExperimentConfig, degrade, run_correction_experiment
 from .projection import (
@@ -38,7 +39,7 @@ from .projection import (
     validation_stats,
     weight_from_attention,
 )
-from .sampler import FuzzySamplerConfig, WeightMap, ancestral_sample, fuzzy_sample
+from .sampler import FuzzySamplerConfig, WeightMap, ancestral_sample_array, fuzzy_sample
 
 log = logging.getLogger("fuzzydiff")
 
@@ -46,6 +47,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+
+_STAGE = ".staging"
 
 
 def _u64(text: str) -> int:
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=_positive_int,
             default=1,
-            help="worker threads for per-sample loops; never affects output bytes",
+            help="accepted for compatibility; has no effect",
         )
         p.add_argument(
             "--force", action="store_true", help="overwrite an existing manifest"
@@ -103,33 +106,57 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_out(out: Path, force: bool) -> Path:
-    """Create --out; with --force, first delete what the previous run's manifest lists.
-
-    Only listed files inside --out are removed, so two runs' artifacts never
-    mix and nothing else in the directory is touched. Handlers read their
-    inputs before calling this, so a missing input leaves the old run intact.
-    """
-    out.mkdir(parents=True, exist_ok=True)
+def _previous_files(out: Path) -> list[Path]:
+    """The files inside --out (outside staging) that the previous run's manifest lists."""
     manifest = out / "manifest.json"
-    if manifest.exists():
-        if not force:
-            raise FileExistsError(f"{manifest} exists; pass --force to overwrite")
-        try:
-            listed = json.loads(manifest.read_text())["files"].keys()
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
-        root = out.resolve()
-        for rel in listed:
-            path = (out / rel).resolve()
-            if root in path.parents and path.is_file():
-                path.unlink()
-        manifest.unlink()
-    return manifest
+    if not manifest.exists():
+        return []
+    try:
+        listed = json.loads(manifest.read_text())["files"].keys()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
+    root, stage = out.resolve(), (out / _STAGE).resolve()
+    paths = [(out / rel).resolve() for rel in listed]
+    return [p for p in paths if root in p.parents and stage not in p.parents and p.is_file()]
+
+
+def _prepare_out(out: Path, force: bool) -> Path:
+    """Check --out and return an empty staging directory inside it for the handler.
+
+    A staging directory left behind by a killed run is cleared first. The
+    previous run stays untouched until :func:`_commit_out` runs, after the
+    handler has succeeded.
+    """
+    manifest = out / "manifest.json"
+    if manifest.exists() and not force:
+        raise FileExistsError(f"{manifest} exists; pass --force to overwrite")
+    _previous_files(out)  # an unreadable previous manifest fails before any work
+    stage = out / _STAGE
+    shutil.rmtree(stage, ignore_errors=True)
+    stage.mkdir(parents=True)
+    return stage
+
+
+def _commit_out(out: Path) -> None:
+    """Replace the previous run in --out with the staged one.
+
+    Deletes the files the previous manifest lists (only inside --out, so
+    unlisted files survive and two runs never mix), renames the staged files
+    into place, and renames the new manifest.json last.
+    """
+    stage = out / _STAGE
+    for path in _previous_files(out):
+        path.unlink()
+    manifest = stage / "manifest.json"
+    staged = [p for p in sorted(stage.rglob("*")) if p.is_file() and p != manifest]
+    for path in staged + [manifest]:
+        target = out / path.relative_to(stage)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        path.replace(target)
 
 
 def _write_manifest(
-    manifest_path: Path,
+    out_dir: Path,
     command: str,
     args,
     cfg: dict,
@@ -137,7 +164,6 @@ def _write_manifest(
     schedule,
     files: list[Path],
 ) -> None:
-    out_dir = manifest_path.parent
     entries = {str(p.relative_to(out_dir)): _sha256(p) for p in files}
     payload = {
         "schema_version": 1,
@@ -148,15 +174,7 @@ def _write_manifest(
         "schedule_fingerprint": schedule.fingerprint(),
         "files": dict(sorted(entries.items())),
     }
-    manifest_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _parallel_indexed(worker, count: int, workers: int) -> list:
-    """Run worker(i) for i in range(count); results ordered by index."""
-    if workers <= 1 or count <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(count)))
+    (out_dir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_grids(out: Path, named) -> list[Path]:
@@ -176,20 +194,18 @@ def _read_image(path_text: str, model) -> Grid:
     return g
 
 
-def _cmd_sample(args, cfg, model, schedule, out: Path) -> int:
+def _cmd_sample(args, cfg, model, schedule, out: Path) -> None:
     section = cfg.get("sample") or section_defaults("sample")
     count = section["count"]
-    manifest = _prepare_out(out, args.force)
+    stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
-
-    def worker(i: int) -> Grid:
-        return ancestral_sample(model, schedule, root.child(i))
-
-    grids = _parallel_indexed(worker, count, args.workers)
-    files = _write_grids(out, ((f"sample_{i:04d}", g) for i, g in enumerate(grids)))
-    _write_manifest(manifest, "sample", args, cfg, model, schedule, files)
-    log.info("wrote %d samples to %s", count, out)
-    return EXIT_OK
+    rows = ancestral_sample_array(
+        model, schedule, count, RowStreams(root.child(i) for i in range(count))
+    )
+    grids = (Grid(r.reshape(model.shape)) for r in rows)
+    files = _write_grids(stage, ((f"sample_{i:04d}", g) for i, g in enumerate(grids)))
+    _write_manifest(stage, "sample", args, cfg, model, schedule, files)
+    log.info("wrote %d samples", count)
 
 
 def _load_weight_map(section: dict, model) -> WeightMap:
@@ -205,78 +221,70 @@ def _load_weight_map(section: dict, model) -> WeightMap:
     return WeightMap.uniform(float(m_spec), h, w, 1)
 
 
-def _cmd_fuzzy(args, cfg, model, schedule, out: Path) -> int:
+def _cmd_fuzzy(args, cfg, model, schedule, out: Path) -> None:
     section = require_section(cfg, "fuzzy")
     image = _read_image(section["image"], model)
     weights = _load_weight_map(section, model)
     fuzzy_cfg = FuzzySamplerConfig(J=section["J"])
-    manifest = _prepare_out(out, args.force)
+    stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
-
-    def worker(i: int) -> Grid:
-        return fuzzy_sample(model, schedule, image, weights, fuzzy_cfg, root.child(i))
-
-    grids = _parallel_indexed(worker, section["count"], args.workers)
-    files = _write_grids(out, ((f"fuzzy_{i:04d}", g) for i, g in enumerate(grids)))
-    _write_manifest(manifest, "fuzzy", args, cfg, model, schedule, files)
-    log.info("wrote %d conditioned samples to %s", section["count"], out)
-    return EXIT_OK
+    streams = [root.child(i) for i in range(section["count"])]
+    grids = fuzzy_sample(model, schedule, image, weights, fuzzy_cfg, streams)
+    files = _write_grids(stage, ((f"fuzzy_{i:04d}", g) for i, g in enumerate(grids)))
+    _write_manifest(stage, "fuzzy", args, cfg, model, schedule, files)
+    log.info("wrote %d conditioned samples", section["count"])
 
 
-def _cmd_stats(args, cfg, model, schedule, out: Path) -> int:
+def _cmd_stats(args, cfg, model, schedule, out: Path) -> None:
     section = cfg.get("stats") or section_defaults("stats")
     depths = section["depths"] if section["depths"] is not None else default_depths(schedule.T)
-    manifest = _prepare_out(out, args.force)
+    stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     rows = model.sample_x0(section["v_count"], root.child(0))
-    V = [Grid(r.reshape(model.shape)) for r in rows]
-    stats = validation_stats(model, schedule, V, depths, reps=section["reps"], rng=root.child(1))
-    stats_dir = out / "stats"
+    stats = validation_stats(model, schedule, rows, depths, reps=section["reps"], rng=root.child(1))
+    stats_dir = stage / "stats"
     stats.save(stats_dir)
     files = sorted(stats_dir.iterdir())
-    _write_manifest(manifest, "stats", args, cfg, model, schedule, files)
-    log.info("stats over %d members at depths %s -> %s", section["v_count"], depths, stats_dir)
-    return EXIT_OK
+    _write_manifest(stage, "stats", args, cfg, model, schedule, files)
+    log.info("stats over %d members at depths %s", section["v_count"], depths)
 
 
-def _cmd_attend(args, cfg, model, schedule, out: Path) -> int:
+def _cmd_attend(args, cfg, model, schedule, out: Path) -> None:
     section = require_section(cfg, "attend")
     stats = ValidationStats.load(section["stats_dir"])
     image = _read_image(section["image"], model)
-    manifest = _prepare_out(out, args.force)
+    stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     amap = attention_map(image, stats, model, schedule, reps=section["reps"], rng=root.child(0))
     weights = weight_from_attention(amap)
-    files = _write_grids(out, (("attention", amap.grid), ("weights", weights.grid)))
-    _write_manifest(manifest, "attend", args, cfg, model, schedule, files)
-    return EXIT_OK
+    files = _write_grids(stage, (("attention", amap.grid), ("weights", weights.grid)))
+    _write_manifest(stage, "attend", args, cfg, model, schedule, files)
 
 
-def _cmd_degrade(args, cfg, model, schedule, out: Path) -> int:
+def _cmd_degrade(args, cfg, model, schedule, out: Path) -> None:
     section = cfg.get("degrade") or section_defaults("degrade")
     image = None if section["image"] is None else _read_image(section["image"], model)
-    manifest = _prepare_out(out, args.force)
+    stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     files: list[Path] = []
     if image is None:
         image = Grid(model.sample_x0(1, root.child(0))[0].reshape(model.shape))
-        files = _write_grids(out, [("clean", image)])
+        files = _write_grids(stage, [("clean", image)])
 
     params = DegradeParams.for_model(
         model, section["sigma_low"], section["sigma_high"], section["side_min"], section["side_max"]
     )
     degraded, record = degrade(image, params, root.child(1))
-    files += _write_grids(out, (("degraded", degraded), ("mask", record.mask)))
-    record_path = out / "record.json"
+    files += _write_grids(stage, (("degraded", degraded), ("mask", record.mask)))
+    record_path = stage / "record.json"
     record_path.write_text(json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n")
     files.append(record_path)
-    _write_manifest(manifest, "degrade", args, cfg, model, schedule, files)
-    return EXIT_OK
+    _write_manifest(stage, "degrade", args, cfg, model, schedule, files)
 
 
-def _cmd_eval(args, cfg, model, schedule, out: Path) -> int:
+def _cmd_eval(args, cfg, model, schedule, out: Path) -> None:
     section = cfg.get("eval") or section_defaults("eval")
-    manifest = _prepare_out(out, args.force)
+    stage = _prepare_out(out, args.force)
     exp = ExperimentConfig(
         model=model,
         schedule=schedule,
@@ -291,17 +299,15 @@ def _cmd_eval(args, cfg, model, schedule, out: Path) -> int:
         sigma_high=section["sigma_high"],
         side_min=section["side_min"],
         side_max=section["side_max"],
-        artifacts_dir=str(out / "artifacts") if section["record_artifacts"] else None,
+        artifacts_dir=str(stage / "artifacts") if section["record_artifacts"] else None,
     )
     report = run_correction_experiment(exp, RngStream(args.seed, 0))
-    report_path = out / "report.json"
+    report_path = stage / "report.json"
     report.save(report_path)
     files = [report_path]
     if section["record_artifacts"]:
-        files.extend(sorted((out / "artifacts").iterdir()))
-    _write_manifest(manifest, "eval", args, cfg, model, schedule, files)
-    log.info("report: %s", report_path)
-    return EXIT_OK
+        files.extend(sorted((stage / "artifacts").iterdir()))
+    _write_manifest(stage, "eval", args, cfg, model, schedule, files)
 
 
 _HANDLERS = {
@@ -327,7 +333,14 @@ def entrypoint(argv=None) -> int:
         cfg = load_config(args.config)
         model = build_model(cfg, base_dir=Path(args.config).parent)
         schedule = build_schedule(cfg)
-        return _HANDLERS[args.command](args, cfg, model, schedule, Path(args.out))
+        out = Path(args.out)
+        try:
+            _HANDLERS[args.command](args, cfg, model, schedule, out)
+            _commit_out(out)
+        finally:
+            shutil.rmtree(out / _STAGE, ignore_errors=True)
+        log.info("%s: wrote %s", args.command, out)
+        return EXIT_OK
     except ConfigError as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG

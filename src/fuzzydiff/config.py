@@ -177,8 +177,14 @@ _POSITIVE = (
     ("model", "channels"),
     ("sample", "count"),
     ("fuzzy", "count"),
+    ("fuzzy", "J"),
     ("stats", "v_count"),
+    ("stats", "reps"),
+    ("attend", "reps"),
     ("eval", "trials"),
+    ("eval", "J"),
+    ("eval", "reps"),
+    ("eval", "v_count"),
 )
 _DEPTHS = (("stats", "depths"), ("eval", "depths"), ("eval", "baseline_depth"))
 

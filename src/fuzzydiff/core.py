@@ -10,6 +10,7 @@ __all__ = [
     "ValidationError",
     "Grid",
     "RngStream",
+    "RowStreams",
     "clamp_unit",
 ]
 
@@ -165,6 +166,28 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id:#x})"
+
+
+class RowStreams:
+    """Per-row draws for an (n, D) chain: row i draws only from ``streams[i]``.
+
+    ``normals(k)`` concatenates ``k // n`` draws from each stream in row order,
+    so row i of a chain that draws whole (n, D) blocks gets exactly the draws
+    of a one-row chain on ``streams[i]``, whatever n is.
+    """
+
+    __slots__ = ("streams",)
+
+    def __init__(self, streams) -> None:
+        self.streams = tuple(streams)
+        if not self.streams:
+            raise ValidationError("row streams need at least one stream")
+
+    def normals(self, n: int) -> np.ndarray:
+        rows = len(self.streams)
+        if n % rows:
+            raise ValidationError(f"{n} draws do not split evenly over {rows} row streams")
+        return np.concatenate([s.normals(n // rows) for s in self.streams])
 
 
 def clamp_unit(g: Grid) -> Grid:

@@ -176,23 +176,15 @@ def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:
     return c * math.sqrt((n + m) / (n * m))
 
 
-def _as_rows(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        rows = np.asarray(samples, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValidationError(f"sample array must be (n, D), got {rows.shape}")
-        return rows
-    return np.stack([g.flat() for g in samples])
-
-
-def moment_error(samples, model: EpsilonModel) -> tuple[float, float]:
+def moment_error(rows: np.ndarray, model: EpsilonModel) -> tuple[float, float]:
     """Gap between sample moments and the model's analytic ones.
 
     Returns (max per-pixel |mean difference|, relative Frobenius error of the
-    sample covariance). Accepts a list of Grids or an (n, D) array; needs at
-    least two samples.
+    sample covariance) of (n, D) sample rows; needs at least two samples.
     """
-    rows = _as_rows(samples)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValidationError(f"sample array must be (n, D), got {rows.shape}")
     if rows.shape[0] < 2:
         raise ValidationError("moment_error needs at least 2 samples")
     mean, cov = model.moments()
@@ -350,8 +342,7 @@ def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> Exper
     baseline_t = config.resolved_baseline_depth()
 
     v_rows = model.sample_x0(config.v_count, rng.child(0))
-    V = [Grid(row.reshape(model.shape)) for row in v_rows]
-    stats = validation_stats(model, s, V, list(depths), reps=config.reps, rng=rng.child(1))
+    stats = validation_stats(model, s, v_rows, list(depths), reps=config.reps, rng=rng.child(1))
 
     art_dir: Path | None = None
     if config.artifacts_dir is not None:
@@ -375,14 +366,15 @@ def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> Exper
             )
         amap = attention_map(degraded, stats, model, s, reps=config.reps, rng=tr.child(2))
         weights = weight_from_attention(amap)
-        corrected = fuzzy_sample(model, s, degraded, weights, fuzzy_cfg, tr.child(3))
+        corrected = fuzzy_sample(model, s, degraded, weights, fuzzy_cfg, [tr.child(3)])[0]
         baseline = project_reconstruct(model, s, degraded, baseline_t, tr.child(4))
 
-        has_region = record.area > 0
+        # AUC needs both classes: a rectangle covering every pixel has no negatives.
+        scored = 0 < record.area < model.shape[0] * model.shape[1]
         trial = {
             "trial": i,
             "degradation": record.to_dict() if params is not None else None,
-            "auc": pixel_auc(amap.grid, record.mask) if has_region else None,
+            "auc": pixel_auc(amap.grid, record.mask) if scored else None,
             "mse_in_degraded": masked_mse(degraded, clean, record.mask, inside=True),
             "mse_in_corrected": masked_mse(corrected, clean, record.mask, inside=True),
             "mse_in_baseline": masked_mse(baseline, clean, record.mask, inside=True),

@@ -226,39 +226,38 @@ def default_depths(T: int) -> tuple[int, ...]:
 def validation_stats(
     model: EpsilonModel,
     s: NoiseSchedule,
-    V: list[Grid],
+    X: np.ndarray,
     PS: list[int],
     reps: int = 1,
     rng: RngStream | None = None,
 ) -> ValidationStats:
     """Mean and std of reconstruction discrepancy per pixel and depth.
 
-    Each depth consumes draws only from its own child stream, so the set of
-    depths can be processed in any execution order with identical results;
-    accumulation follows the order of PS. Each member's discrepancy sample is
-    the average over ``reps`` independent reconstructions, computed by the
-    same loop :func:`attention_map` runs for the probe image.
+    X holds the validation set as (n, D) rows. Each depth consumes draws
+    only from its own child stream, so the set of depths can be processed in
+    any execution order with identical results; accumulation follows the
+    order of PS. Each member's discrepancy sample is the average over
+    ``reps`` independent reconstructions, computed by the same loop
+    :func:`attention_map` runs for the probe image.
 
     Depth 0 is allowed and gives the degenerate exact reconstruction (mu = 0,
     sigma at the floor): useful as a fixed-point check of the whole pipeline.
     """
     if rng is None:
         raise ValidationError("validation_stats requires an RngStream")
-    if not V:
-        raise ValidationError("validation set must be non-empty")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValidationError(f"validation set must be non-empty (n, D) rows, got {X.shape}")
+    if X.shape[1] != model.dim:
+        raise ValidationError(f"validation rows have width {X.shape[1]}, model has {model.dim}")
     depths = [s.check_step(t, lowest=0) for t in PS]
     if len(set(depths)) != len(depths):
         raise ValidationError(f"duplicate depths in PS: {PS}")
 
-    shape = model.shape
-    for g in V:
-        if g.shape != shape:
-            raise ValidationError(f"validation grid shape {g.shape} != model shape {shape}")
-    X = np.stack([g.flat() for g in V])  # (n, D)
     n = X.shape[0]
     floor = SIGMA_FLOOR_SCALE * model.marginal_std()
 
-    h, w, _ = shape
+    h, w, _ = model.shape
     mu: dict[int, Grid] = {}
     sigma: dict[int, Grid] = {}
     for t, d in zip(depths, _depth_discrepancies(model, s, X, depths, reps, rng)):

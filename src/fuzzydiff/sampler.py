@@ -1,9 +1,9 @@
 """Ancestral diffusion sampling and fuzzy per-pixel conditioning.
 
 Everything runs on (n, D) float64 arrays so batches share one vectorized
-trajectory; the Grid entry points :func:`ancestral_sample` and
-:func:`fuzzy_sample` are the n=1 case of the same code path, so draw order is
-identical either way.
+trajectory. Given a :class:`~fuzzydiff.core.RowStreams`, row i of a batch
+draws only from its own stream, so it sees the same draws as a one-row chain
+on that stream; :func:`fuzzy_sample` takes one stream per sample this way.
 
 Draw order per trajectory is part of the determinism contract:
 
@@ -17,18 +17,18 @@ Unconditional sampling is the J=1, m=0 special case of the same loop shape.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, RngStream, ValidationError
+from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
 from .schedule import NoiseSchedule
 
 __all__ = [
     "WeightMap",
     "FuzzySamplerConfig",
-    "ancestral_sample",
     "ancestral_sample_array",
     "fuzzy_fuse",
     "fuzzy_sample",
@@ -99,7 +99,7 @@ def _coerce_map(m, shape: tuple[int, int, int]) -> np.ndarray:
 
 
 def _reverse_step_array(
-    model: EpsilonModel, x: np.ndarray, t: int, s: NoiseSchedule, rng: RngStream
+    model: EpsilonModel, x: np.ndarray, t: int, s: NoiseSchedule, rng: RngStream | RowStreams
 ) -> np.ndarray:
     """One ancestral step t -> t-1 on (n, D) rows; drawless at t=1 (beta_tilde[1] = 0)."""
     eps_hat = model.predict_array(x, t, s)
@@ -112,7 +112,7 @@ def _reverse_step_array(
 
 
 def ancestral_sample_array(
-    model: EpsilonModel, s: NoiseSchedule, n: int, rng: RngStream
+    model: EpsilonModel, s: NoiseSchedule, n: int, rng: RngStream | RowStreams
 ) -> np.ndarray:
     """n unconditional draws as (n, D) rows, iterating the reverse chain from noise."""
     if n < 1:
@@ -122,11 +122,6 @@ def ancestral_sample_array(
     for t in range(s.T, 0, -1):
         x = _reverse_step_array(model, x, t, s, rng)
     return x
-
-
-def ancestral_sample(model: EpsilonModel, s: NoiseSchedule, rng: RngStream) -> Grid:
-    """One unconditional sample from the model's learned-data surrogate."""
-    return Grid(ancestral_sample_array(model, s, 1, rng)[0].reshape(model.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +182,7 @@ def fuzzy_sample_array(
     m: np.ndarray,
     J: int,
     n: int,
-    rng: RngStream,
+    rng: RngStream | RowStreams,
 ) -> np.ndarray:
     """Batched fuzzy-conditioned sampler core on (n, D) rows.
 
@@ -231,14 +226,16 @@ def fuzzy_sample(
     x_cond: Grid,
     m,
     cfg: FuzzySamplerConfig,
-    rng: RngStream,
-) -> Grid:
-    """Sample conditioned on x_cond at per-pixel strength m.
+    streams: Sequence[RngStream],
+) -> list[Grid]:
+    """One sample per stream, conditioned on x_cond at per-pixel strength m.
 
+    All samples run as one batch; sample i draws only from ``streams[i]``.
     m=1 pixels reproduce x_cond exactly; m=0 pixels are unconditional.
     """
     if x_cond.shape != model.shape:
         raise ValidationError(f"grid shape {x_cond.shape} != model shape {model.shape}")
     m_flat = _coerce_map(m, x_cond.shape)
-    out = fuzzy_sample_array(model, s, x_cond.flat(), m_flat, cfg.J, 1, rng)
-    return Grid(out[0].reshape(x_cond.shape))
+    rows = RowStreams(streams)
+    out = fuzzy_sample_array(model, s, x_cond.flat(), m_flat, cfg.J, len(rows.streams), rows)
+    return [Grid(r.reshape(x_cond.shape)) for r in out]

@@ -172,12 +172,12 @@ def test_criterion_4_fuzzy_boundaries(acceptance_lines):
         cfg = FuzzySamplerConfig(J=2)
 
         x_cond = Grid(gmm.sample_x0(1, root.child(0))[0].reshape(8, 8, 1))
-        out = fuzzy_sample(gmm, s400, x_cond, 1.0, cfg, root.child(3))
+        [out] = fuzzy_sample(gmm, s400, x_cond, 1.0, cfg, [root.child(3)])
         assert out == x_cond
         field = field_model()
         s200 = linear_schedule(*FIELD_SCHED)
         x_cond_f = Grid(field.sample_x0(1, root.child(4))[0].reshape(8, 8, 1))
-        assert fuzzy_sample(field, s200, x_cond_f, 1.0, cfg, root.child(5)) == x_cond_f
+        assert fuzzy_sample(field, s200, x_cond_f, 1.0, cfg, [root.child(5)]) == [x_cond_f]
 
         # 32 mixture samples x 64 pixels = 2048-pixel pools per side; pixels
         # are iid under this oracle, so pooling is legitimate.
@@ -245,7 +245,7 @@ def test_criterion_7_attention_detection(acceptance_lines):
         field = field_model()
         s = linear_schedule(*FIELD_SCHED)
         root = RngStream(SEED, 7)
-        V = [Grid(r.reshape(8, 8, 1)) for r in field.sample_x0(1000, root.child(0))]
+        V = field.sample_x0(1000, root.child(0))
         stats = validation_stats(field, s, V, [60, 80, 100, 120], rng=root.child(1))
         params = DegradeParams.for_model(field)
 

@@ -7,8 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzydiff import Grid, read_grid, write_grid
+from fuzzydiff import (
+    Grid,
+    RngStream,
+    build_model,
+    build_schedule,
+    load_config,
+    read_grid,
+    write_grid,
+)
 from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, entrypoint
+from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample_array
 
 GMM_MODEL = {
     "type": "gmm_pixel",
@@ -128,6 +137,55 @@ class TestSample:
         assert outside.read_bytes() == b"keep"
 
 
+class TestPerRowStreams:
+    """Sample i of a batch draws only from child stream i of RngStream(seed, 0)."""
+
+    FIELD_MODEL = {"type": "gaussian_field", "height": 4, "width": 4}
+
+    def one_row_chain(self, command, cfg_path, i):
+        cfg = load_config(cfg_path)
+        model, schedule = build_model(cfg), build_schedule(cfg)
+        stream = RngStream(13, 0).child(i)
+        if command == "sample":
+            return ancestral_sample_array(model, schedule, 1, stream)[0]
+        f = cfg["fuzzy"]
+        image, weights = read_grid(f["image"]).flat(), read_grid(f["map"]).flat()
+        return fuzzy_sample_array(model, schedule, image, weights, f["J"], 1, stream)[0]
+
+    @pytest.mark.parametrize("command", ["sample", "fuzzy"])
+    @pytest.mark.parametrize("oracle", ["gmm_pixel", "gaussian_field"])
+    def test_rows_do_not_depend_on_count(self, tmp_path, command, oracle):
+        img, wmap = tmp_path / "image.fdg", tmp_path / "map.fdg"
+        write_grid(img, Grid(np.linspace(0.2, 0.8, 16).reshape(4, 4, 1)))
+        write_grid(wmap, Grid(np.linspace(0.0, 1.0, 16).reshape(4, 4, 1)))
+        model = GMM_MODEL if oracle == "gmm_pixel" else self.FIELD_MODEL
+        outs = {}
+        for count in (3, 5):
+            cfg = make_config(
+                tmp_path,
+                {
+                    "sample": {"count": count},
+                    "fuzzy": {"image": str(img), "map": str(wmap), "count": count, "J": 2},
+                },
+                model=model,
+                name=f"cfg{count}.json",
+            )
+            outs[count] = tmp_path / f"out{count}"
+            assert run(command, "--config", cfg, "--out", outs[count], "--seed", 13) == EXIT_OK
+        for i in range(3):
+            name = f"{command}_{i:04d}.fdg"
+            few, many = read_grid(outs[3] / name).flat(), read_grid(outs[5] / name).flat()
+            alone = self.one_row_chain(command, cfg, i)
+            if oracle == "gmm_pixel":
+                # Pixelwise arithmetic: rows are bit-identical for any count.
+                assert (outs[3] / name).read_bytes() == (outs[5] / name).read_bytes()
+                assert np.array_equal(many, alone)
+            else:
+                # Batched matrix products may round the last bits differently.
+                assert np.abs(few - many).max() < 1e-12
+                assert np.abs(many - alone).max() < 1e-12
+
+
 class TestFuzzy:
     def write_image(self, tmp_path, value=0.5):
         path = tmp_path / "image.fdg"
@@ -221,6 +279,29 @@ class TestStatsAttend:
         w = read_grid(out / "weights.fdg")
         assert a.values.min() >= 1.0 and a.values.max() <= 6.0
         assert w.values.min() >= 0.0 and w.values.max() <= 1.0
+
+    def test_failed_force_keeps_previous_run(self, tmp_path):
+        sections = {"stats": {"v_count": 4, "depths": [2]}}
+        stats_dir = self.build_stats(tmp_path, make_config(tmp_path, sections, T=4))
+        img = tmp_path / "probe.fdg"
+        write_grid(img, Grid(np.full((4, 4, 1), 0.3)))
+        attend = {"attend": {"image": str(img), "stats_dir": str(stats_dir)}}
+        out = tmp_path / "attend_out"
+        cfg = make_config(tmp_path, attend, T=4, name="cfg_t4.json")
+        assert run("attend", "--config", cfg, "--out", out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 5
+        # The statistics were computed under T=4, so attention fails at T=5.
+        cfg = make_config(tmp_path, attend, T=5, name="cfg_t5.json")
+        assert run("attend", "--config", cfg, "--out", out, "--force") == EXIT_VALIDATION
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_stale_staging_directory_is_cleared(self, tmp_path):
+        out = tmp_path / "out"
+        (out / ".staging").mkdir(parents=True)
+        (out / ".staging" / "sample_0007.fdg").write_bytes(b"left by a killed run")
+        assert run("sample", "--config", make_config(tmp_path), "--out", out) == EXIT_OK
+        assert {p.name for p in out.iterdir()} == {"manifest.json", *manifest_of(out)["files"]}
 
     def test_attend_stale_stats_rejected(self, tmp_path):
         cfg_sections = {"stats": {"v_count": 4, "depths": [2]}}
@@ -318,6 +399,27 @@ class TestEval:
         assert "median_auc" in report["aggregates"]
         assert manifest_of(out)["files"].keys() == {"report.json"}
 
+    def test_full_cover_rectangle_is_not_scored(self, tmp_path):
+        # On a 2x2 image a 2x2 rectangle leaves no clean pixel, so AUC is
+        # undefined for that trial; the run must still succeed.
+        cfg = make_config(
+            tmp_path,
+            {"eval": {"trials": 2, "v_count": 4, "depths": [1, 2], "side_min": 1, "side_max": 2}},
+            model={"type": "gaussian_field", "height": 2, "width": 2},
+            T=4,
+        )
+        full_cover = 0
+        for seed in range(1, 7):
+            out = tmp_path / f"out{seed}"
+            assert run("eval", "--config", cfg, "--out", out, "--seed", seed) == EXIT_OK
+            for trial in json.loads((out / "report.json").read_text())["trials"]:
+                if trial["degradation"]["area"] == 4:
+                    full_cover += 1
+                    assert trial["auc"] is None
+                else:
+                    assert 0.0 <= trial["auc"] <= 1.0
+        assert full_cover > 0
+
     def test_artifacts_recorded(self, tmp_path):
         cfg = make_config(
             tmp_path,
@@ -359,6 +461,12 @@ class TestErrors:
             ("eval", {"eval": {"depths": [-1]}}),
             ("eval", {"eval": {"baseline_depth": 7}}),
             ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.0, "count": 0}}),
+            ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.0, "J": 0}}),
+            ("stats", {"stats": {"reps": 0}}),
+            ("attend", {"attend": {"image": "x.fdg", "stats_dir": "s", "reps": 0}}),
+            ("eval", {"eval": {"reps": 0}}),
+            ("eval", {"eval": {"J": 0}}),
+            ("eval", {"eval": {"v_count": 0}}),
         ],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, command, sections):

@@ -121,6 +121,12 @@ class TestLoadConfig:
             ("fuzzy", {"image": "x.fdg", "map": 0.5, "count": -1}, "'fuzzy.count' must be >= 1"),
             ("stats", {"v_count": 0}, "'stats.v_count' must be >= 1"),
             ("model", dict(MINIMAL["model"], height=-2), "'model.height' must be >= 1"),
+            ("stats", {"reps": 0}, "'stats.reps' must be >= 1"),
+            ("attend", {"image": "x", "stats_dir": "s", "reps": 0}, "'attend.reps' must be >= 1"),
+            ("eval", {"reps": 0}, "'eval.reps' must be >= 1"),
+            ("fuzzy", {"image": "x.fdg", "map": 0.5, "J": 0}, "'fuzzy.J' must be >= 1"),
+            ("eval", {"J": 0}, "'eval.J' must be >= 1"),
+            ("eval", {"v_count": 0}, "'eval.v_count' must be >= 1"),
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, section, values, message):

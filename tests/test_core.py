@@ -8,6 +8,7 @@ from scipy import stats as sps
 from fuzzydiff import (
     Grid,
     RngStream,
+    RowStreams,
     ValidationError,
     clamp_unit,
 )
@@ -127,6 +128,30 @@ class TestRngStream:
             RngStream(0, 2**64)
         with pytest.raises(ValidationError):
             RngStream(0, 0).child(-1)
+
+
+class TestRowStreams:
+    def test_rows_draw_from_their_own_streams(self):
+        D = 7  # odd, so each row's final Box-Muller pair is cut in half
+        a, b = RngStream(5, 1), RngStream(5, 2)
+        rows = RowStreams([a, b])
+        first = rows.normals(2 * D)
+        second = rows.normals(2 * D)
+        fresh_a, fresh_b = RngStream(5, 1), RngStream(5, 2)
+        assert np.array_equal(first, np.concatenate([fresh_a.normals(D), fresh_b.normals(D)]))
+        assert np.array_equal(second, np.concatenate([fresh_a.normals(D), fresh_b.normals(D)]))
+
+    def test_one_row_is_the_stream_itself(self):
+        assert np.array_equal(
+            RowStreams([RngStream(8, 0)]).normals(9), RngStream(8, 0).normals(9)
+        )
+
+    def test_uneven_request_and_empty_set_rejected(self):
+        rows = RowStreams(RngStream(0, i) for i in range(3))
+        with pytest.raises(ValidationError):
+            rows.normals(7)
+        with pytest.raises(ValidationError):
+            RowStreams([])
 
 
 def randn_grid(shape, rng):

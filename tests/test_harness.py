@@ -139,16 +139,13 @@ class TestMomentError:
         mean_err, _ = moment_error(rows, field_model)
         assert mean_err > 9.5
 
-    def test_grid_list_input(self, field_model):
-        rows = field_model.sample_x0(10, RngStream(14, 0))
-        grids = [Grid(r.reshape(8, 8, 1)) for r in rows]
-        assert moment_error(grids, field_model) == moment_error(rows, field_model)
-
     def test_validation(self, field_model):
         with pytest.raises(ValidationError):
             moment_error(field_model.sample_x0(1, RngStream(0, 0)), field_model)
         with pytest.raises(ValidationError):
             moment_error(np.zeros((5, 3)), field_model)
+        with pytest.raises(ValidationError):
+            moment_error(np.zeros(64), field_model)
 
 
 class TestPixelAuc:

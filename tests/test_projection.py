@@ -26,10 +26,8 @@ def mean_grid(model):
     return Grid(model.moments()[0].reshape(model.shape))
 
 
-def draw_grids(model, n, rng):
-    rows = model.sample_x0(n, rng)
-    h, w, c = model.shape
-    return [Grid(r.reshape(h, w, c)) for r in rows]
+def draw_grid(model, rng):
+    return Grid(model.sample_x0(1, rng)[0].reshape(model.shape))
 
 
 class TestReconstruct:
@@ -76,7 +74,7 @@ class TestDiscrepancy:
 
 class TestValidationStats:
     def test_basic_shapes_and_floor(self, field_model, sched50):
-        V = draw_grids(field_model, 40, RngStream(50, 0))
+        V = field_model.sample_x0(40, RngStream(50, 0))
         stats = validation_stats(field_model, sched50, V, [10, 25], rng=RngStream(51, 0))
         assert stats.depths == (10, 25)
         assert stats.v_count == 40
@@ -88,29 +86,31 @@ class TestValidationStats:
             assert stats.sigma[t].values.min() >= floor
 
     def test_single_member_sigma_hits_floor(self, field_model, sched50):
-        V = draw_grids(field_model, 1, RngStream(52, 0))
+        V = field_model.sample_x0(1, RngStream(52, 0))
         stats = validation_stats(field_model, sched50, V, [15], rng=RngStream(53, 0))
         assert np.all(stats.sigma[15].values == stats.sigma_floor)
 
     def test_depth_zero_degenerates(self, field_model, sched50):
-        V = draw_grids(field_model, 5, RngStream(54, 0))
+        V = field_model.sample_x0(5, RngStream(54, 0))
         stats = validation_stats(field_model, sched50, V, [0], rng=RngStream(55, 0))
         assert np.all(stats.mu[0].values == 0.0)
         assert np.all(stats.sigma[0].values == stats.sigma_floor)
 
     def test_argument_validation(self, field_model, sched50):
-        V = draw_grids(field_model, 2, RngStream(56, 0))
+        V = field_model.sample_x0(2, RngStream(56, 0))
         with pytest.raises(ValidationError):
             validation_stats(field_model, sched50, V, [5, 5], rng=RngStream(0, 0))
         with pytest.raises(ValidationError):
-            validation_stats(field_model, sched50, [], [5], rng=RngStream(0, 0))
+            validation_stats(field_model, sched50, np.empty((0, 64)), [5], rng=RngStream(0, 0))
+        with pytest.raises(ValidationError):
+            validation_stats(field_model, sched50, V[:, :3], [5], rng=RngStream(0, 0))
         with pytest.raises(ValidationError):
             validation_stats(field_model, sched50, V, [5], reps=0, rng=RngStream(0, 0))
         with pytest.raises(ValidationError):
             validation_stats(field_model, sched50, V, [5])
 
     def test_depth_order_does_not_change_values(self, field_model, sched50):
-        V = draw_grids(field_model, 8, RngStream(57, 0))
+        V = field_model.sample_x0(8, RngStream(57, 0))
         a = validation_stats(field_model, sched50, V, [10, 30], rng=RngStream(58, 0))
         b = validation_stats(field_model, sched50, V, [30, 10], rng=RngStream(58, 0))
         # Each depth owns child stream rng.child(position); swapping the
@@ -120,13 +120,13 @@ class TestValidationStats:
         assert set(b.depths) == {30, 10}
 
     def test_averaging_reps_tightens_sigma(self, gmm_model, sched50):
-        V = draw_grids(gmm_model, 30, RngStream(59, 0))
+        V = gmm_model.sample_x0(30, RngStream(59, 0))
         one = validation_stats(gmm_model, sched50, V, [20], reps=1, rng=RngStream(60, 0))
         four = validation_stats(gmm_model, sched50, V, [20], reps=4, rng=RngStream(60, 0))
         assert four.sigma[20].values.mean() < one.sigma[20].values.mean()
 
     def test_roundtrip(self, field_model, sched50, tmp_path):
-        V = draw_grids(field_model, 6, RngStream(61, 0))
+        V = field_model.sample_x0(6, RngStream(61, 0))
         stats = validation_stats(field_model, sched50, V, [10, 25], rng=RngStream(62, 0))
         stats.save(tmp_path / "stats")
         loaded = ValidationStats.load(tmp_path / "stats")
@@ -149,7 +149,7 @@ class TestValidationStats:
         # pixel's mu by well under 10%. Two reconstructions per member keep
         # the per-member noise from dominating the comparison; the worst gap
         # across five probe seeds measured 0.086.
-        V = draw_grids(field_model, 1000, RngStream(310, 0))
+        V = field_model.sample_x0(1000, RngStream(310, 0))
         full = validation_stats(field_model, sched50, V, [20], reps=2, rng=RngStream(311, 0))
         half = validation_stats(field_model, sched50, V[:500], [20], reps=2, rng=RngStream(311, 0))
         rel = np.abs(half.mu[20].values - full.mu[20].values) / full.mu[20].values
@@ -249,9 +249,9 @@ class TestAttention:
             def child(self, index):
                 return PixelPermutedStream(self._base.child(index), self._perm)
 
-        V = draw_grids(gmm_model, 30, RngStream(85, 0))
+        V = gmm_model.sample_x0(30, RngStream(85, 0))
         stats = validation_stats(gmm_model, sched50, V, [10, 20], rng=RngStream(86, 0))
-        probe = draw_grids(gmm_model, 1, RngStream(87, 0))[0]
+        probe = draw_grid(gmm_model, RngStream(87, 0))
         base = attention_map(probe, stats, gmm_model, sched50, rng=RngStream(88, 0))
 
         perm = np.argsort(RngStream(89, 0).uniforms(64))
@@ -281,7 +281,7 @@ class TestAttention:
     def test_zero_depth_fixed_point(self, field_model, sched50):
         # Depth 0 reconstructs exactly, so any probe image whatsoever scores
         # the clip minimum everywhere and keeps full conditioning weight.
-        V = draw_grids(field_model, 4, RngStream(65, 0))
+        V = field_model.sample_x0(4, RngStream(65, 0))
         stats = validation_stats(field_model, sched50, V, [0], rng=RngStream(66, 0))
         probe = Grid(np.full((8, 8, 1), 9.5))
         a = attention_map(probe, stats, field_model, sched50, rng=RngStream(67, 0))
@@ -289,14 +289,14 @@ class TestAttention:
         assert np.all(weight_from_attention(a).grid.values == 1.0)
 
     def test_in_distribution_probe_scores_low(self, field_model, sched50):
-        V = draw_grids(field_model, 80, RngStream(68, 0))
+        V = field_model.sample_x0(80, RngStream(68, 0))
         stats = validation_stats(field_model, sched50, V, [10, 20], rng=RngStream(69, 0))
-        probe = draw_grids(field_model, 1, RngStream(70, 0))[0]
+        probe = draw_grid(field_model, RngStream(70, 0))
         a = attention_map(probe, stats, field_model, sched50, rng=RngStream(71, 0))
         assert a.grid.values.mean() < 3.0
 
     def test_fingerprint_mismatch_rejected(self, field_model, gmm_model, sched50, sched200):
-        V = draw_grids(field_model, 4, RngStream(72, 0))
+        V = field_model.sample_x0(4, RngStream(72, 0))
         stats = validation_stats(field_model, sched50, V, [5], rng=RngStream(73, 0))
         probe = mean_grid(field_model)
         with pytest.raises(ValidationError, match="stale"):
@@ -308,9 +308,9 @@ class TestAttention:
             attention_map(mean_grid(gmm_model), stats, field_model, sched50, rng=None)
 
     def test_deterministic(self, field_model, sched50):
-        V = draw_grids(field_model, 10, RngStream(75, 0))
+        V = field_model.sample_x0(10, RngStream(75, 0))
         stats = validation_stats(field_model, sched50, V, [10], rng=RngStream(76, 0))
-        probe = draw_grids(field_model, 1, RngStream(77, 0))[0]
+        probe = draw_grid(field_model, RngStream(77, 0))
         a = attention_map(probe, stats, field_model, sched50, rng=RngStream(78, 0))
         b = attention_map(probe, stats, field_model, sched50, rng=RngStream(78, 0))
         assert a.grid == b.grid

@@ -12,7 +12,6 @@ from fuzzydiff import (
     RngStream,
     ValidationError,
     WeightMap,
-    ancestral_sample,
     fuzzy_fuse,
     fuzzy_sample,
     ks_critical,
@@ -170,10 +169,10 @@ class TestAncestral:
         assert abs(rows.var() / v50 - 1.0) < 0.04
 
     def test_deterministic_and_shape_checked(self, field_model, sched50):
-        a = ancestral_sample(field_model, sched50, RngStream(33, 0))
-        b = ancestral_sample(field_model, sched50, RngStream(33, 0))
-        assert a == b
-        assert a.shape == field_model.shape
+        a = ancestral_sample_array(field_model, sched50, 1, RngStream(33, 0))
+        b = ancestral_sample_array(field_model, sched50, 1, RngStream(33, 0))
+        assert np.array_equal(a, b)
+        assert a.shape == (1, field_model.dim)
 
 
 class TestFuzzyFuse:
@@ -254,8 +253,8 @@ class TestFuzzySample:
     def test_full_conditioning_reproduces_input(self, gmm_model, sched50):
         x_cond = Grid(gmm_model.sample_x0(1, RngStream(71, 0))[0].reshape(8, 8, 1))
         for J in (1, 3):
-            out = fuzzy_sample(
-                gmm_model, sched50, x_cond, 1.0, FuzzySamplerConfig(J=J), RngStream(72, 0)
+            [out] = fuzzy_sample(
+                gmm_model, sched50, x_cond, 1.0, FuzzySamplerConfig(J=J), [RngStream(72, 0)]
             )
             assert out == x_cond
 
@@ -282,8 +281,8 @@ class TestFuzzySample:
         vals_b = np.full((8, 8, 1), 0.25)
         vals_b[:, :4, :] = 0.75
         cond_b = Grid(vals_b)
-        out_a = fuzzy_sample(gmm_model, sched50, cond_a, m, cfg, RngStream(75, 0))
-        out_b = fuzzy_sample(gmm_model, sched50, cond_b, m, cfg, RngStream(75, 0))
+        [out_a] = fuzzy_sample(gmm_model, sched50, cond_a, m, cfg, [RngStream(75, 0)])
+        [out_b] = fuzzy_sample(gmm_model, sched50, cond_b, m, cfg, [RngStream(75, 0)])
         assert np.array_equal(out_a.values[:, :4], cond_a.values[:, :4])
         assert np.array_equal(out_b.values[:, :4], cond_b.values[:, :4])
         assert np.array_equal(out_a.values[:, 4:], out_b.values[:, 4:])
@@ -343,10 +342,12 @@ class TestFuzzySample:
     def test_deterministic(self, gmm_model, sched50):
         x_cond = Grid(np.full((8, 8, 1), 0.5))
         cfg = FuzzySamplerConfig(J=2)
-        a = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, cfg, RngStream(96, 4))
-        b = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, cfg, RngStream(96, 4))
+        a = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, cfg, [RngStream(96, 4)])
+        b = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, cfg, [RngStream(96, 4)])
         assert a == b
-        c = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, FuzzySamplerConfig(J=3), RngStream(96, 4))
+        c = fuzzy_sample(
+            gmm_model, sched50, x_cond, 0.3, FuzzySamplerConfig(J=3), [RngStream(96, 4)]
+        )
         assert a != c
 
     def test_config_validation(self):
