@@ -18,8 +18,6 @@ from .gridio import read_grid, write_grid, write_pgm, write_ppm
 from .harness import (
     DegradationRecord,
     DegradeParams,
-    ExperimentConfig,
-    ExperimentReport,
     degrade,
     ks_critical,
     ks_two_sample,
@@ -39,7 +37,6 @@ from .projection import (
     weight_from_attention,
 )
 from .sampler import (
-    FuzzySamplerConfig,
     WeightMap,
     fuzzy_fuse,
     fuzzy_sample,
@@ -69,7 +66,6 @@ __all__ = [
     "GaussianFieldModel",
     "GmmPixelModel",
     "WeightMap",
-    "FuzzySamplerConfig",
     "fuzzy_fuse",
     "fuzzy_sample",
     "ValidationStats",
@@ -88,7 +84,5 @@ __all__ = [
     "moment_error",
     "pixel_auc",
     "masked_mse",
-    "ExperimentConfig",
-    "ExperimentReport",
     "run_correction_experiment",
 ]

@@ -21,17 +21,11 @@ import shutil
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    build_model,
-    build_schedule,
-    load_config,
-    require_section,
-    section_defaults,
-)
+from .config import ConfigError, build_model, build_schedule, load_config
+from .config import section as config_section
 from .core import Grid, RngStream, RowStreams, ValidationError, clamp_unit
 from .gridio import read_grid, write_grid, write_preview
-from .harness import DegradeParams, ExperimentConfig, degrade, run_correction_experiment
+from .harness import DegradeParams, degrade, run_correction_experiment
 from .projection import (
     ValidationStats,
     attention_map,
@@ -39,7 +33,7 @@ from .projection import (
     validation_stats,
     weight_from_attention,
 )
-from .sampler import FuzzySamplerConfig, WeightMap, ancestral_sample_array, fuzzy_sample
+from .sampler import WeightMap, ancestral_sample_array, fuzzy_sample
 
 log = logging.getLogger("fuzzydiff")
 
@@ -195,7 +189,7 @@ def _read_image(path_text: str, model) -> Grid:
 
 
 def _cmd_sample(args, cfg, model, schedule, out: Path) -> None:
-    section = cfg.get("sample") or section_defaults("sample")
+    section = config_section(cfg, "sample")
     count = section["count"]
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
@@ -222,26 +216,25 @@ def _load_weight_map(section: dict, model) -> WeightMap:
 
 
 def _cmd_fuzzy(args, cfg, model, schedule, out: Path) -> None:
-    section = require_section(cfg, "fuzzy")
+    section = config_section(cfg, "fuzzy")
     image = _read_image(section["image"], model)
     weights = _load_weight_map(section, model)
-    fuzzy_cfg = FuzzySamplerConfig(J=section["J"])
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     streams = [root.child(i) for i in range(section["count"])]
-    grids = fuzzy_sample(model, schedule, image, weights, fuzzy_cfg, streams)
+    grids = fuzzy_sample(model, schedule, image, weights, section["J"], streams)
     files = _write_grids(stage, ((f"fuzzy_{i:04d}", g) for i, g in enumerate(grids)))
     _write_manifest(stage, "fuzzy", args, cfg, model, schedule, files)
     log.info("wrote %d conditioned samples", section["count"])
 
 
 def _cmd_stats(args, cfg, model, schedule, out: Path) -> None:
-    section = cfg.get("stats") or section_defaults("stats")
+    section = config_section(cfg, "stats")
     depths = section["depths"] if section["depths"] is not None else default_depths(schedule.T)
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
     rows = model.sample_x0(section["v_count"], root.child(0))
-    stats = validation_stats(model, schedule, rows, depths, reps=section["reps"], rng=root.child(1))
+    stats = validation_stats(model, schedule, rows, depths, section["reps"], root.child(1))
     stats_dir = stage / "stats"
     stats.save(stats_dir)
     files = sorted(stats_dir.iterdir())
@@ -250,19 +243,19 @@ def _cmd_stats(args, cfg, model, schedule, out: Path) -> None:
 
 
 def _cmd_attend(args, cfg, model, schedule, out: Path) -> None:
-    section = require_section(cfg, "attend")
+    section = config_section(cfg, "attend")
     stats = ValidationStats.load(section["stats_dir"])
     image = _read_image(section["image"], model)
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
-    amap = attention_map(image, stats, model, schedule, reps=section["reps"], rng=root.child(0))
+    amap = attention_map(image, stats, model, schedule, section["reps"], root.child(0))
     weights = weight_from_attention(amap)
     files = _write_grids(stage, (("attention", amap.grid), ("weights", weights.grid)))
     _write_manifest(stage, "attend", args, cfg, model, schedule, files)
 
 
 def _cmd_degrade(args, cfg, model, schedule, out: Path) -> None:
-    section = cfg.get("degrade") or section_defaults("degrade")
+    section = config_section(cfg, "degrade")
     image = None if section["image"] is None else _read_image(section["image"], model)
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
@@ -283,30 +276,15 @@ def _cmd_degrade(args, cfg, model, schedule, out: Path) -> None:
 
 
 def _cmd_eval(args, cfg, model, schedule, out: Path) -> None:
-    section = cfg.get("eval") or section_defaults("eval")
+    section = config_section(cfg, "eval")
     stage = _prepare_out(out, args.force)
-    exp = ExperimentConfig(
-        model=model,
-        schedule=schedule,
-        trials=section["trials"],
-        J=section["J"],
-        depths=tuple(section["depths"]) if section["depths"] is not None else None,
-        reps=section["reps"],
-        v_count=section["v_count"],
-        baseline_depth=section["baseline_depth"],
-        degrade_enabled=section["degrade_enabled"],
-        sigma_low=section["sigma_low"],
-        sigma_high=section["sigma_high"],
-        side_min=section["side_min"],
-        side_max=section["side_max"],
-        artifacts_dir=str(stage / "artifacts") if section["record_artifacts"] else None,
-    )
-    report = run_correction_experiment(exp, RngStream(args.seed, 0))
+    art_dir = stage / "artifacts" if section["record_artifacts"] else None
+    report = run_correction_experiment(model, schedule, section, RngStream(args.seed, 0), art_dir)
     report_path = stage / "report.json"
-    report.save(report_path)
+    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     files = [report_path]
-    if section["record_artifacts"]:
-        files.extend(sorted((stage / "artifacts").iterdir()))
+    if art_dir is not None:
+        files.extend(sorted(art_dir.iterdir()))
     _write_manifest(stage, "eval", args, cfg, model, schedule, files)
 
 

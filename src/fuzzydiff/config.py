@@ -9,6 +9,7 @@ instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,13 @@ def _type_name(value) -> str:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float; Python's json also parses NaN, Infinity and 1e400."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int literal too large for a float
+        return False
 
 
 def _is_int(v) -> bool:
@@ -43,12 +50,12 @@ def _is_int(v) -> bool:
 
 _CHECKS = {
     "int": (_is_int, "an integer"),
-    "number": (_is_number, "a number"),
+    "number": (_is_number, "a finite number"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "number_array": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(_is_number(x) for x in v),
-        "a non-empty array of numbers",
+        "a non-empty array of finite numbers",
     ),
     "int_array_or_null": (
         lambda v: v is None or (isinstance(v, list) and all(_is_int(x) for x in v)),
@@ -58,7 +65,7 @@ _CHECKS = {
     "string_or_null": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "number_or_string": (
         lambda v: _is_number(v) or isinstance(v, str),
-        "a number or a string",
+        "a finite number or a string",
     ),
     "object": (lambda v: isinstance(v, dict), "an object"),
 }
@@ -257,21 +264,18 @@ def load_config(path) -> dict:
     return out
 
 
-def require_section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ConfigError(f"config has no '{name}' section, required by this command")
-    return cfg[name]
+def section(cfg: dict, name: str) -> dict:
+    """The command section ``name`` of a loaded config.
 
-
-def section_defaults(name: str) -> dict:
-    """Fully-defaulted section for commands that can run without one."""
+    A config without that section gets its defaults, unless a field of the
+    section has none; then the section is required and this raises.
+    """
+    if name in cfg:
+        return cfg[name]
     fields = _SECTION_FIELDS[name]
-    missing = [k for k, (_, d) in fields.items() if d is _MISSING]
-    if missing:
-        raise ConfigError(
-            f"config has no '{name}' section, required by this command"
-        )
-    return {k: d for k, (_, d) in fields.items()}
+    if any(default is _MISSING for _, default in fields.values()):
+        raise ConfigError(f"config has no '{name}' section, required by this command")
+    return {key: default for key, (_, default) in fields.items()}
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:

@@ -5,9 +5,8 @@ attention map, and repair it with fuzzy-conditioned sampling.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .projection import (
     validation_stats,
     weight_from_attention,
 )
-from .sampler import FuzzySamplerConfig, fuzzy_sample
+from .sampler import fuzzy_sample
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "moment_error",
     "pixel_auc",
     "masked_mse",
-    "ExperimentConfig",
-    "ExperimentReport",
     "run_correction_experiment",
 ]
 
@@ -50,9 +47,9 @@ class DegradeParams:
 
     Side lengths are drawn uniformly from [side_min, side_max] (inclusive,
     per axis); the replacement threshold uniformly from
-    [threshold_low, threshold_high]. Use :meth:`for_model` to derive the
-    conventional defaults: sides in [h/4, h/2] unless overridden, threshold
-    between 4 and 8 marginal standard deviations above the data mean.
+    [threshold_low, threshold_high]. Use :meth:`for_model` to derive them
+    from a model: sides in [h/4, h/2] unless overridden, threshold between
+    sigma_low and sigma_high marginal standard deviations above the data mean.
     """
 
     side_min: int
@@ -72,10 +69,10 @@ class DegradeParams:
     def for_model(
         cls,
         model: EpsilonModel,
-        sigma_low: float = 4.0,
-        sigma_high: float = 8.0,
-        side_min: int | None = None,
-        side_max: int | None = None,
+        sigma_low: float,
+        sigma_high: float,
+        side_min: int | None,
+        side_max: int | None,
     ) -> "DegradeParams":
         h = model.shape[0]
         mean = float(np.mean(model.moments()[0]))
@@ -235,124 +232,59 @@ def masked_mse(a: Grid, b: Grid, mask: Grid, inside: bool = True) -> float | Non
 # end-to-end correction experiment
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything run_correction_experiment needs besides the RngStream.
-
-    depths defaults to the conventional projection set
-    {0.3T, 0.4T, 0.5T, 0.6T} (rounded); baseline_depth to 0.4T. Disabling
-    degradation turns the run into a fixed-point check: the map should stay
-    near 1 and the output near the input. With artifacts_dir set, every
-    trial's grids are written there.
-    """
-
-    model: EpsilonModel
-    schedule: NoiseSchedule
-    trials: int = 20
-    J: int = 2
-    depths: tuple[int, ...] | None = None
-    reps: int = 1
-    v_count: int = 200
-    baseline_depth: int | None = None
-    degrade_enabled: bool = True
-    sigma_low: float = 4.0
-    sigma_high: float = 8.0
-    side_min: int | None = None
-    side_max: int | None = None
-    artifacts_dir: str | None = None
-
-    def resolved_depths(self) -> tuple[int, ...]:
-        if self.depths is not None:
-            return tuple(int(t) for t in self.depths)
-        return default_depths(self.schedule.T)
-
-    def resolved_baseline_depth(self) -> int:
-        if self.baseline_depth is not None:
-            return int(self.baseline_depth)
-        return max(1, round(0.4 * self.schedule.T))
-
-    def degrade_params(self) -> DegradeParams:
-        return DegradeParams.for_model(
-            self.model, self.sigma_low, self.sigma_high, self.side_min, self.side_max
-        )
-
-    def describe(self) -> dict:
-        """JSON-able echo of the configuration, for the report."""
-        return {
-            "model_fingerprint": self.model.fingerprint(),
-            "schedule_fingerprint": self.schedule.fingerprint(),
-            "schedule_T": self.schedule.T,
-            "trials": self.trials,
-            "J": self.J,
-            "depths": list(self.resolved_depths()),
-            "reps": self.reps,
-            "v_count": self.v_count,
-            "baseline_depth": self.resolved_baseline_depth(),
-            "degrade_enabled": self.degrade_enabled,
-            "sigma_low": self.sigma_low,
-            "sigma_high": self.sigma_high,
-            "side_min": self.side_min,
-            "side_max": self.side_max,
-        }
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """Per-trial metrics plus aggregates; everything recomputable from
-    (config, seed)."""
-
-    schema_version: int
-    config: dict
-    seed: int
-    stream_id: int
-    trials: list[dict] = field(default_factory=list)
-    aggregates: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "trials": self.trials,
-            "aggregates": self.aggregates,
-        }
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-
-
 def _median(values: list[float]) -> float | None:
     vals = [v for v in values if v is not None]
     return float(np.median(vals)) if vals else None
 
 
-def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> ExperimentReport:
+def run_correction_experiment(
+    model: EpsilonModel,
+    s: NoiseSchedule,
+    section: dict,
+    rng: RngStream,
+    artifacts_dir: str | Path | None,
+) -> dict:
     """Draw clean oracle images, degrade, detect, and repair them.
+
+    ``section`` is a validated ``eval`` config section. Depths default to
+    :func:`~fuzzydiff.projection.default_depths` and the baseline depth to
+    0.4T. Disabling degradation turns the run into a fixed-point check: the
+    map should stay near 1 and the output near the input. With
+    ``artifacts_dir`` set, every trial's grids are written there. Returns the
+    JSON-able report: per-trial metrics plus aggregates, all recomputable
+    from (config, seed).
 
     Stream layout: child 0 draws the validation set, child 1 feeds
     validation_stats, and trial i uses child (2 + i) with sub-children for
     its clean draw, degradation, attention, fuzzy repair, and the projection
     baseline. Trials are therefore independent and order-insensitive.
     """
-    model = config.model
-    s = config.schedule
-    depths = config.resolved_depths()
-    params = config.degrade_params() if config.degrade_enabled else None
-    baseline_t = config.resolved_baseline_depth()
+    depths = default_depths(s.T) if section["depths"] is None else tuple(section["depths"])
+    baseline_t = section["baseline_depth"]
+    if baseline_t is None:
+        baseline_t = max(1, round(0.4 * s.T))
+    params = None
+    if section["degrade_enabled"]:
+        params = DegradeParams.for_model(
+            model,
+            section["sigma_low"],
+            section["sigma_high"],
+            section["side_min"],
+            section["side_max"],
+        )
+    reps = section["reps"]
 
-    v_rows = model.sample_x0(config.v_count, rng.child(0))
-    stats = validation_stats(model, s, v_rows, list(depths), reps=config.reps, rng=rng.child(1))
+    v_rows = model.sample_x0(section["v_count"], rng.child(0))
+    stats = validation_stats(model, s, v_rows, list(depths), reps, rng.child(1))
 
     art_dir: Path | None = None
-    if config.artifacts_dir is not None:
-        art_dir = Path(config.artifacts_dir)
+    if artifacts_dir is not None:
+        art_dir = Path(artifacts_dir)
         art_dir.mkdir(parents=True, exist_ok=True)
 
-    fuzzy_cfg = FuzzySamplerConfig(J=config.J)
     marginal_var = model.marginal_std() ** 2
     trials: list[dict] = []
-    for i in range(config.trials):
+    for i in range(section["trials"]):
         tr = rng.child(2 + i)
         clean = Grid(model.sample_x0(1, tr.child(0))[0].reshape(model.shape))
         if params is not None:
@@ -364,9 +296,9 @@ def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> Exper
                 threshold=0.0,
                 mask=Grid.zeros(model.shape[0], model.shape[1], 1),
             )
-        amap = attention_map(degraded, stats, model, s, reps=config.reps, rng=tr.child(2))
+        amap = attention_map(degraded, stats, model, s, reps, tr.child(2))
         weights = weight_from_attention(amap)
-        corrected = fuzzy_sample(model, s, degraded, weights, fuzzy_cfg, [tr.child(3)])[0]
+        corrected = fuzzy_sample(model, s, degraded, weights, section["J"], [tr.child(3)])[0]
         baseline = project_reconstruct(model, s, degraded, baseline_t, tr.child(4))
 
         # AUC needs both classes: a rectangle covering every pixel has no negatives.
@@ -380,9 +312,7 @@ def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> Exper
             "mse_in_baseline": masked_mse(baseline, clean, record.mask, inside=True),
             "mse_out_corrected": masked_mse(corrected, clean, record.mask, inside=False),
             "mse_out_baseline": masked_mse(baseline, clean, record.mask, inside=False),
-            "mse_total_corrected": masked_mse(
-                corrected, clean, Grid.zeros(model.shape[0], model.shape[1], 1), inside=False
-            ),
+            "mse_total_corrected": float(np.mean(np.square(corrected.values - clean.values))),
             "mean_weight": float(weights.grid.values.mean()),
         }
         trials.append(trial)
@@ -425,11 +355,19 @@ def run_correction_experiment(config: ExperimentConfig, rng: RngStream) -> Exper
         "unmasked_comparisons": comparable,
         "oracle_marginal_variance": marginal_var,
     }
-    return ExperimentReport(
-        schema_version=1,
-        config=config.describe(),
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        trials=trials,
-        aggregates=aggregates,
+    echo = {k: v for k, v in section.items() if k != "record_artifacts"}
+    echo.update(
+        depths=list(depths),
+        baseline_depth=baseline_t,
+        model_fingerprint=model.fingerprint(),
+        schedule_fingerprint=s.fingerprint(),
+        schedule_T=s.T,
     )
+    return {
+        "schema_version": 1,
+        "config": echo,
+        "seed": rng.seed,
+        "stream_id": rng.stream_id,
+        "trials": trials,
+        "aggregates": aggregates,
+    }

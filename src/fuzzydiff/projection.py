@@ -228,8 +228,8 @@ def validation_stats(
     s: NoiseSchedule,
     X: np.ndarray,
     PS: list[int],
-    reps: int = 1,
-    rng: RngStream | None = None,
+    reps: int,
+    rng: RngStream,
 ) -> ValidationStats:
     """Mean and std of reconstruction discrepancy per pixel and depth.
 
@@ -243,8 +243,6 @@ def validation_stats(
     Depth 0 is allowed and gives the degenerate exact reconstruction (mu = 0,
     sigma at the floor): useful as a fixed-point check of the whole pipeline.
     """
-    if rng is None:
-        raise ValidationError("validation_stats requires an RngStream")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"validation set must be non-empty (n, D) rows, got {X.shape}")
@@ -305,8 +303,8 @@ def attention_map(
     stats: ValidationStats,
     model: EpsilonModel,
     s: NoiseSchedule,
-    reps: int = 1,
-    rng: RngStream | None = None,
+    reps: int,
+    rng: RngStream,
 ) -> AttentionMap:
     """Anomaly map of x: normalized reconstruction discrepancy over stats.depths.
 
@@ -315,8 +313,6 @@ def attention_map(
     validation_stats uses, and averages ``reps`` reconstructions per depth
     before normalizing.
     """
-    if rng is None:
-        raise ValidationError("attention_map requires an RngStream")
     stats.check_compatible(model, s)
     if x.shape != model.shape:
         raise ValidationError(f"grid shape {x.shape} != model shape {model.shape}")

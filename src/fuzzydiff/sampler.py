@@ -18,7 +18,6 @@ Unconditional sampling is the J=1, m=0 special case of the same loop shape.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .schedule import NoiseSchedule
 
 __all__ = [
     "WeightMap",
-    "FuzzySamplerConfig",
     "ancestral_sample_array",
     "fuzzy_fuse",
     "fuzzy_sample",
@@ -68,22 +66,6 @@ class WeightMap:
         if gc not in (1, c):
             raise ValidationError(f"weight map has {gc} channels, image has {c}")
         return np.broadcast_to(self.grid.values, shape)
-
-
-@dataclass(frozen=True)
-class FuzzySamplerConfig:
-    """Knobs for :func:`fuzzy_sample`.
-
-    J is the number of harmonization iterations per step; J=1 disables
-    harmonization.
-    """
-
-    J: int = 5
-
-    def __post_init__(self) -> None:
-        if int(self.J) < 1:
-            raise ValidationError(f"J must be >= 1, got {self.J}")
-        object.__setattr__(self, "J", int(self.J))
 
 
 def _coerce_map(m, shape: tuple[int, int, int]) -> np.ndarray:
@@ -190,10 +172,13 @@ def fuzzy_sample_array(
     level t-1, take one reverse step from the current level-t state, fuse, and
     (except on the last iteration) renoise the fused result back to level t.
     The final fusion is carried as the level t-1 state. At t=1 the loop is
-    draw-free and idempotent, so it runs once.
+    draw-free and idempotent, so it runs once. J >= 1 is the number of
+    harmonization iterations per step; J=1 disables harmonization.
     """
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
+    if J < 1:
+        raise ValidationError(f"J must be >= 1, got {J}")
     D = model.dim
     x_cond = np.asarray(x_cond, dtype=np.float64).reshape(D)
     m = np.asarray(m, dtype=np.float64).reshape(D)
@@ -225,17 +210,18 @@ def fuzzy_sample(
     s: NoiseSchedule,
     x_cond: Grid,
     m,
-    cfg: FuzzySamplerConfig,
+    J: int,
     streams: Sequence[RngStream],
 ) -> list[Grid]:
     """One sample per stream, conditioned on x_cond at per-pixel strength m.
 
-    All samples run as one batch; sample i draws only from ``streams[i]``.
-    m=1 pixels reproduce x_cond exactly; m=0 pixels are unconditional.
+    All samples run as one batch with J harmonization iterations per step;
+    sample i draws only from ``streams[i]``. m=1 pixels reproduce x_cond
+    exactly; m=0 pixels are unconditional.
     """
     if x_cond.shape != model.shape:
         raise ValidationError(f"grid shape {x_cond.shape} != model shape {model.shape}")
     m_flat = _coerce_map(m, x_cond.shape)
     rows = RowStreams(streams)
-    out = fuzzy_sample_array(model, s, x_cond.flat(), m_flat, cfg.J, len(rows.streams), rows)
+    out = fuzzy_sample_array(model, s, x_cond.flat(), m_flat, J, len(rows.streams), rows)
     return [Grid(r.reshape(x_cond.shape)) for r in out]

@@ -14,7 +14,6 @@ import numpy as np
 
 from fuzzydiff import (
     DegradeParams,
-    ExperimentConfig,
     GaussianFieldModel,
     GmmPixelModel,
     Grid,
@@ -34,7 +33,8 @@ from fuzzydiff import (
     write_grid,
 )
 from fuzzydiff.cli import entrypoint
-from fuzzydiff.sampler import FuzzySamplerConfig, ancestral_sample_array, fuzzy_sample_array
+from fuzzydiff.config import section
+from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample_array
 
 SEED = 20260816
 
@@ -169,15 +169,14 @@ def test_criterion_4_fuzzy_boundaries(acceptance_lines):
         root = RngStream(SEED, 4)
         gmm = gmm_model()
         s400 = linear_schedule(*GMM_SCHED)
-        cfg = FuzzySamplerConfig(J=2)
 
         x_cond = Grid(gmm.sample_x0(1, root.child(0))[0].reshape(8, 8, 1))
-        [out] = fuzzy_sample(gmm, s400, x_cond, 1.0, cfg, [root.child(3)])
+        [out] = fuzzy_sample(gmm, s400, x_cond, 1.0, 2, [root.child(3)])
         assert out == x_cond
         field = field_model()
         s200 = linear_schedule(*FIELD_SCHED)
         x_cond_f = Grid(field.sample_x0(1, root.child(4))[0].reshape(8, 8, 1))
-        assert fuzzy_sample(field, s200, x_cond_f, 1.0, cfg, [root.child(5)]) == [x_cond_f]
+        assert fuzzy_sample(field, s200, x_cond_f, 1.0, 2, [root.child(5)]) == [x_cond_f]
 
         # 32 mixture samples x 64 pixels = 2048-pixel pools per side; pixels
         # are iid under this oracle, so pooling is legitimate.
@@ -246,15 +245,15 @@ def test_criterion_7_attention_detection(acceptance_lines):
         s = linear_schedule(*FIELD_SCHED)
         root = RngStream(SEED, 7)
         V = field.sample_x0(1000, root.child(0))
-        stats = validation_stats(field, s, V, [60, 80, 100, 120], rng=root.child(1))
-        params = DegradeParams.for_model(field)
+        stats = validation_stats(field, s, V, [60, 80, 100, 120], reps=1, rng=root.child(1))
+        params = DegradeParams.for_model(field, 4.0, 8.0, None, None)
 
         aucs, gaps = [], []
         for i in range(20):
             tr = root.child(2 + i)
             clean = Grid(field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1))
             degraded, record = degrade(clean, params, tr.child(1))
-            amap = attention_map(degraded, stats, field, s, rng=tr.child(2))
+            amap = attention_map(degraded, stats, field, s, reps=1, rng=tr.child(2))
             aucs.append(pixel_auc(amap.grid, record.mask))
             inside = record.mask.values[:, :, 0] == 1.0
             scores = amap.grid.values[:, :, 0]
@@ -266,7 +265,7 @@ def test_criterion_7_attention_detection(acceptance_lines):
         for i in range(20):
             tr = root.child(100 + i)
             probe = Grid(field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1))
-            amap = attention_map(probe, stats, field, s, rng=tr.child(1))
+            amap = attention_map(probe, stats, field, s, reps=1, rng=tr.child(1))
             fracs.append(float((amap.grid.values <= 2.0).mean()))
         assert np.mean(fracs) >= 0.95  # measured 0.988
 
@@ -281,9 +280,9 @@ def test_criterion_8_autonomous_correction(acceptance_lines):
     ):
         field = field_model()
         s = linear_schedule(*FIELD_SCHED)
-        cfg = ExperimentConfig(model=field, schedule=s, trials=20, J=2, v_count=400)
-        report = run_correction_experiment(cfg, RngStream(SEED, 8))
-        agg = report.aggregates
+        cfg = dict(section({}, "eval"), trials=20, J=2, v_count=400)
+        report = run_correction_experiment(field, s, cfg, RngStream(SEED, 8), None)
+        agg = report["aggregates"]
         assert agg["median_masked_reduction"] >= 0.5  # measured 0.966
         assert agg["median_mse_out_corrected"] <= agg["oracle_marginal_variance"]
         # measured 7.9e-06 vs 0.04

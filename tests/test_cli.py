@@ -467,6 +467,12 @@ class TestErrors:
             ("eval", {"eval": {"reps": 0}}),
             ("eval", {"eval": {"J": 0}}),
             ("eval", {"eval": {"v_count": 0}}),
+            ("sample", {"model": {"type": "gaussian_field", "height": 4, "width": 4,
+                                  "marginal_variance": float("inf")}}),
+            ("sample", {"model": {"type": "gaussian_field", "height": 4, "width": 4,
+                                  "marginal_variance": 10**400}}),
+            ("sample", {"model": dict(GMM_MODEL, means=[0.3, float("nan")])}),
+            ("eval", {"eval": {"sigma_high": float("nan")}}),
         ],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, command, sections):

@@ -12,7 +12,7 @@ from fuzzydiff import (
     load_config,
     write_grid,
 )
-from fuzzydiff.config import ConfigError, require_section, section_defaults
+from fuzzydiff.config import ConfigError, section
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -106,7 +106,9 @@ class TestLoadConfig:
     def test_require_section(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
         with pytest.raises(ConfigError, match="'fuzzy'"):
-            require_section(cfg, "fuzzy")
+            section(cfg, "fuzzy")
+        cfg = load_config(write_cfg(tmp_path, dict(MINIMAL, fuzzy={"image": "x", "map": 1})))
+        assert section(cfg, "fuzzy") is cfg["fuzzy"]
 
     @pytest.mark.parametrize(
         "section,values,message",
@@ -127,6 +129,17 @@ class TestLoadConfig:
             ("fuzzy", {"image": "x.fdg", "map": 0.5, "J": 0}, "'fuzzy.J' must be >= 1"),
             ("eval", {"J": 0}, "'eval.J' must be >= 1"),
             ("eval", {"v_count": 0}, "'eval.v_count' must be >= 1"),
+            ("model", dict(MINIMAL["model"], mean=float("nan")), "'model.mean' must be a finite"),
+            ("model", dict(MINIMAL["model"], marginal_variance=10**400), "'model.marginal_variance'"),
+            ("eval", {"sigma_high": float("inf")}, "'eval.sigma_high' must be a finite number"),
+            ("degrade", {"sigma_low": -float("inf")}, "'degrade.sigma_low' must be a finite"),
+            ("fuzzy", {"image": "x.fdg", "map": float("nan")}, "'fuzzy.map' must be a finite"),
+            (
+                "model",
+                {"type": "gmm_pixel", "height": 2, "width": 2, "weights": [1.0],
+                 "means": [0.5], "variances": [float("nan")]},
+                "'model.variances' must be a non-empty array of finite numbers",
+            ),
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, section, values, message):
@@ -140,9 +153,10 @@ class TestLoadConfig:
         assert cfg["stats"]["depths"] == [0, 10]
 
     def test_section_defaults(self):
-        assert section_defaults("sample") == {"count": 1}
+        assert section({}, "sample") == {"count": 1}
+        assert section({}, "eval")["trials"] == 20
         with pytest.raises(ConfigError):
-            section_defaults("attend")
+            section({}, "attend")
 
 
 class TestBuilders:

@@ -1,8 +1,8 @@
 """Exit-code contract: on any config, entrypoint returns 0, 2, 3 or 4 and never raises.
 
 Configs are small (T <= 8, 2x2 grids) and mix valid values with out-of-range
-depths, non-positive counts and trials, missing input files and a corrupted
-statistics directory.
+depths, non-positive counts and trials, a number that is not finite, missing
+input files and a corrupted statistics directory.
 """
 
 import json
@@ -28,7 +28,13 @@ GMM = {
     "means": [0.25, 0.75],
     "variances": [0.005, 0.005],
 }
-MODELS = [FIELD, GMM, dict(FIELD, covariance_file="absent.fdg"), dict(GMM, variances=[0.1, -1.0])]
+MODELS = [
+    FIELD,
+    GMM,
+    dict(FIELD, covariance_file="absent.fdg"),
+    dict(GMM, variances=[0.1, -1.0]),
+    dict(FIELD, marginal_variance=float("inf")),
+]
 
 # Input files as the config names them; each is written, missing, or malformed.
 IMAGES = ["probe.fdg", "wide.fdg", "absent.fdg"]

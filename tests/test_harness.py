@@ -7,7 +7,6 @@ import scipy.stats as sps
 
 from fuzzydiff import (
     DegradeParams,
-    ExperimentConfig,
     GaussianFieldModel,
     Grid,
     RngStream,
@@ -21,6 +20,7 @@ from fuzzydiff import (
     pixel_auc,
     run_correction_experiment,
 )
+from fuzzydiff.config import section
 
 
 def mean_grid(model):
@@ -37,7 +37,7 @@ class TestDegradeParams:
             DegradeParams(1, 2, 1.0, 0.5)
 
     def test_for_model_defaults(self, field_model):
-        p = DegradeParams.for_model(field_model)
+        p = DegradeParams.for_model(field_model, 4.0, 8.0, None, None)
         assert p.side_min == 2
         assert p.side_max == 4
         assert abs(p.threshold_low - (0.5 + 4 * 0.2)) < 1e-12
@@ -55,7 +55,7 @@ class TestDegrade:
 
     def test_rectangle_contents_and_bounds(self, field_model):
         x = Grid(field_model.sample_x0(1, RngStream(2, 0))[0].reshape(8, 8, 1))
-        params = DegradeParams.for_model(field_model)
+        params = DegradeParams.for_model(field_model, 4.0, 8.0, None, None)
         rng = RngStream(3, 0)
         for _ in range(300):
             out, record = degrade(x, params, rng)
@@ -82,7 +82,7 @@ class TestDegrade:
 
     def test_deterministic(self, field_model):
         x = mean_grid(field_model)
-        params = DegradeParams.for_model(field_model)
+        params = DegradeParams.for_model(field_model, 4.0, 8.0, None, None)
         a = degrade(x, params, RngStream(5, 7))
         b = degrade(x, params, RngStream(5, 7))
         assert a[0] == b[0]
@@ -209,66 +209,77 @@ class TestMaskedMse:
             masked_mse(Grid(np.zeros((2, 2, 1))), Grid(np.zeros((2, 3, 1))), Grid(np.zeros((2, 2, 1))))
 
 
+def eval_section(**kw) -> dict:
+    """The eval config section: the config's defaults, overridden by kw."""
+    return dict(section({}, "eval"), **kw)
+
+
 class TestExperimentConfig:
+    def run(self, model, s, trials=1, **kw):
+        cfg = eval_section(trials=trials, v_count=4, **kw)
+        return run_correction_experiment(model, s, cfg, RngStream(98, 0), None)
+
     def test_default_depths_and_baseline(self, field_model, sched50):
-        cfg = ExperimentConfig(model=field_model, schedule=sched50)
-        assert cfg.resolved_depths() == (15, 20, 25, 30)
-        assert cfg.resolved_baseline_depth() == 20
+        echo = self.run(field_model, sched50)["config"]
+        assert echo["depths"] == [15, 20, 25, 30]
+        assert echo["baseline_depth"] == 20
+        assert echo["schedule_T"] == 50
+        assert "record_artifacts" not in echo
 
     def test_tiny_schedule_deduplicates(self, field_model):
-        cfg = ExperimentConfig(model=field_model, schedule=linear_schedule(3, 0.01, 0.02))
-        assert cfg.resolved_depths() == (1, 2)
+        report = self.run(field_model, linear_schedule(3, 0.01, 0.02))
+        assert report["config"]["depths"] == [1, 2]
 
     def test_side_overrides_flow_into_params(self, field_model, sched50):
-        cfg = ExperimentConfig(model=field_model, schedule=sched50, side_min=1, side_max=2)
-        p = cfg.degrade_params()
-        assert (p.side_min, p.side_max) == (1, 2)
+        # The 8x8 default sides are [2, 4], so a side of 1 shows the override.
+        report = self.run(field_model, sched50, trials=8, side_min=1, side_max=2)
+        assert (report["config"]["side_min"], report["config"]["side_max"]) == (1, 2)
+        sides = []
+        for trial in report["trials"]:
+            x0, y0, x1, y1 = trial["degradation"]["rect"]
+            sides += [x1 - x0, y1 - y0]
+        assert set(sides) == {1, 2}
 
 
 class TestRunExperiment:
-    def small_config(self, model, s, **kw):
-        base = dict(
-            model=model, schedule=s, trials=3, J=1, depths=(10, 20), v_count=24,
-            baseline_depth=15,
-        )
-        base.update(kw)
-        return ExperimentConfig(**base)
+    def small_config(self, trials=3, **kw):
+        return eval_section(trials=trials, J=1, depths=[10, 20], v_count=24, baseline_depth=15, **kw)
 
     def test_report_schema_and_determinism(self, field_model, sched50):
-        cfg = self.small_config(field_model, sched50)
-        a = run_correction_experiment(cfg, RngStream(99, 0))
-        b = run_correction_experiment(cfg, RngStream(99, 0))
-        assert a.to_dict() == b.to_dict()
-        assert a.schema_version == 1
-        assert len(a.trials) == 3
-        for t in a.trials:
+        cfg = self.small_config()
+        a = run_correction_experiment(field_model, sched50, cfg, RngStream(99, 0), None)
+        b = run_correction_experiment(field_model, sched50, cfg, RngStream(99, 0), None)
+        assert a == b
+        assert a["schema_version"] == 1
+        assert len(a["trials"]) == 3
+        for t in a["trials"]:
             assert 0.0 <= t["auc"] <= 1.0
             assert t["mse_in_degraded"] > 0.0
             assert 0.0 <= t["mean_weight"] <= 1.0
             assert t["degradation"]["area"] > 0
-        agg = a.aggregates
+        agg = a["aggregates"]
         assert agg["unmasked_comparisons"] == 3
         assert agg["oracle_marginal_variance"] == pytest.approx(0.04)
         assert agg["median_auc"] is not None
 
     def test_degradation_disabled_fixed_point(self, field_model, sched50):
-        cfg = self.small_config(field_model, sched50, degrade_enabled=False)
-        report = run_correction_experiment(cfg, RngStream(100, 0))
-        for t in report.trials:
+        cfg = self.small_config(degrade_enabled=False)
+        report = run_correction_experiment(field_model, sched50, cfg, RngStream(100, 0), None)
+        for t in report["trials"]:
             assert t["degradation"] is None
             assert t["auc"] is None
             assert t["mse_in_degraded"] is None
             assert t["mse_out_corrected"] == t["mse_total_corrected"]
             assert t["mean_weight"] > 0.75
-        agg = report.aggregates
+        agg = report["aggregates"]
         assert agg["median_auc"] is None
         assert agg["median_masked_reduction"] is None
         assert agg["median_mse_total_corrected"] < 0.04
 
     def test_artifacts_written(self, field_model, sched50, tmp_path):
         art = tmp_path / "artifacts"
-        cfg = self.small_config(field_model, sched50, trials=1, artifacts_dir=str(art))
-        run_correction_experiment(cfg, RngStream(101, 0))
+        cfg = self.small_config(trials=1)
+        run_correction_experiment(field_model, sched50, cfg, RngStream(101, 0), art)
         names = sorted(p.name for p in art.iterdir())
         assert names == [
             "trial_000_attention.fdg",
@@ -282,15 +293,11 @@ class TestRunExperiment:
     def test_artifacts_require_directory(self, field_model, sched50, tmp_path, monkeypatch):
         # Without artifacts_dir the experiment writes nothing at all.
         monkeypatch.chdir(tmp_path)
-        cfg = self.small_config(field_model, sched50, trials=1)
-        run_correction_experiment(cfg, RngStream(0, 0))
+        cfg = self.small_config(trials=1, record_artifacts=True)
+        run_correction_experiment(field_model, sched50, cfg, RngStream(0, 0), None)
         assert list(tmp_path.iterdir()) == []
 
-    def test_report_save_roundtrip(self, field_model, sched50, tmp_path):
-        cfg = self.small_config(field_model, sched50, trials=1)
-        report = run_correction_experiment(cfg, RngStream(102, 0))
-        path = tmp_path / "report.json"
-        report.save(path)
-        assert json.loads(path.read_text()) == json.loads(
-            json.dumps(report.to_dict())
-        )
+    def test_report_save_roundtrip(self, field_model, sched50):
+        cfg = self.small_config(trials=1)
+        report = run_correction_experiment(field_model, sched50, cfg, RngStream(102, 0), None)
+        assert json.loads(json.dumps(report, sort_keys=True, indent=2)) == report

@@ -75,7 +75,7 @@ class TestDiscrepancy:
 class TestValidationStats:
     def test_basic_shapes_and_floor(self, field_model, sched50):
         V = field_model.sample_x0(40, RngStream(50, 0))
-        stats = validation_stats(field_model, sched50, V, [10, 25], rng=RngStream(51, 0))
+        stats = validation_stats(field_model, sched50, V, [10, 25], reps=1, rng=RngStream(51, 0))
         assert stats.depths == (10, 25)
         assert stats.v_count == 40
         floor = SIGMA_FLOOR_SCALE * field_model.marginal_std()
@@ -87,35 +87,33 @@ class TestValidationStats:
 
     def test_single_member_sigma_hits_floor(self, field_model, sched50):
         V = field_model.sample_x0(1, RngStream(52, 0))
-        stats = validation_stats(field_model, sched50, V, [15], rng=RngStream(53, 0))
+        stats = validation_stats(field_model, sched50, V, [15], reps=1, rng=RngStream(53, 0))
         assert np.all(stats.sigma[15].values == stats.sigma_floor)
 
     def test_depth_zero_degenerates(self, field_model, sched50):
         V = field_model.sample_x0(5, RngStream(54, 0))
-        stats = validation_stats(field_model, sched50, V, [0], rng=RngStream(55, 0))
+        stats = validation_stats(field_model, sched50, V, [0], reps=1, rng=RngStream(55, 0))
         assert np.all(stats.mu[0].values == 0.0)
         assert np.all(stats.sigma[0].values == stats.sigma_floor)
 
     def test_argument_validation(self, field_model, sched50):
         V = field_model.sample_x0(2, RngStream(56, 0))
         with pytest.raises(ValidationError):
-            validation_stats(field_model, sched50, V, [5, 5], rng=RngStream(0, 0))
+            validation_stats(field_model, sched50, V, [5, 5], reps=1, rng=RngStream(0, 0))
         with pytest.raises(ValidationError):
-            validation_stats(field_model, sched50, np.empty((0, 64)), [5], rng=RngStream(0, 0))
+            validation_stats(field_model, sched50, np.empty((0, 64)), [5], reps=1, rng=RngStream(0, 0))
         with pytest.raises(ValidationError):
-            validation_stats(field_model, sched50, V[:, :3], [5], rng=RngStream(0, 0))
+            validation_stats(field_model, sched50, V[:, :3], [5], reps=1, rng=RngStream(0, 0))
         with pytest.raises(ValidationError):
             validation_stats(field_model, sched50, V, [5], reps=0, rng=RngStream(0, 0))
-        with pytest.raises(ValidationError):
-            validation_stats(field_model, sched50, V, [5])
 
     def test_depth_order_does_not_change_values(self, field_model, sched50):
         V = field_model.sample_x0(8, RngStream(57, 0))
-        a = validation_stats(field_model, sched50, V, [10, 30], rng=RngStream(58, 0))
-        b = validation_stats(field_model, sched50, V, [30, 10], rng=RngStream(58, 0))
+        a = validation_stats(field_model, sched50, V, [10, 30], reps=1, rng=RngStream(58, 0))
+        b = validation_stats(field_model, sched50, V, [30, 10], reps=1, rng=RngStream(58, 0))
         # Each depth owns child stream rng.child(position); swapping the
         # order swaps the streams, so only a same-order rerun is identical.
-        c = validation_stats(field_model, sched50, V, [10, 30], rng=RngStream(58, 0))
+        c = validation_stats(field_model, sched50, V, [10, 30], reps=1, rng=RngStream(58, 0))
         assert a.mu[10] == c.mu[10] and a.sigma[30] == c.sigma[30]
         assert set(b.depths) == {30, 10}
 
@@ -127,7 +125,7 @@ class TestValidationStats:
 
     def test_roundtrip(self, field_model, sched50, tmp_path):
         V = field_model.sample_x0(6, RngStream(61, 0))
-        stats = validation_stats(field_model, sched50, V, [10, 25], rng=RngStream(62, 0))
+        stats = validation_stats(field_model, sched50, V, [10, 25], reps=1, rng=RngStream(62, 0))
         stats.save(tmp_path / "stats")
         loaded = ValidationStats.load(tmp_path / "stats")
         assert loaded.depths == stats.depths
@@ -250,9 +248,9 @@ class TestAttention:
                 return PixelPermutedStream(self._base.child(index), self._perm)
 
         V = gmm_model.sample_x0(30, RngStream(85, 0))
-        stats = validation_stats(gmm_model, sched50, V, [10, 20], rng=RngStream(86, 0))
+        stats = validation_stats(gmm_model, sched50, V, [10, 20], reps=1, rng=RngStream(86, 0))
         probe = draw_grid(gmm_model, RngStream(87, 0))
-        base = attention_map(probe, stats, gmm_model, sched50, rng=RngStream(88, 0))
+        base = attention_map(probe, stats, gmm_model, sched50, reps=1, rng=RngStream(88, 0))
 
         perm = np.argsort(RngStream(89, 0).uniforms(64))
 
@@ -274,6 +272,7 @@ class TestAttention:
             permuted_stats,
             gmm_model,
             sched50,
+            reps=1,
             rng=PixelPermutedStream(RngStream(88, 0), perm),
         )
         assert np.array_equal(out.grid.flat(), base.grid.flat()[perm])
@@ -282,37 +281,35 @@ class TestAttention:
         # Depth 0 reconstructs exactly, so any probe image whatsoever scores
         # the clip minimum everywhere and keeps full conditioning weight.
         V = field_model.sample_x0(4, RngStream(65, 0))
-        stats = validation_stats(field_model, sched50, V, [0], rng=RngStream(66, 0))
+        stats = validation_stats(field_model, sched50, V, [0], reps=1, rng=RngStream(66, 0))
         probe = Grid(np.full((8, 8, 1), 9.5))
-        a = attention_map(probe, stats, field_model, sched50, rng=RngStream(67, 0))
+        a = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(67, 0))
         assert np.all(a.grid.values == 1.0)
         assert np.all(weight_from_attention(a).grid.values == 1.0)
 
     def test_in_distribution_probe_scores_low(self, field_model, sched50):
         V = field_model.sample_x0(80, RngStream(68, 0))
-        stats = validation_stats(field_model, sched50, V, [10, 20], rng=RngStream(69, 0))
+        stats = validation_stats(field_model, sched50, V, [10, 20], reps=1, rng=RngStream(69, 0))
         probe = draw_grid(field_model, RngStream(70, 0))
-        a = attention_map(probe, stats, field_model, sched50, rng=RngStream(71, 0))
+        a = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(71, 0))
         assert a.grid.values.mean() < 3.0
 
-    def test_fingerprint_mismatch_rejected(self, field_model, gmm_model, sched50, sched200):
+    def test_fingerprint_mismatch_rejected(self, field_model, sched50, sched200):
         V = field_model.sample_x0(4, RngStream(72, 0))
-        stats = validation_stats(field_model, sched50, V, [5], rng=RngStream(73, 0))
+        stats = validation_stats(field_model, sched50, V, [5], reps=1, rng=RngStream(73, 0))
         probe = mean_grid(field_model)
         with pytest.raises(ValidationError, match="stale"):
-            attention_map(probe, stats, field_model, sched200, rng=RngStream(74, 0))
+            attention_map(probe, stats, field_model, sched200, reps=1, rng=RngStream(74, 0))
         other = GaussianFieldModel.exponential(mean=0.4)
         with pytest.raises(ValidationError, match="stale"):
-            attention_map(probe, stats, other, sched50, rng=RngStream(74, 0))
-        with pytest.raises(ValidationError):
-            attention_map(mean_grid(gmm_model), stats, field_model, sched50, rng=None)
+            attention_map(probe, stats, other, sched50, reps=1, rng=RngStream(74, 0))
 
     def test_deterministic(self, field_model, sched50):
         V = field_model.sample_x0(10, RngStream(75, 0))
-        stats = validation_stats(field_model, sched50, V, [10], rng=RngStream(76, 0))
+        stats = validation_stats(field_model, sched50, V, [10], reps=1, rng=RngStream(76, 0))
         probe = draw_grid(field_model, RngStream(77, 0))
-        a = attention_map(probe, stats, field_model, sched50, rng=RngStream(78, 0))
-        b = attention_map(probe, stats, field_model, sched50, rng=RngStream(78, 0))
+        a = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
+        b = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
         assert a.grid == b.grid
 
 

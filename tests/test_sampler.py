@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuzzydiff import (
-    FuzzySamplerConfig,
     GaussianFieldModel,
     GmmPixelModel,
     Grid,
@@ -253,9 +252,7 @@ class TestFuzzySample:
     def test_full_conditioning_reproduces_input(self, gmm_model, sched50):
         x_cond = Grid(gmm_model.sample_x0(1, RngStream(71, 0))[0].reshape(8, 8, 1))
         for J in (1, 3):
-            [out] = fuzzy_sample(
-                gmm_model, sched50, x_cond, 1.0, FuzzySamplerConfig(J=J), [RngStream(72, 0)]
-            )
+            [out] = fuzzy_sample(gmm_model, sched50, x_cond, 1.0, J, [RngStream(72, 0)])
             assert out == x_cond
 
     def test_zero_conditioning_matches_unconditional(self, gmm_model, sched50):
@@ -276,13 +273,12 @@ class TestFuzzySample:
         mvals = np.zeros((8, 8, 1))
         mvals[:, :4, :] = 1.0
         m = WeightMap(Grid(mvals))
-        cfg = FuzzySamplerConfig(J=2)
         cond_a = Grid(np.full((8, 8, 1), 0.25))
         vals_b = np.full((8, 8, 1), 0.25)
         vals_b[:, :4, :] = 0.75
         cond_b = Grid(vals_b)
-        [out_a] = fuzzy_sample(gmm_model, sched50, cond_a, m, cfg, [RngStream(75, 0)])
-        [out_b] = fuzzy_sample(gmm_model, sched50, cond_b, m, cfg, [RngStream(75, 0)])
+        [out_a] = fuzzy_sample(gmm_model, sched50, cond_a, m, 2, [RngStream(75, 0)])
+        [out_b] = fuzzy_sample(gmm_model, sched50, cond_b, m, 2, [RngStream(75, 0)])
         assert np.array_equal(out_a.values[:, :4], cond_a.values[:, :4])
         assert np.array_equal(out_b.values[:, :4], cond_b.values[:, :4])
         assert np.array_equal(out_a.values[:, 4:], out_b.values[:, 4:])
@@ -341,15 +337,16 @@ class TestFuzzySample:
 
     def test_deterministic(self, gmm_model, sched50):
         x_cond = Grid(np.full((8, 8, 1), 0.5))
-        cfg = FuzzySamplerConfig(J=2)
-        a = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, cfg, [RngStream(96, 4)])
-        b = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, cfg, [RngStream(96, 4)])
+        a = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 2, [RngStream(96, 4)])
+        b = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 2, [RngStream(96, 4)])
         assert a == b
-        c = fuzzy_sample(
-            gmm_model, sched50, x_cond, 0.3, FuzzySamplerConfig(J=3), [RngStream(96, 4)]
-        )
+        c = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 3, [RngStream(96, 4)])
         assert a != c
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            FuzzySamplerConfig(J=0)
+    def test_config_validation(self, gmm_model, sched50):
+        # J=0 would skip every step above t=1 and return the noised start state.
+        x_cond = Grid(np.full((8, 8, 1), 0.5))
+        with pytest.raises(ValidationError, match="J must be >= 1"):
+            fuzzy_sample_array(gmm_model, sched50, x_cond.flat(), np.zeros(64), 0, 1, RngStream(0, 0))
+        with pytest.raises(ValidationError, match="J must be >= 1"):
+            fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 0, [RngStream(0, 0)])
