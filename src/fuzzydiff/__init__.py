@@ -8,7 +8,7 @@ feeds back into the sampler as a conditioning weight map.
 """
 
 from .config import ConfigError, build_model, build_schedule, load_config
-from .core import Grid, RngStream, RowStreams, ValidationError, clamp_unit
+from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import (
     EpsilonModel,
     GaussianFieldModel,
@@ -27,20 +27,15 @@ from .harness import (
     run_correction_experiment,
 )
 from .projection import (
-    AttentionMap,
     ValidationStats,
     attention_from_discrepancies,
     attention_map,
     default_depths,
-    project_reconstruct,
+    project_reconstruct_array,
     validation_stats,
     weight_from_attention,
 )
-from .sampler import (
-    WeightMap,
-    fuzzy_fuse,
-    fuzzy_sample,
-)
+from .sampler import fuzzy_fuse, fuzzy_sample
 from .schedule import NoiseSchedule, linear_schedule, posterior_mean_coeffs
 
 __version__ = "0.1.0"
@@ -54,7 +49,6 @@ __all__ = [
     "RngStream",
     "RowStreams",
     "ValidationError",
-    "clamp_unit",
     "read_grid",
     "write_grid",
     "write_pgm",
@@ -65,12 +59,10 @@ __all__ = [
     "EpsilonModel",
     "GaussianFieldModel",
     "GmmPixelModel",
-    "WeightMap",
     "fuzzy_fuse",
     "fuzzy_sample",
     "ValidationStats",
-    "AttentionMap",
-    "project_reconstruct",
+    "project_reconstruct_array",
     "default_depths",
     "validation_stats",
     "attention_map",

@@ -21,9 +21,11 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, build_model, build_schedule, load_config
 from .config import section as config_section
-from .core import Grid, RngStream, RowStreams, ValidationError, clamp_unit
+from .core import Grid, RngStream, RowStreams, ValidationError
 from .gridio import read_grid, write_grid, write_preview
 from .harness import DegradeParams, degrade, run_correction_experiment
 from .projection import (
@@ -33,7 +35,7 @@ from .projection import (
     validation_stats,
     weight_from_attention,
 )
-from .sampler import WeightMap, ancestral_sample_array, fuzzy_sample
+from .sampler import ancestral_sample_array, fuzzy_sample
 
 log = logging.getLogger("fuzzydiff")
 
@@ -172,20 +174,21 @@ def _write_manifest(
 
 
 def _write_grids(out: Path, named) -> list[Path]:
-    """Write each (name, grid) as name.fdg plus its preview; returns the paths written."""
+    """Write each (name, (h, w, c) array) as name.fdg plus its preview; returns the paths."""
     files: list[Path] = []
-    for name, g in named:
+    for name, values in named:
+        g = Grid(values)
         path = out / f"{name}.fdg"
         write_grid(path, g)
         files += [path, write_preview(out / name, g)]
     return files
 
 
-def _read_image(path_text: str, model) -> Grid:
+def _read_image(path_text: str, model) -> np.ndarray:
     g = read_grid(path_text)
     if g.shape != model.shape:
         raise ValidationError(f"image shape {g.shape} != model shape {model.shape}")
-    return g
+    return g.values
 
 
 def _cmd_sample(args, cfg, model, schedule, out: Path) -> None:
@@ -193,39 +196,38 @@ def _cmd_sample(args, cfg, model, schedule, out: Path) -> None:
     count = section["count"]
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
-    rows = ancestral_sample_array(
-        model, schedule, count, RowStreams(root.child(i) for i in range(count))
-    )
-    grids = (Grid(r.reshape(model.shape)) for r in rows)
-    files = _write_grids(stage, ((f"sample_{i:04d}", g) for i, g in enumerate(grids)))
+    streams = RowStreams(root.child(i) for i in range(count))
+    rows = ancestral_sample_array(model, schedule, count, streams)
+    named = ((f"sample_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))
+    files = _write_grids(stage, named)
     _write_manifest(stage, "sample", args, cfg, model, schedule, files)
     log.info("wrote %d samples", count)
 
 
-def _load_weight_map(section: dict, model) -> WeightMap:
+def _load_weight_map(section: dict):
+    """The weight map a fuzzy section names: a scalar, or the array of a grid file."""
     m_spec = section["map"]
     if isinstance(m_spec, str):
-        g = read_grid(m_spec)
-        if section["clamp_map"]:
-            g = clamp_unit(g)
-        return WeightMap(g)
+        m = read_grid(m_spec).values
+        return np.clip(m, 0.0, 1.0) if section["clamp_map"] else m
     if not 0.0 <= float(m_spec) <= 1.0:
         raise ConfigError(f"'fuzzy.map' scalar must lie in [0, 1], got {m_spec}")
-    h, w, _ = model.shape
-    return WeightMap.uniform(float(m_spec), h, w, 1)
+    return float(m_spec)
 
 
 def _cmd_fuzzy(args, cfg, model, schedule, out: Path) -> None:
     section = config_section(cfg, "fuzzy")
+    count = section["count"]
     image = _read_image(section["image"], model)
-    weights = _load_weight_map(section, model)
+    weights = _load_weight_map(section)
     stage = _prepare_out(out, args.force)
     root = RngStream(args.seed, 0)
-    streams = [root.child(i) for i in range(section["count"])]
-    grids = fuzzy_sample(model, schedule, image, weights, section["J"], streams)
-    files = _write_grids(stage, ((f"fuzzy_{i:04d}", g) for i, g in enumerate(grids)))
+    streams = RowStreams(root.child(i) for i in range(count))
+    rows = fuzzy_sample(model, schedule, image, weights, section["J"], count, streams)
+    named = ((f"fuzzy_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))
+    files = _write_grids(stage, named)
     _write_manifest(stage, "fuzzy", args, cfg, model, schedule, files)
-    log.info("wrote %d conditioned samples", section["count"])
+    log.info("wrote %d conditioned samples", count)
 
 
 def _cmd_stats(args, cfg, model, schedule, out: Path) -> None:
@@ -250,7 +252,7 @@ def _cmd_attend(args, cfg, model, schedule, out: Path) -> None:
     root = RngStream(args.seed, 0)
     amap = attention_map(image, stats, model, schedule, section["reps"], root.child(0))
     weights = weight_from_attention(amap)
-    files = _write_grids(stage, (("attention", amap.grid), ("weights", weights.grid)))
+    files = _write_grids(stage, (("attention", amap), ("weights", weights)))
     _write_manifest(stage, "attend", args, cfg, model, schedule, files)
 
 
@@ -261,7 +263,7 @@ def _cmd_degrade(args, cfg, model, schedule, out: Path) -> None:
     root = RngStream(args.seed, 0)
     files: list[Path] = []
     if image is None:
-        image = Grid(model.sample_x0(1, root.child(0))[0].reshape(model.shape))
+        image = model.sample_x0(1, root.child(0))[0].reshape(model.shape)
         files = _write_grids(stage, [("clean", image)])
 
     params = DegradeParams.for_model(

@@ -45,11 +45,12 @@ def _is_number(v) -> bool:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An int that numpy can hold as int64; larger ones would fail late, in numpy."""
+    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
 
 _CHECKS = {
-    "int": (_is_int, "an integer"),
+    "int": (_is_int, "an integer in the signed 64-bit range"),
     "number": (_is_number, "a finite number"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
@@ -59,9 +60,12 @@ _CHECKS = {
     ),
     "int_array_or_null": (
         lambda v: v is None or (isinstance(v, list) and all(_is_int(x) for x in v)),
-        "an array of integers or null",
+        "an array of signed 64-bit integers or null",
     ),
-    "int_or_null": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "int_or_null": (
+        lambda v: v is None or _is_int(v),
+        "an integer in the signed 64-bit range or null",
+    ),
     "string_or_null": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "number_or_string": (
         lambda v: _is_number(v) or isinstance(v, str),
@@ -176,8 +180,9 @@ _SECTION_FIELDS = {
     "eval": _EVAL_FIELDS,
 }
 
-# Range policy, checked at load time: fields that must be >= 1, and
-# projection depths that must lie in [0, schedule.T].
+# Range policy, checked at load time: fields that must be >= 1, projection
+# depths that must lie in [0, schedule.T], depth sets that must be non-empty
+# and distinct, and degradation ranges that must be ordered and fit the image.
 _POSITIVE = (
     ("model", "height"),
     ("model", "width"),
@@ -194,6 +199,8 @@ _POSITIVE = (
     ("eval", "v_count"),
 )
 _DEPTHS = (("stats", "depths"), ("eval", "depths"), ("eval", "baseline_depth"))
+_DEPTH_SETS = ("stats", "eval")
+_DEGRADE_RANGES = ("degrade", "eval")
 
 
 def _check_ranges(cfg: dict) -> None:
@@ -206,6 +213,22 @@ def _check_ranges(cfg: dict) -> None:
         for t in value if isinstance(value, list) else [value]:
             if t is not None and not 0 <= t <= T:
                 raise ConfigError(f"'{name}.{key}' must lie in [0, {T}], got {t}")
+    for name in _DEPTH_SETS:
+        depths = cfg.get(name, {}).get("depths")
+        if depths is not None and (not depths or len(set(depths)) != len(depths)):
+            raise ConfigError(f"'{name}.depths' must be non-empty and distinct, got {depths}")
+    side_cap = min(cfg["model"]["height"], cfg["model"]["width"])
+    for name in _DEGRADE_RANGES:
+        if name not in cfg:
+            continue
+        sec = cfg[name]
+        if sec["sigma_low"] > sec["sigma_high"]:
+            raise ConfigError(f"'{name}.sigma_low' must be <= '{name}.sigma_high'")
+        for key in ("side_min", "side_max"):
+            if sec[key] is not None and not 0 <= sec[key] <= side_cap:
+                raise ConfigError(f"'{name}.{key}' must lie in [0, {side_cap}], got {sec[key]}")
+        if None not in (sec["side_min"], sec["side_max"]) and sec["side_min"] > sec["side_max"]:
+            raise ConfigError(f"'{name}.side_min' must be <= '{name}.side_max'")
 
 
 def load_config(path) -> dict:

@@ -11,7 +11,6 @@ __all__ = [
     "Grid",
     "RngStream",
     "RowStreams",
-    "clamp_unit",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -41,14 +40,6 @@ class Grid:
             raise ValidationError("grid contains non-finite values")
         arr.flags.writeable = False
         self._values = arr
-
-    @classmethod
-    def zeros(cls, height: int, width: int, channels: int = 1) -> "Grid":
-        return cls(np.zeros((height, width, channels)))
-
-    @classmethod
-    def full(cls, height: int, width: int, channels: int, value: float) -> "Grid":
-        return cls(np.full((height, width, channels), float(value)))
 
     @property
     def values(self) -> np.ndarray:
@@ -188,8 +179,3 @@ class RowStreams:
         if n % rows:
             raise ValidationError(f"{n} draws do not split evenly over {rows} row streams")
         return np.concatenate([s.normals(n // rows) for s in self.streams])
-
-
-def clamp_unit(g: Grid) -> Grid:
-    """Copy of ``g`` with every entry clamped into [0, 1]."""
-    return Grid(np.clip(g.values, 0.0, 1.0))

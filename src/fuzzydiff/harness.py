@@ -11,16 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import projection
 from .core import Grid, RngStream, ValidationError
 from .denoiser import EpsilonModel
 from .gridio import write_grid
-from .projection import (
-    attention_map,
-    default_depths,
-    project_reconstruct,
-    validation_stats,
-    weight_from_attention,
-)
+from .projection import attention_map, default_depths, validation_stats, weight_from_attention
 from .sampler import fuzzy_sample
 from .schedule import NoiseSchedule
 
@@ -85,17 +80,18 @@ class DegradeParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # mask is an array, so field-wise == is ambiguous
 class DegradationRecord:
     """Ground truth of one synthetic degradation.
 
     rect is (x0, y0, x1, y1) with half-open bounds: columns [x0, x1) and rows
-    [y0, y1). mask is 1 inside the rectangle and 0 outside, single-channel.
+    [y0, y1). mask is the (h, w, 1) array that is 1 inside the rectangle and
+    0 outside.
     """
 
     rect: tuple[int, int, int, int]
     threshold: float
-    mask: Grid
+    mask: np.ndarray
 
     @property
     def area(self) -> int:
@@ -113,15 +109,19 @@ def _uniform_int(rng: RngStream, low: int, high: int) -> int:
     return low + min(int(u * span), span - 1)
 
 
-def degrade(x: Grid, params: DegradeParams, rng: RngStream) -> tuple[Grid, DegradationRecord]:
-    """Replace a random rectangle of x with a random out-of-range threshold.
+def degrade(
+    x: np.ndarray, params: DegradeParams, rng: RngStream
+) -> tuple[np.ndarray, DegradationRecord]:
+    """Copy of the (h, w, c) image x with a random rectangle set to a random
+    out-of-range threshold.
 
     Every pixel inside the rectangle is set to the sampled threshold on all
     channels; everything outside is untouched bit-exactly. Draw order is
     pinned (side_h, side_w, y0, x0, threshold) so records are reproducible.
-    A zero-area configuration (side_min = side_max = 0) returns x unchanged.
+    A zero-area configuration (side_min = side_max = 0) returns an unchanged copy.
     """
-    h, w, c = x.shape
+    out = np.array(x, dtype=np.float64, copy=True)
+    h, w, _ = out.shape
     if params.side_max > min(h, w):
         raise ValidationError(
             f"side_max {params.side_max} exceeds image dims {(h, w)}"
@@ -135,16 +135,8 @@ def degrade(x: Grid, params: DegradeParams, rng: RngStream) -> tuple[Grid, Degra
 
     mask = np.zeros((h, w, 1))
     mask[y0 : y0 + side_h, x0 : x0 + side_w, :] = 1.0
-    record = DegradationRecord(
-        rect=(x0, y0, x0 + side_w, y0 + side_h),
-        threshold=threshold,
-        mask=Grid(mask),
-    )
-    if record.area == 0:
-        return x, record
-    vals = np.array(x.values, copy=True)
-    vals[y0 : y0 + side_h, x0 : x0 + side_w, :] = threshold
-    return Grid(vals), record
+    out[y0 : y0 + side_h, x0 : x0 + side_w, :] = threshold
+    return out, DegradationRecord((x0, y0, x0 + side_w, y0 + side_h), threshold, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +185,13 @@ def moment_error(rows: np.ndarray, model: EpsilonModel) -> tuple[float, float]:
     return mean_err, cov_err
 
 
-def pixel_auc(score: Grid, mask: Grid) -> float:
-    """ROC AUC of per-pixel scores against a binary mask, midrank ties."""
+def pixel_auc(score: np.ndarray, mask: np.ndarray) -> float:
+    """ROC AUC of (h, w, c) per-pixel scores (channel mean) against the binary
+    (h, w, 1) mask, midrank ties."""
     if score.shape[:2] != mask.shape[:2]:
         raise ValidationError(f"score dims {score.shape} != mask dims {mask.shape}")
-    sc = score.flat() if score.channels == 1 else score.values.mean(axis=2).reshape(-1)
-    mk = mask.flat() if mask.channels == 1 else mask.values[:, :, 0].reshape(-1)
+    sc = score.mean(axis=2).reshape(-1)
+    mk = mask[:, :, 0].reshape(-1)
     pos = mk == 1.0
     neg = mk == 0.0
     if not np.all(pos | neg):
@@ -214,17 +207,20 @@ def pixel_auc(score: Grid, mask: Grid) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def masked_mse(a: Grid, b: Grid, mask: Grid, inside: bool = True) -> float | None:
-    """Mean squared difference over pixels selected by the mask.
+def masked_mse(
+    a: np.ndarray, b: np.ndarray, mask: np.ndarray, inside: bool = True
+) -> float | None:
+    """Mean squared difference of two (h, w, c) images over the pixels the
+    (h, w, 1) mask selects.
 
     Returns None when the selected region is empty.
     """
     if a.shape != b.shape:
-        raise ValidationError(f"grid shapes differ: {a.shape} vs {b.shape}")
-    sel = mask.values[:, :, 0] == (1.0 if inside else 0.0)
+        raise ValidationError(f"image shapes differ: {a.shape} vs {b.shape}")
+    sel = mask[:, :, 0] == (1.0 if inside else 0.0)
     if not sel.any():
         return None
-    diff = a.values[sel] - b.values[sel]
+    diff = a[sel] - b[sel]
     return float(np.mean(diff * diff))
 
 
@@ -283,37 +279,37 @@ def run_correction_experiment(
         art_dir.mkdir(parents=True, exist_ok=True)
 
     marginal_var = model.marginal_std() ** 2
+    h, w, _ = model.shape
     trials: list[dict] = []
     for i in range(section["trials"]):
         tr = rng.child(2 + i)
-        clean = Grid(model.sample_x0(1, tr.child(0))[0].reshape(model.shape))
+        clean = model.sample_x0(1, tr.child(0))[0].reshape(model.shape)
         if params is not None:
             degraded, record = degrade(clean, params, tr.child(1))
         else:
             degraded = clean
-            record = DegradationRecord(
-                rect=(0, 0, 0, 0),
-                threshold=0.0,
-                mask=Grid.zeros(model.shape[0], model.shape[1], 1),
-            )
+            record = DegradationRecord((0, 0, 0, 0), 0.0, np.zeros((h, w, 1)))
         amap = attention_map(degraded, stats, model, s, reps, tr.child(2))
         weights = weight_from_attention(amap)
-        corrected = fuzzy_sample(model, s, degraded, weights, section["J"], [tr.child(3)])[0]
-        baseline = project_reconstruct(model, s, degraded, baseline_t, tr.child(4))
+        corrected = fuzzy_sample(model, s, degraded, weights, section["J"], 1, tr.child(3))
+        baseline = projection.project_reconstruct_array(
+            model, s, degraded.reshape(1, -1), baseline_t, tr.child(4)
+        )
+        corrected, baseline = corrected.reshape(model.shape), baseline.reshape(model.shape)
 
         # AUC needs both classes: a rectangle covering every pixel has no negatives.
-        scored = 0 < record.area < model.shape[0] * model.shape[1]
+        scored = 0 < record.area < h * w
         trial = {
             "trial": i,
             "degradation": record.to_dict() if params is not None else None,
-            "auc": pixel_auc(amap.grid, record.mask) if scored else None,
+            "auc": pixel_auc(amap, record.mask) if scored else None,
             "mse_in_degraded": masked_mse(degraded, clean, record.mask, inside=True),
             "mse_in_corrected": masked_mse(corrected, clean, record.mask, inside=True),
             "mse_in_baseline": masked_mse(baseline, clean, record.mask, inside=True),
             "mse_out_corrected": masked_mse(corrected, clean, record.mask, inside=False),
             "mse_out_baseline": masked_mse(baseline, clean, record.mask, inside=False),
-            "mse_total_corrected": float(np.mean(np.square(corrected.values - clean.values))),
-            "mean_weight": float(weights.grid.values.mean()),
+            "mse_total_corrected": float(np.mean(np.square(corrected - clean))),
+            "mean_weight": float(weights.mean()),
         }
         trials.append(trial)
 
@@ -321,12 +317,12 @@ def run_correction_experiment(
             for name, g in (
                 ("clean", clean),
                 ("degraded", degraded),
-                ("attention", amap.grid),
-                ("weights", weights.grid),
+                ("attention", amap),
+                ("weights", weights),
                 ("corrected", corrected),
                 ("baseline", baseline),
             ):
-                write_grid(art_dir / f"trial_{i:03d}_{name}.fdg", g)
+                write_grid(art_dir / f"trial_{i:03d}_{name}.fdg", Grid(g))
 
     reductions = []
     baseline_wins = 0

@@ -21,13 +21,11 @@ import numpy as np
 from .core import Grid, RngStream, ValidationError
 from .denoiser import EpsilonModel
 from .gridio import read_grid, write_grid
-from .sampler import WeightMap, _reverse_step_array
+from .sampler import _reverse_step_array
 from .schedule import NoiseSchedule
 
 __all__ = [
     "ValidationStats",
-    "AttentionMap",
-    "project_reconstruct",
     "project_reconstruct_array",
     "default_depths",
     "validation_stats",
@@ -41,23 +39,6 @@ SCORE_MAX = 6.0
 SIGMA_FLOOR_SCALE = 1e-6
 
 _MANIFEST_NAME = "manifest.json"
-
-
-@dataclass(frozen=True)
-class AttentionMap:
-    """Single-channel anomaly map with every value in [1, 6]."""
-
-    grid: Grid
-
-    def __post_init__(self) -> None:
-        if self.grid.channels != 1:
-            raise ValidationError("attention map must be single-channel")
-        vals = self.grid.values
-        if vals.min() < SCORE_MIN or vals.max() > SCORE_MAX:
-            raise ValidationError(
-                f"attention values must lie in [{SCORE_MIN}, {SCORE_MAX}], got "
-                f"[{vals.min():.6g}, {vals.max():.6g}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -156,8 +137,10 @@ class ValidationStats:
 def project_reconstruct_array(
     model: EpsilonModel, s: NoiseSchedule, x: np.ndarray, t: int, rng: RngStream
 ) -> np.ndarray:
-    """Noise rows to level t, then run the reverse chain back down to 0."""
+    """Noise (n, D) rows to level t, then run the reverse chain back down to 0; t=0 is exact."""
     t = s.check_step(t, lowest=0)
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise ValidationError(f"rows of shape {x.shape} do not fit model dim {model.dim}")
     if t == 0:
         return np.array(x, dtype=np.float64, copy=True)
     eps = rng.normals(x.size).reshape(x.shape)
@@ -165,16 +148,6 @@ def project_reconstruct_array(
     for step in range(t, 0, -1):
         xt = _reverse_step_array(model, xt, step, s, rng)
     return xt
-
-
-def project_reconstruct(
-    model: EpsilonModel, s: NoiseSchedule, x: Grid, t: int, rng: RngStream
-) -> Grid:
-    """Stochastic reconstruction of x through projection depth t; t=0 is exact."""
-    if x.shape != model.shape:
-        raise ValidationError(f"grid shape {x.shape} != model shape {model.shape}")
-    out = project_reconstruct_array(model, s, x.flat()[None, :], t, rng)
-    return Grid(out.reshape(x.shape))
 
 
 def _discrepancy_rows(a: np.ndarray, b: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
@@ -280,33 +253,33 @@ def validation_stats(
 
 
 def attention_from_discrepancies(
-    dmaps: dict[int, Grid], stats: ValidationStats
-) -> AttentionMap:
-    """Normalize per-depth discrepancy maps against stats and average.
+    dmaps: dict[int, np.ndarray], stats: ValidationStats
+) -> np.ndarray:
+    """Normalize per-depth (h, w, 1) discrepancy maps against stats and average.
 
     Pure function of its inputs: score_t = clip((d_t - mu_t) / sigma_t, 1, 6)
-    per pixel, averaged over stats.depths.
+    per pixel, averaged over stats.depths. Returns the (h, w, 1) attention map.
     """
     acc = None
     for t in stats.depths:
         if t not in dmaps:
             raise ValidationError(f"missing discrepancy map for depth {t}")
-        score = (dmaps[t].values - stats.mu[t].values) / stats.sigma[t].values
+        score = (dmaps[t] - stats.mu[t].values) / stats.sigma[t].values
         score = np.clip(score, SCORE_MIN, SCORE_MAX)
         acc = score if acc is None else acc + score
     assert acc is not None
-    return AttentionMap(Grid(acc / len(stats.depths)))
+    return acc / len(stats.depths)
 
 
 def attention_map(
-    x: Grid,
+    x: np.ndarray,
     stats: ValidationStats,
     model: EpsilonModel,
     s: NoiseSchedule,
     reps: int,
     rng: RngStream,
-) -> AttentionMap:
-    """Anomaly map of x: normalized reconstruction discrepancy over stats.depths.
+) -> np.ndarray:
+    """(h, w, 1) anomaly map of the (h, w, c) image x over stats.depths.
 
     Refuses statistics whose fingerprints do not match the live model and
     schedule. Depth k uses draws from rng.child(k), the same stream layout
@@ -314,22 +287,31 @@ def attention_map(
     before normalizing.
     """
     stats.check_compatible(model, s)
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != model.shape:
-        raise ValidationError(f"grid shape {x.shape} != model shape {model.shape}")
+        raise ValidationError(f"image shape {x.shape} != model shape {model.shape}")
 
     h, w, _ = x.shape
-    rows = _depth_discrepancies(model, s, x.flat()[None, :], stats.depths, reps, rng)
-    dmaps = {t: Grid(d.reshape(h, w, 1)) for t, d in zip(stats.depths, rows)}
+    rows = _depth_discrepancies(model, s, x.reshape(1, -1), stats.depths, reps, rng)
+    dmaps = {t: d.reshape(h, w, 1) for t, d in zip(stats.depths, rows)}
     return attention_from_discrepancies(dmaps, stats)
 
 
-def weight_from_attention(a: AttentionMap) -> WeightMap:
-    """Map attention scores onto conditioning weights.
+def weight_from_attention(a: np.ndarray) -> np.ndarray:
+    """Map an (h, w, 1) attention map onto conditioning weights of the same shape.
 
     The score range [1, 6] is first rescaled to [0, 1]; the weight is the
     square of the remaining headroom: m = (1 - (A - 1)/5)^2. A pixel within
     one sigma of normal keeps full conditioning (m=1); a 6-sigma pixel is
     fully regenerated (m=0).
     """
-    scaled = (a.grid.values - SCORE_MIN) / (SCORE_MAX - SCORE_MIN)
-    return WeightMap(Grid((1.0 - scaled) ** 2))
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3 or a.shape[2] != 1:
+        raise ValidationError(f"attention map must be single-channel (h, w, 1), got {a.shape}")
+    if not (a.min() >= SCORE_MIN and a.max() <= SCORE_MAX):
+        raise ValidationError(
+            f"attention values must lie in [{SCORE_MIN}, {SCORE_MAX}], got "
+            f"[{a.min():.6g}, {a.max():.6g}]"
+        )
+    scaled = (a - SCORE_MIN) / (SCORE_MAX - SCORE_MIN)
+    return (1.0 - scaled) ** 2

@@ -3,7 +3,7 @@
 Everything runs on (n, D) float64 arrays so batches share one vectorized
 trajectory. Given a :class:`~fuzzydiff.core.RowStreams`, row i of a batch
 draws only from its own stream, so it sees the same draws as a one-row chain
-on that stream; :func:`fuzzy_sample` takes one stream per sample this way.
+on that stream.
 
 Draw order per trajectory is part of the determinism contract:
 
@@ -17,63 +17,17 @@ Unconditional sampling is the J=1, m=0 special case of the same loop shape.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from .core import Grid, RngStream, RowStreams, ValidationError
+from .core import RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
 from .schedule import NoiseSchedule
 
 __all__ = [
-    "WeightMap",
     "ancestral_sample_array",
     "fuzzy_fuse",
     "fuzzy_sample",
-    "fuzzy_sample_array",
 ]
-
-
-class WeightMap:
-    """Per-pixel conditioning strength m with every entry in [0, 1].
-
-    A single-channel map broadcasts across the channels of the image it
-    conditions; a per-channel map must match exactly.
-    """
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid: Grid) -> None:
-        vals = grid.values
-        if vals.min() < 0.0 or vals.max() > 1.0:
-            raise ValidationError(
-                f"weight map values must lie in [0, 1], got range "
-                f"[{vals.min():.6g}, {vals.max():.6g}]"
-            )
-        self.grid = grid
-
-    @classmethod
-    def uniform(cls, value: float, height: int, width: int, channels: int = 1) -> "WeightMap":
-        return cls(Grid.full(height, width, channels, value))
-
-    def broadcast_to(self, shape: tuple[int, int, int]) -> np.ndarray:
-        h, w, c = shape
-        gh, gw, gc = self.grid.shape
-        if (gh, gw) != (h, w):
-            raise ValidationError(
-                f"weight map spatial dims {(gh, gw)} != image dims {(h, w)}"
-            )
-        if gc not in (1, c):
-            raise ValidationError(f"weight map has {gc} channels, image has {c}")
-        return np.broadcast_to(self.grid.values, shape)
-
-
-def _coerce_map(m, shape: tuple[int, int, int]) -> np.ndarray:
-    if isinstance(m, (int, float)):
-        m = WeightMap.uniform(float(m), shape[0], shape[1], 1)
-    if not isinstance(m, WeightMap):
-        raise ValidationError(f"expected WeightMap or scalar, got {type(m).__name__}")
-    return m.broadcast_to(shape).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +64,25 @@ def ancestral_sample_array(
 # fuzzy conditioning
 
 
-def _fuse_array(
+def fuzzy_fuse(
     x_synth: np.ndarray,
     x_reproj: np.ndarray,
     x_cond: np.ndarray,
-    m: np.ndarray,
+    m,
     t: int,
     s: NoiseSchedule,
 ) -> np.ndarray:
+    """Blend the synthetic and reprojected branches at per-pixel strength m.
+
+    Computes, per pixel,
+
+        base + (m * x_reproj + (1 - m) * x_synth - base) / sqrt(1 - 2m + 2m^2)
+
+    with base = sqrt(alpha_bar[t-1]) * x_cond, for 1 <= t <= T and arrays that
+    broadcast against each other. The divisor restores the variance both
+    branches carry at level t-1, so the fused pixel stays on the diffusion
+    marginal. m=0 returns x_synth and m=1 returns x_reproj, bit-exact.
+    """
     base = s.sqrt_alpha_bar[t - 1] * x_cond
     blend = m * x_reproj + (1.0 - m) * x_synth
     fused = base + (blend - base) / np.sqrt(1.0 - 2.0 * m + 2.0 * m * m)
@@ -128,45 +93,21 @@ def _fuse_array(
     return fused
 
 
-def fuzzy_fuse(
-    x_synth: Grid,
-    x_reproj: Grid,
-    x_cond: Grid,
-    m,
-    t: int,
-    s: NoiseSchedule,
-) -> Grid:
-    """Blend the synthetic and reprojected branches at per-pixel strength m.
-
-    Computes, per pixel,
-
-        base + (m * x_reproj + (1 - m) * x_synth - base) / sqrt(1 - 2m + 2m^2)
-
-    with base = sqrt(alpha_bar[t-1]) * x_cond. The divisor restores the
-    variance both branches carry at level t-1, so the fused pixel stays on the
-    diffusion marginal. m=0 returns x_synth and m=1 returns x_reproj, bit-exact.
-    """
-    t = s.check_step(t)
-    shape = x_synth.shape
-    if not x_reproj.shape == x_cond.shape == shape:
-        raise ValidationError(f"grid shapes differ: {(shape, x_reproj.shape, x_cond.shape)}")
-    m_flat = _coerce_map(m, shape)
-    out = _fuse_array(
-        x_synth.flat(), x_reproj.flat(), x_cond.flat(), m_flat, t, s
-    )
-    return Grid(out.reshape(shape))
-
-
-def fuzzy_sample_array(
+def fuzzy_sample(
     model: EpsilonModel,
     s: NoiseSchedule,
     x_cond: np.ndarray,
-    m: np.ndarray,
+    m,
     J: int,
     n: int,
     rng: RngStream | RowStreams,
 ) -> np.ndarray:
-    """Batched fuzzy-conditioned sampler core on (n, D) rows.
+    """n samples as (n, D) rows, conditioned on the image x_cond at per-pixel strength m.
+
+    x_cond has the model's (h, w, c) shape. m is a scalar or an (h, w, 1) or
+    (h, w, c) array with every entry in [0, 1]; a single-channel map
+    broadcasts across channels. m=1 pixels reproduce x_cond exactly; m=0
+    pixels are unconditional.
 
     Per step t, the inner loop runs J times: draw the reprojected branch at
     level t-1, take one reverse step from the current level-t state, fuse, and
@@ -179,10 +120,25 @@ def fuzzy_sample_array(
         raise ValidationError(f"sample count must be >= 1, got {n}")
     if J < 1:
         raise ValidationError(f"J must be >= 1, got {J}")
-    D = model.dim
-    x_cond = np.asarray(x_cond, dtype=np.float64).reshape(D)
-    m = np.asarray(m, dtype=np.float64).reshape(D)
+    h, w, c = model.shape
+    x_cond = np.asarray(x_cond, dtype=np.float64)
+    if x_cond.shape != model.shape:
+        raise ValidationError(f"image shape {x_cond.shape} != model shape {model.shape}")
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim == 0:
+        m = np.full((h, w, 1), m)
+    if not (m.min() >= 0.0 and m.max() <= 1.0):
+        raise ValidationError(
+            f"weight map values must lie in [0, 1], got range [{m.min():.6g}, {m.max():.6g}]"
+        )
+    if m.ndim != 3 or m.shape[:2] != (h, w):
+        raise ValidationError(f"weight map spatial dims {m.shape[:2]} != image dims {(h, w)}")
+    if m.shape[2] not in (1, c):
+        raise ValidationError(f"weight map has {m.shape[2]} channels, image has {c}")
 
+    D = model.dim
+    x_cond = x_cond.reshape(D)
+    m = np.broadcast_to(m, model.shape).reshape(D)
     x = rng.normals(n * D).reshape(n, D)
     for t in range(s.T, 0, -1):
         sq_prev = s.sqrt_alpha_bar[t - 1]
@@ -197,31 +153,9 @@ def fuzzy_sample_array(
             else:
                 x_reproj = np.broadcast_to(x_cond, (n, D))
             x_synth = _reverse_step_array(model, x_t, t, s, rng)
-            x_m = _fuse_array(x_synth, x_reproj, x_cond, m, t, s)
+            x_m = fuzzy_fuse(x_synth, x_reproj, x_cond, m, t, s)
             if j < inner:
                 eps3 = rng.normals(n * D).reshape(n, D)
                 x_t = np.sqrt(s.alpha[t]) * x_m + np.sqrt(s.beta[t]) * eps3
         x = x_m
     return x
-
-
-def fuzzy_sample(
-    model: EpsilonModel,
-    s: NoiseSchedule,
-    x_cond: Grid,
-    m,
-    J: int,
-    streams: Sequence[RngStream],
-) -> list[Grid]:
-    """One sample per stream, conditioned on x_cond at per-pixel strength m.
-
-    All samples run as one batch with J harmonization iterations per step;
-    sample i draws only from ``streams[i]``. m=1 pixels reproduce x_cond
-    exactly; m=0 pixels are unconditional.
-    """
-    if x_cond.shape != model.shape:
-        raise ValidationError(f"grid shape {x_cond.shape} != model shape {model.shape}")
-    m_flat = _coerce_map(m, x_cond.shape)
-    rows = RowStreams(streams)
-    out = fuzzy_sample_array(model, s, x_cond.flat(), m_flat, J, len(rows.streams), rows)
-    return [Grid(r.reshape(x_cond.shape)) for r in out]

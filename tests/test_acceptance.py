@@ -34,7 +34,7 @@ from fuzzydiff import (
 )
 from fuzzydiff.cli import entrypoint
 from fuzzydiff.config import section
-from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample_array
+from fuzzydiff.sampler import ancestral_sample_array
 
 SEED = 20260816
 
@@ -170,18 +170,19 @@ def test_criterion_4_fuzzy_boundaries(acceptance_lines):
         gmm = gmm_model()
         s400 = linear_schedule(*GMM_SCHED)
 
-        x_cond = Grid(gmm.sample_x0(1, root.child(0))[0].reshape(8, 8, 1))
-        [out] = fuzzy_sample(gmm, s400, x_cond, 1.0, 2, [root.child(3)])
-        assert out == x_cond
+        x_cond = gmm.sample_x0(1, root.child(0))[0].reshape(8, 8, 1)
+        out = fuzzy_sample(gmm, s400, x_cond, 1.0, 2, 1, root.child(3))
+        assert np.array_equal(out.reshape(8, 8, 1), x_cond)
         field = field_model()
         s200 = linear_schedule(*FIELD_SCHED)
-        x_cond_f = Grid(field.sample_x0(1, root.child(4))[0].reshape(8, 8, 1))
-        assert fuzzy_sample(field, s200, x_cond_f, 1.0, 2, [root.child(5)]) == [x_cond_f]
+        x_cond_f = field.sample_x0(1, root.child(4))[0].reshape(8, 8, 1)
+        out = fuzzy_sample(field, s200, x_cond_f, 1.0, 2, 1, root.child(5))
+        assert np.array_equal(out.reshape(8, 8, 1), x_cond_f)
 
         # 32 mixture samples x 64 pixels = 2048-pixel pools per side; pixels
         # are iid under this oracle, so pooling is legitimate.
-        fuzzy_rows = fuzzy_sample_array(
-            gmm, s400, x_cond.flat(), np.zeros(64), 2, 32, root.child(1)
+        fuzzy_rows = fuzzy_sample(
+            gmm, s400, x_cond, np.zeros((8, 8, 1)), 2, 32, root.child(1)
         ).reshape(-1)
         plain_rows = ancestral_sample_array(gmm, s400, 32, root.child(2)).reshape(-1)
         d = ks_two_sample(fuzzy_rows, plain_rows)
@@ -202,13 +203,13 @@ def test_criterion_5_fusion_variance(acceptance_lines):
         v = 1.0 - s.alpha_bar[t - 1]
         n = 100_000
         base = s.sqrt_alpha_bar[t - 1] * 0.7
-        x_cond = Grid(np.full((n, 1, 1), 0.7))
+        x_cond = np.full((n, 1, 1), 0.7)
         for k, m in enumerate(np.arange(0.1, 0.95, 0.1)):
             r = root.child(k)
-            xs = Grid(base + np.sqrt(v) * r.normals(n).reshape(n, 1, 1))
-            xr = Grid(base + np.sqrt(v) * r.normals(n).reshape(n, 1, 1))
+            xs = base + np.sqrt(v) * r.normals(n).reshape(n, 1, 1)
+            xr = base + np.sqrt(v) * r.normals(n).reshape(n, 1, 1)
             out = fuzzy_fuse(xs, xr, x_cond, float(m), t, s)
-            assert abs(out.values.var() / v - 1.0) < 0.02  # measured max 0.011
+            assert abs(out.var() / v - 1.0) < 0.02  # measured max 0.011
 
 
 def test_criterion_6_conditioning_monotonicity(acceptance_lines):
@@ -224,8 +225,8 @@ def test_criterion_6_conditioning_monotonicity(acceptance_lines):
         x_cond = field.sample_x0(1, root.child(0))[0]
         dists = []
         for k, m in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-            rows = fuzzy_sample_array(
-                field, s, x_cond, np.full(64, m), 2, 500, root.child(1 + k)
+            rows = fuzzy_sample(
+                field, s, x_cond.reshape(8, 8, 1), np.full((8, 8, 1), m), 2, 500, root.child(1 + k)
             )
             dists.append(float(np.linalg.norm(rows - x_cond, axis=1).mean()))
         # measured: 2.41 > 0.89 > 0.20 > 0.050 > 0
@@ -251,12 +252,12 @@ def test_criterion_7_attention_detection(acceptance_lines):
         aucs, gaps = [], []
         for i in range(20):
             tr = root.child(2 + i)
-            clean = Grid(field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1))
+            clean = field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1)
             degraded, record = degrade(clean, params, tr.child(1))
             amap = attention_map(degraded, stats, field, s, reps=1, rng=tr.child(2))
-            aucs.append(pixel_auc(amap.grid, record.mask))
-            inside = record.mask.values[:, :, 0] == 1.0
-            scores = amap.grid.values[:, :, 0]
+            aucs.append(pixel_auc(amap, record.mask))
+            inside = record.mask[:, :, 0] == 1.0
+            scores = amap[:, :, 0]
             gaps.append(scores[inside].mean() - scores[~inside].mean())
         assert np.median(aucs) >= 0.8  # measured 1.0
         assert np.median(gaps) >= 1.0  # measured 4.43
@@ -264,9 +265,9 @@ def test_criterion_7_attention_detection(acceptance_lines):
         fracs = []
         for i in range(20):
             tr = root.child(100 + i)
-            probe = Grid(field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1))
+            probe = field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1)
             amap = attention_map(probe, stats, field, s, reps=1, rng=tr.child(1))
-            fracs.append(float((amap.grid.values <= 2.0).mean()))
+            fracs.append(float((amap <= 2.0).mean()))
         assert np.mean(fracs) >= 0.95  # measured 0.988
 
 

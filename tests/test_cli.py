@@ -17,7 +17,7 @@ from fuzzydiff import (
     write_grid,
 )
 from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, entrypoint
-from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample_array
+from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample
 
 GMM_MODEL = {
     "type": "gmm_pixel",
@@ -149,8 +149,8 @@ class TestPerRowStreams:
         if command == "sample":
             return ancestral_sample_array(model, schedule, 1, stream)[0]
         f = cfg["fuzzy"]
-        image, weights = read_grid(f["image"]).flat(), read_grid(f["map"]).flat()
-        return fuzzy_sample_array(model, schedule, image, weights, f["J"], 1, stream)[0]
+        image, weights = read_grid(f["image"]).values, read_grid(f["map"]).values
+        return fuzzy_sample(model, schedule, image, weights, f["J"], 1, stream)[0]
 
     @pytest.mark.parametrize("command", ["sample", "fuzzy"])
     @pytest.mark.parametrize("oracle", ["gmm_pixel", "gaussian_field"])
@@ -234,6 +234,17 @@ class TestFuzzy:
             name="cfg3.json",
         )
         assert run("fuzzy", "--config", cfg, "--out", tmp_path / "o2") == EXIT_IO
+
+    @pytest.mark.parametrize("shape", [(4, 3, 1), (3, 4, 1), (4, 4, 2)])
+    def test_map_shape_mismatch_is_validation_error(self, tmp_path, shape):
+        # The model is 4x4 with one channel: the map must be 4x4 with one channel.
+        img = self.write_image(tmp_path)
+        map_path = tmp_path / "map.fdg"
+        write_grid(map_path, Grid(np.full(shape, 0.5)))
+        cfg = make_config(tmp_path, {"fuzzy": {"image": str(img), "map": str(map_path)}})
+        out = tmp_path / "o"
+        assert run("fuzzy", "--config", cfg, "--out", out) == EXIT_VALIDATION
+        assert list(out.iterdir()) == []
 
     def test_wrong_image_shape(self, tmp_path):
         path = tmp_path / "big.fdg"
@@ -473,6 +484,14 @@ class TestErrors:
                                   "marginal_variance": 10**400}}),
             ("sample", {"model": dict(GMM_MODEL, means=[0.3, float("nan")])}),
             ("eval", {"eval": {"sigma_high": float("nan")}}),
+            ("eval", {"eval": {"sigma_low": 8.0, "sigma_high": 4.0}}),
+            ("degrade", {"degrade": {"side_min": 3, "side_max": 2}}),
+            ("degrade", {"degrade": {"side_max": 9}}),
+            ("stats", {"stats": {"depths": [2, 2]}}),
+            ("eval", {"eval": {"depths": []}}),
+            ("sample", {"schedule": {"T": 10**21}}),
+            ("degrade", {"degrade": {"sigma_low": 8.0, "sigma_high": 4.0}}),
+            ("eval", {"eval": {"side_min": 3, "side_max": 2}}),
         ],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, command, sections):

@@ -140,6 +140,17 @@ class TestLoadConfig:
                  "means": [0.5], "variances": [float("nan")]},
                 "'model.variances' must be a non-empty array of finite numbers",
             ),
+            ("eval", {"sigma_low": 8.0, "sigma_high": 4.0}, "'eval.sigma_low' must be <="),
+            ("degrade", {"sigma_low": 8.0, "sigma_high": 4.0}, "'degrade.sigma_low' must be <="),
+            ("degrade", {"side_min": 3, "side_max": 2}, "'degrade.side_min' must be <="),
+            ("eval", {"side_min": 3, "side_max": 2}, "'eval.side_min' must be <="),
+            ("degrade", {"side_max": 9}, r"'degrade.side_max' must lie in \[0, 4\], got 9"),
+            ("eval", {"side_min": -1}, r"'eval.side_min' must lie in \[0, 4\]"),
+            ("stats", {"depths": [2, 2]}, "'stats.depths' must be non-empty and distinct"),
+            ("eval", {"depths": []}, "'eval.depths' must be non-empty and distinct"),
+            ("schedule", {"T": 10**21}, "'schedule.T' must be an integer in the signed 64-bit"),
+            ("stats", {"v_count": 2**63}, "'stats.v_count' must be an integer in the signed"),
+            ("eval", {"depths": [1, -(2**63) - 1]}, "'eval.depths' must be an array of signed"),
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, section, values, message):
@@ -151,6 +162,14 @@ class TestLoadConfig:
         payload = dict(MINIMAL, stats={"depths": [0, 10]}, eval={"baseline_depth": 0})
         cfg = load_config(write_cfg(tmp_path, payload))
         assert cfg["stats"]["depths"] == [0, 10]
+
+    def test_range_limits_are_inclusive(self, tmp_path):
+        degrade = {"side_min": 4, "side_max": 4, "sigma_low": 5.0, "sigma_high": 5.0}
+        payload = dict(MINIMAL, degrade=degrade, eval=dict(degrade, side_min=0))
+        payload["schedule"] = {"T": 2**63 - 1}
+        cfg = load_config(write_cfg(tmp_path, payload))
+        assert cfg["degrade"]["side_max"] == 4 and cfg["eval"]["side_min"] == 0
+        assert cfg["schedule"]["T"] == 2**63 - 1
 
     def test_section_defaults(self):
         assert section({}, "sample") == {"count": 1}

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats as sps
 
-from fuzzydiff import (
-    Grid,
-    RngStream,
-    RowStreams,
-    ValidationError,
-    clamp_unit,
-)
+from fuzzydiff import Grid, RngStream, RowStreams, ValidationError, write_grid
+from fuzzydiff.cli import _load_weight_map
 
 finite_grids = arrays(
     np.float64,
@@ -193,16 +191,27 @@ class TestGridStats:
         assert abs(flat.var() - 1.0) < 0.05
 
 
+def clamped_map(values):
+    """The weight map the CLI loads from a grid file of ``values`` with clamp_map set."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.fdg"
+        write_grid(path, Grid(values))
+        return _load_weight_map({"map": str(path), "clamp_map": True})
+
+
 class TestClampUnit:
+    """Clamping a weight-map file into [0, 1] (the `fuzzy.clamp_map` option)."""
+
     @pytest.mark.parametrize("value,expected", [(-0.2, 0.0), (0.7, 0.7), (1.3, 1.0)])
     def test_hand_cases(self, value, expected):
-        g = clamp_unit(Grid(np.full((1, 1, 1), value)))
-        assert g.values[0, 0, 0] == expected
+        m = clamped_map(np.full((1, 1, 1), value))
+        assert m[0, 0, 0] == expected
 
     @given(finite_grids)
     @settings(max_examples=40, deadline=None)
     def test_idempotent_and_in_range(self, vals):
-        once = clamp_unit(Grid(vals))
-        assert once.values.min() >= 0.0
-        assert once.values.max() <= 1.0
-        assert clamp_unit(once) == once
+        once = clamped_map(vals)
+        assert once.shape == vals.shape
+        assert once.min() >= 0.0
+        assert once.max() <= 1.0
+        assert np.array_equal(clamped_map(once), once)

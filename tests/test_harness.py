@@ -8,7 +8,6 @@ import scipy.stats as sps
 from fuzzydiff import (
     DegradeParams,
     GaussianFieldModel,
-    Grid,
     RngStream,
     ValidationError,
     degrade,
@@ -23,8 +22,8 @@ from fuzzydiff import (
 from fuzzydiff.config import section
 
 
-def mean_grid(model):
-    return Grid(model.moments()[0].reshape(model.shape))
+def mean_image(model):
+    return model.moments()[0].reshape(model.shape)
 
 
 class TestDegradeParams:
@@ -46,15 +45,16 @@ class TestDegradeParams:
 
 class TestDegrade:
     def test_zero_area_is_identity(self, field_model):
-        x = mean_grid(field_model)
+        x = mean_image(field_model)
         params = DegradeParams(0, 0, 5.0, 5.0)
         out, record = degrade(x, params, RngStream(1, 0))
-        assert out == x
+        assert np.array_equal(out, x)
         assert record.area == 0
-        assert np.all(record.mask.values == 0.0)
+        assert record.mask.shape == (8, 8, 1)
+        assert np.all(record.mask == 0.0)
 
     def test_rectangle_contents_and_bounds(self, field_model):
-        x = Grid(field_model.sample_x0(1, RngStream(2, 0))[0].reshape(8, 8, 1))
+        x = field_model.sample_x0(1, RngStream(2, 0))[0].reshape(8, 8, 1)
         params = DegradeParams.for_model(field_model, 4.0, 8.0, None, None)
         rng = RngStream(3, 0)
         for _ in range(300):
@@ -64,28 +64,29 @@ class TestDegrade:
             assert params.side_min <= x1 - x0 <= params.side_max
             assert params.side_min <= y1 - y0 <= params.side_max
             assert params.threshold_low <= record.threshold <= params.threshold_high
-            inside = record.mask.values[:, :, 0] == 1.0
+            inside = record.mask[:, :, 0] == 1.0
             assert inside.sum() == record.area
-            assert np.all(out.values[inside] == record.threshold)
-            assert np.array_equal(out.values[~inside], x.values[~inside])
+            assert np.all(out[inside] == record.threshold)
+            assert np.array_equal(out[~inside], x[~inside])
 
     def test_multichannel_sets_all_channels(self):
-        x = Grid(np.zeros((6, 6, 3)))
+        x = np.zeros((6, 6, 3))
         out, record = degrade(x, DegradeParams(2, 2, 9.0, 9.0), RngStream(4, 0))
-        inside = record.mask.values[:, :, 0] == 1.0
-        assert np.all(out.values[inside] == 9.0)
-        assert out.values[inside].shape == (4, 3)
+        inside = record.mask[:, :, 0] == 1.0
+        assert np.all(out[inside] == 9.0)
+        assert out[inside].shape == (4, 3)
+        assert np.all(x == 0.0)  # the input is not modified
 
     def test_oversized_side_rejected(self, field_model):
         with pytest.raises(ValidationError):
-            degrade(mean_grid(field_model), DegradeParams(2, 9, 0.0, 1.0), RngStream(0, 0))
+            degrade(mean_image(field_model), DegradeParams(2, 9, 0.0, 1.0), RngStream(0, 0))
 
     def test_deterministic(self, field_model):
-        x = mean_grid(field_model)
+        x = mean_image(field_model)
         params = DegradeParams.for_model(field_model, 4.0, 8.0, None, None)
         a = degrade(x, params, RngStream(5, 7))
         b = degrade(x, params, RngStream(5, 7))
-        assert a[0] == b[0]
+        assert np.array_equal(a[0], b[0])
         assert a[1].rect == b[1].rect
         assert a[1].threshold == b[1].threshold
 
@@ -150,8 +151,7 @@ class TestMomentError:
 
 class TestPixelAuc:
     def grid(self, rows):
-        arr = np.asarray(rows, dtype=np.float64)
-        return Grid(arr.reshape(arr.shape[0], arr.shape[1], 1))
+        return np.asarray(rows, dtype=np.float64)[:, :, None]
 
     def test_perfect_separation(self):
         score = self.grid([[0.9, 0.1], [0.5, 0.2]])
@@ -179,7 +179,7 @@ class TestPixelAuc:
             pos = mk.reshape(-1) == 1.0
             n_pos, n_neg = int(pos.sum()), int((~pos).sum())
             want = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
-            assert abs(pixel_auc(Grid(sc), Grid(mk)) - want) < 1e-12
+            assert abs(pixel_auc(sc, mk) - want) < 1e-12
 
     def test_validation(self):
         score = self.grid([[0.1, 0.2]])
@@ -188,25 +188,25 @@ class TestPixelAuc:
         with pytest.raises(ValidationError):
             pixel_auc(score, self.grid([[1.0, 1.0]]))
         with pytest.raises(ValidationError):
-            pixel_auc(score, Grid(np.zeros((2, 2, 1))))
+            pixel_auc(score, np.zeros((2, 2, 1)))
 
 
 class TestMaskedMse:
     def test_hand_values(self):
-        a = Grid(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-        b = Grid(np.array([[1.0, 0.0], [3.0, 1.0]]).reshape(2, 2, 1))
-        mask = Grid(np.array([[0.0, 1.0], [0.0, 1.0]]).reshape(2, 2, 1))
+        a = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
+        b = np.array([[1.0, 0.0], [3.0, 1.0]]).reshape(2, 2, 1)
+        mask = np.array([[0.0, 1.0], [0.0, 1.0]]).reshape(2, 2, 1)
         assert masked_mse(a, b, mask, inside=True) == pytest.approx((4.0 + 9.0) / 2)
         assert masked_mse(a, b, mask, inside=False) == 0.0
 
     def test_empty_region_returns_none(self):
-        a = Grid(np.zeros((2, 2, 1)))
-        mask = Grid(np.ones((2, 2, 1)))
+        a = np.zeros((2, 2, 1))
+        mask = np.ones((2, 2, 1))
         assert masked_mse(a, a, mask, inside=False) is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            masked_mse(Grid(np.zeros((2, 2, 1))), Grid(np.zeros((2, 3, 1))), Grid(np.zeros((2, 2, 1))))
+            masked_mse(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), np.zeros((2, 2, 1)))
 
 
 def eval_section(**kw) -> dict:

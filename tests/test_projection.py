@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fuzzydiff import (
-    AttentionMap,
     GaussianFieldModel,
     Grid,
     RngStream,
@@ -11,31 +10,27 @@ from fuzzydiff import (
     attention_from_discrepancies,
     attention_map,
     linear_schedule,
-    project_reconstruct,
+    project_reconstruct_array,
     validation_stats,
     weight_from_attention,
 )
-from fuzzydiff.projection import (
-    SIGMA_FLOOR_SCALE,
-    _discrepancy_rows,
-    project_reconstruct_array,
-)
+from fuzzydiff.projection import SIGMA_FLOOR_SCALE, _discrepancy_rows
 
 
-def mean_grid(model):
-    return Grid(model.moments()[0].reshape(model.shape))
+def mean_image(model):
+    return model.moments()[0].reshape(model.shape)
 
 
-def draw_grid(model, rng):
-    return Grid(model.sample_x0(1, rng)[0].reshape(model.shape))
+def draw_image(model, rng):
+    return model.sample_x0(1, rng)[0].reshape(model.shape)
 
 
 class TestReconstruct:
     def test_depth_zero_is_exact_and_drawless(self, field_model, sched50):
-        x = mean_grid(field_model)
+        x = field_model.moments()[0][None, :]
         rng = RngStream(3, 0)
-        out = project_reconstruct(field_model, sched50, x, 0, rng)
-        assert out == x
+        out = project_reconstruct_array(field_model, sched50, x, 0, rng)
+        assert np.array_equal(out, x)
         assert np.array_equal(rng.normals(2), RngStream(3, 0).normals(2))
 
     def test_unbiased_at_the_mean(self, field_model, sched50):
@@ -52,9 +47,12 @@ class TestReconstruct:
 
     def test_shape_checked(self, field_model, sched50):
         with pytest.raises(ValidationError):
-            project_reconstruct(field_model, sched50, Grid(np.zeros((2, 2, 1))), 5, RngStream(0, 0))
+            project_reconstruct_array(field_model, sched50, np.zeros((1, 4)), 5, RngStream(0, 0))
+        with pytest.raises(ValidationError):
+            project_reconstruct_array(field_model, sched50, np.zeros(64), 5, RngStream(0, 0))
         with pytest.raises(IndexError):
-            project_reconstruct(field_model, sched50, mean_grid(field_model), 51, RngStream(0, 0))
+            x = field_model.moments()[0][None, :]
+            project_reconstruct_array(field_model, sched50, x, 51, RngStream(0, 0))
 
 
 class TestDiscrepancy:
@@ -175,8 +173,7 @@ class TestAttention:
         dvals[0, 0, 0] = 6.4
         dvals[0, 1, 0] = 15.0
         dvals[0, 2, 0] = 0.0
-        a = attention_from_discrepancies({5: Grid(dvals)}, stats)
-        out = a.grid.values
+        out = attention_from_discrepancies({5: dvals}, stats)
         assert abs(out[0, 0, 0] - 3.4) < 1e-12
         assert out[0, 1, 0] == 6.0
         assert out[0, 2, 0] == 1.0
@@ -194,9 +191,10 @@ class TestAttention:
             model_fingerprint=field_model.fingerprint(),
             schedule_fingerprint=sched50.fingerprint(),
         )
-        dmaps = {2: Grid(np.full(shape, 2.0)), 4: Grid(np.full(shape, 5.0))}
+        dmaps = {2: np.full(shape, 2.0), 4: np.full(shape, 5.0)}
         a = attention_from_discrepancies(dmaps, stats)
-        assert np.all(a.grid.values == 3.5)
+        assert a.shape == shape
+        assert np.all(a == 3.5)
         with pytest.raises(ValidationError):
             attention_from_discrepancies({2: dmaps[2]}, stats)
 
@@ -221,7 +219,7 @@ class TestAttention:
                 model_fingerprint=field_model.fingerprint(),
                 schedule_fingerprint=sched50.fingerprint(),
             )
-            return attention_from_discrepancies({7: Grid(dv)}, stats).grid.values
+            return attention_from_discrepancies({7: dv}, stats)
 
         base = build(d, mu, sigma).reshape(-1)
         permuted = build(
@@ -249,18 +247,18 @@ class TestAttention:
 
         V = gmm_model.sample_x0(30, RngStream(85, 0))
         stats = validation_stats(gmm_model, sched50, V, [10, 20], reps=1, rng=RngStream(86, 0))
-        probe = draw_grid(gmm_model, RngStream(87, 0))
+        probe = draw_image(gmm_model, RngStream(87, 0))
         base = attention_map(probe, stats, gmm_model, sched50, reps=1, rng=RngStream(88, 0))
 
         perm = np.argsort(RngStream(89, 0).uniforms(64))
 
-        def permute(g):
-            return Grid(g.flat()[perm].reshape(g.shape))
+        def permute(values):
+            return values.reshape(-1)[perm].reshape(values.shape)
 
         permuted_stats = ValidationStats(
             depths=stats.depths,
-            mu={t: permute(stats.mu[t]) for t in stats.depths},
-            sigma={t: permute(stats.sigma[t]) for t in stats.depths},
+            mu={t: Grid(permute(stats.mu[t].values)) for t in stats.depths},
+            sigma={t: Grid(permute(stats.sigma[t].values)) for t in stats.depths},
             v_count=stats.v_count,
             reps=stats.reps,
             sigma_floor=stats.sigma_floor,
@@ -275,29 +273,29 @@ class TestAttention:
             reps=1,
             rng=PixelPermutedStream(RngStream(88, 0), perm),
         )
-        assert np.array_equal(out.grid.flat(), base.grid.flat()[perm])
+        assert np.array_equal(out.reshape(-1), base.reshape(-1)[perm])
 
     def test_zero_depth_fixed_point(self, field_model, sched50):
         # Depth 0 reconstructs exactly, so any probe image whatsoever scores
         # the clip minimum everywhere and keeps full conditioning weight.
         V = field_model.sample_x0(4, RngStream(65, 0))
         stats = validation_stats(field_model, sched50, V, [0], reps=1, rng=RngStream(66, 0))
-        probe = Grid(np.full((8, 8, 1), 9.5))
+        probe = np.full((8, 8, 1), 9.5)
         a = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(67, 0))
-        assert np.all(a.grid.values == 1.0)
-        assert np.all(weight_from_attention(a).grid.values == 1.0)
+        assert np.all(a == 1.0)
+        assert np.all(weight_from_attention(a) == 1.0)
 
     def test_in_distribution_probe_scores_low(self, field_model, sched50):
         V = field_model.sample_x0(80, RngStream(68, 0))
         stats = validation_stats(field_model, sched50, V, [10, 20], reps=1, rng=RngStream(69, 0))
-        probe = draw_grid(field_model, RngStream(70, 0))
+        probe = draw_image(field_model, RngStream(70, 0))
         a = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(71, 0))
-        assert a.grid.values.mean() < 3.0
+        assert a.mean() < 3.0
 
     def test_fingerprint_mismatch_rejected(self, field_model, sched50, sched200):
         V = field_model.sample_x0(4, RngStream(72, 0))
         stats = validation_stats(field_model, sched50, V, [5], reps=1, rng=RngStream(73, 0))
-        probe = mean_grid(field_model)
+        probe = mean_image(field_model)
         with pytest.raises(ValidationError, match="stale"):
             attention_map(probe, stats, field_model, sched200, reps=1, rng=RngStream(74, 0))
         other = GaussianFieldModel.exponential(mean=0.4)
@@ -307,29 +305,33 @@ class TestAttention:
     def test_deterministic(self, field_model, sched50):
         V = field_model.sample_x0(10, RngStream(75, 0))
         stats = validation_stats(field_model, sched50, V, [10], reps=1, rng=RngStream(76, 0))
-        probe = draw_grid(field_model, RngStream(77, 0))
+        probe = draw_image(field_model, RngStream(77, 0))
         a = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
         b = attention_map(probe, stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
-        assert a.grid == b.grid
+        assert np.array_equal(a, b)
+        with pytest.raises(ValidationError, match="image shape"):
+            attention_map(probe[:4], stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
 
 
 class TestAttentionMapType:
+    """weight_from_attention accepts only (h, w, 1) attention maps with values in [1, 6]."""
+
     def test_range_enforced(self):
-        with pytest.raises(ValidationError):
-            AttentionMap(Grid(np.full((2, 2, 1), 0.5)))
-        with pytest.raises(ValidationError):
-            AttentionMap(Grid(np.full((2, 2, 1), 6.5)))
-        with pytest.raises(ValidationError):
-            AttentionMap(Grid(np.full((2, 2, 3), 2.0)))
+        for bad in (0.5, 6.5, np.nan):
+            with pytest.raises(ValidationError, match=r"must lie in \[1.0, 6.0\]"):
+                weight_from_attention(np.full((2, 2, 1), bad))
+        with pytest.raises(ValidationError, match="single-channel"):
+            weight_from_attention(np.full((2, 2, 3), 2.0))
 
 
 class TestWeightFromAttention:
     def test_hand_values(self):
         vals = np.array([1.0, 3.5, 6.0]).reshape(1, 3, 1)
-        m = weight_from_attention(AttentionMap(Grid(vals)))
-        assert np.allclose(m.grid.values.reshape(-1), [1.0, 0.25, 0.0], atol=1e-15)
+        m = weight_from_attention(vals)
+        assert m.shape == (1, 3, 1)
+        assert np.allclose(m.reshape(-1), [1.0, 0.25, 0.0], atol=1e-15)
 
     def test_monotone_nonincreasing(self):
         scores = np.linspace(1.0, 6.0, 64).reshape(8, 8, 1)
-        m = weight_from_attention(AttentionMap(Grid(scores))).grid.values.reshape(-1)
+        m = weight_from_attention(scores).reshape(-1)
         assert np.all(np.diff(m) < 0)

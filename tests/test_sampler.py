@@ -7,10 +7,8 @@ from hypothesis.extra.numpy import arrays
 from fuzzydiff import (
     GaussianFieldModel,
     GmmPixelModel,
-    Grid,
     RngStream,
     ValidationError,
-    WeightMap,
     fuzzy_fuse,
     fuzzy_sample,
     ks_critical,
@@ -18,7 +16,7 @@ from fuzzydiff import (
     linear_schedule,
 )
 from fuzzydiff.projection import project_reconstruct_array
-from fuzzydiff.sampler import _reverse_step_array, ancestral_sample_array, fuzzy_sample_array
+from fuzzydiff.sampler import _reverse_step_array, ancestral_sample_array
 
 
 def std_normal_model() -> GaussianFieldModel:
@@ -35,24 +33,39 @@ def reverse_variance(s, t: int, v: float) -> float:
 
 
 class TestWeightMap:
+    """The weight-map checks of fuzzy_sample: range, spatial dims, channels."""
+
+    def rgb_model(self):
+        return GmmPixelModel((2, 2, 3), np.array([1.0]), np.array([0.5]), np.array([0.01]))
+
+    def sample(self, model, m, J=1, rng=None):
+        x_cond = np.full(model.shape, 0.5)
+        s = linear_schedule(3, 0.01, 0.02)
+        return fuzzy_sample(model, s, x_cond, m, J, 1, rng or RngStream(0, 0))
+
     def test_range_enforced(self):
-        with pytest.raises(ValidationError):
-            WeightMap(Grid(np.full((2, 2, 1), 1.3)))
-        with pytest.raises(ValidationError):
-            WeightMap(Grid(np.full((2, 2, 1), -0.1)))
+        model = self.rgb_model()
+        for bad in (1.3, -0.1, np.full((2, 2, 1), 1.3), np.full((2, 2, 1), np.nan)):
+            with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+                self.sample(model, bad)
 
     def test_single_channel_broadcasts(self):
-        m = WeightMap(Grid(np.full((2, 2, 1), 0.5)))
-        out = m.broadcast_to((2, 2, 3))
-        assert out.shape == (2, 2, 3)
-        assert np.all(out == 0.5)
+        # A one-channel map conditions every channel of a pixel alike: where it
+        # is 1 all three channels reproduce x_cond, where it is 0 none is pinned.
+        model = self.rgb_model()
+        m = np.array([[1.0, 0.0], [0.0, 1.0]])[:, :, None]
+        out = self.sample(model, m, rng=RngStream(4, 0)).reshape(model.shape)
+        full = self.sample(model, np.repeat(m, 3, axis=2), rng=RngStream(4, 0))
+        assert np.array_equal(out.reshape(-1), full[0])
+        assert np.all(out[[0, 1], [0, 1]] == 0.5)
+        assert np.all(out[[0, 1], [1, 0]] != 0.5)
 
     def test_spatial_mismatch_rejected(self):
-        m = WeightMap(Grid(np.zeros((2, 2, 1))))
-        with pytest.raises(ValidationError):
-            m.broadcast_to((3, 2, 1))
-        with pytest.raises(ValidationError):
-            WeightMap(Grid(np.zeros((2, 2, 2)))).broadcast_to((2, 2, 3))
+        model = self.rgb_model()
+        with pytest.raises(ValidationError, match="spatial dims"):
+            self.sample(model, np.zeros((3, 2, 1)))
+        with pytest.raises(ValidationError, match="2 channels, image has 3"):
+            self.sample(model, np.zeros((2, 2, 2)))
 
 
 class TestForward:
@@ -88,15 +101,15 @@ class TestForward:
 
 
 class TestRenoise:
-    """The renoise step between harmonization iterations of fuzzy_sample_array."""
+    """The renoise step between harmonization iterations of fuzzy_sample."""
 
     def test_variance_matches_beta(self, sched50):
         # With m=0 every fusion returns the synthetic branch, so for N(0, 1)
         # data each step t > 1 runs J reverse steps with a renoise
         # v -> alpha_t * v + beta_t between them.
         J, n = 3, 100_000
-        rows = fuzzy_sample_array(
-            std_normal_model(), sched50, np.zeros(1), np.zeros(1), J, n, RngStream(6, 0)
+        rows = fuzzy_sample(
+            std_normal_model(), sched50, np.zeros((1, 1, 1)), 0.0, J, n, RngStream(6, 0)
         )
         expect = 1.0
         for t in range(sched50.T, 0, -1):
@@ -107,9 +120,10 @@ class TestRenoise:
         assert abs(rows.var() / expect - 1.0) < 0.02
 
     def test_deterministic(self, field_model, sched50):
-        args = (field_model, sched50, field_model.mu, np.full(64, 0.5), 3, 2)
-        a = fuzzy_sample_array(*args, RngStream(9, 1))
-        b = fuzzy_sample_array(*args, RngStream(9, 1))
+        x_cond, m = field_model.mu.reshape(8, 8, 1), np.full((8, 8, 1), 0.5)
+        args = (field_model, sched50, x_cond, m, 3, 2)
+        a = fuzzy_sample(*args, RngStream(9, 1))
+        b = fuzzy_sample(*args, RngStream(9, 1))
         assert np.array_equal(a, b)
 
 
@@ -181,34 +195,34 @@ class TestFuzzyFuse:
 
     def test_hand_value(self):
         s = self.hand_schedule()
-        xs = Grid(np.full((1, 1, 1), 0.5))
-        xr = Grid(np.full((1, 1, 1), 1.5))
-        xc = Grid(np.full((1, 1, 1), 1.0))
+        xs = np.full((1, 1, 1), 0.5)
+        xr = np.full((1, 1, 1), 1.5)
+        xc = np.full((1, 1, 1), 1.0)
         out = fuzzy_fuse(xs, xr, xc, 0.5, 2, s)
-        assert abs(out.values[0, 0, 0] - 1.0828427124746190) < 1e-12
+        assert abs(out[0, 0, 0] - 1.0828427124746190) < 1e-12
 
     def test_boundaries_bit_exact(self, sched50):
         rng = RngStream(17, 0)
-        xs = Grid(rng.normals(64).reshape(8, 8, 1))
-        xr = Grid(rng.normals(64).reshape(8, 8, 1))
-        xc = Grid(rng.normals(64).reshape(8, 8, 1))
+        xs = rng.normals(64).reshape(8, 8, 1)
+        xr = rng.normals(64).reshape(8, 8, 1)
+        xc = rng.normals(64).reshape(8, 8, 1)
         for t in (1, 7, 50):
             lo = fuzzy_fuse(xs, xr, xc, 0.0, t, sched50)
             hi = fuzzy_fuse(xs, xr, xc, 1.0, t, sched50)
-            assert np.array_equal(lo.values, xs.values)
-            assert np.array_equal(hi.values, xr.values)
+            assert np.array_equal(lo, xs)
+            assert np.array_equal(hi, xr)
 
     def test_mixed_map_is_pixelwise(self, sched50):
         rng = RngStream(18, 0)
-        xs = Grid(rng.normals(9).reshape(3, 3, 1))
-        xr = Grid(rng.normals(9).reshape(3, 3, 1))
-        xc = Grid(rng.normals(9).reshape(3, 3, 1))
+        xs = rng.normals(9).reshape(3, 3, 1)
+        xr = rng.normals(9).reshape(3, 3, 1)
+        xc = rng.normals(9).reshape(3, 3, 1)
         mvals = np.array([[0.0, 1.0, 0.5]] * 3).reshape(3, 3, 1)
-        out = fuzzy_fuse(xs, xr, xc, WeightMap(Grid(mvals)), 5, sched50)
-        assert np.array_equal(out.values[:, 0, 0], xs.values[:, 0, 0])
-        assert np.array_equal(out.values[:, 1, 0], xr.values[:, 1, 0])
+        out = fuzzy_fuse(xs, xr, xc, mvals, 5, sched50)
+        assert np.array_equal(out[:, 0, 0], xs[:, 0, 0])
+        assert np.array_equal(out[:, 1, 0], xr[:, 1, 0])
         mid = fuzzy_fuse(xs, xr, xc, 0.5, 5, sched50)
-        assert np.array_equal(out.values[:, 2, 0], mid.values[:, 2, 0])
+        assert np.array_equal(out[:, 2, 0], mid[:, 2, 0])
 
     @pytest.mark.parametrize("m", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_variance_preserved(self, m, sched50):
@@ -217,17 +231,18 @@ class TestFuzzyFuse:
         rng = RngStream(190, 0)
         n = 100_000
         shape = (n, 1, 1)
-        x_cond = Grid(np.full(shape, 0.7))
+        x_cond = np.full(shape, 0.7)
         base = sched50.sqrt_alpha_bar[t - 1] * 0.7
-        xs = Grid(base + np.sqrt(v) * rng.normals(n).reshape(shape))
-        xr = Grid(base + np.sqrt(v) * rng.normals(n).reshape(shape))
+        xs = base + np.sqrt(v) * rng.normals(n).reshape(shape)
+        xr = base + np.sqrt(v) * rng.normals(n).reshape(shape)
         out = fuzzy_fuse(xs, xr, x_cond, m, t, sched50)
-        assert abs(out.values.var() / v - 1.0) < 0.02
+        assert abs(out.var() / v - 1.0) < 0.02
 
     def test_shape_mismatch_rejected(self, sched50):
-        a = Grid(np.zeros((2, 2, 1)))
-        b = Grid(np.zeros((2, 3, 1)))
-        with pytest.raises(ValidationError):
+        # Operands that do not broadcast fail in numpy, before any output.
+        a = np.zeros((2, 2, 1))
+        b = np.zeros((2, 3, 1))
+        with pytest.raises(ValueError, match="broadcast"):
             fuzzy_fuse(a, b, a, 0.5, 5, sched50)
 
     @given(
@@ -240,28 +255,26 @@ class TestFuzzyFuse:
     @settings(max_examples=40, deadline=None)
     def test_fuse_properties(self, a, b, c, m, t):
         s = linear_schedule(50, 1.2e-3, 0.24)
-        out = fuzzy_fuse(Grid(a), Grid(b), Grid(c), WeightMap(Grid(m)), t, s)
-        assert np.all(np.isfinite(out.values))
+        out = fuzzy_fuse(a, b, c, m, t, s)
+        assert np.all(np.isfinite(out))
         zero = m == 0.0
         ones = m == 1.0
-        assert np.array_equal(out.values[zero], a[zero])
-        assert np.array_equal(out.values[ones], b[ones])
+        assert np.array_equal(out[zero], a[zero])
+        assert np.array_equal(out[ones], b[ones])
 
 
 class TestFuzzySample:
     def test_full_conditioning_reproduces_input(self, gmm_model, sched50):
-        x_cond = Grid(gmm_model.sample_x0(1, RngStream(71, 0))[0].reshape(8, 8, 1))
+        x_cond = gmm_model.sample_x0(1, RngStream(71, 0))[0].reshape(8, 8, 1)
         for J in (1, 3):
-            [out] = fuzzy_sample(gmm_model, sched50, x_cond, 1.0, J, [RngStream(72, 0)])
-            assert out == x_cond
+            [out] = fuzzy_sample(gmm_model, sched50, x_cond, 1.0, J, 1, RngStream(72, 0))
+            assert np.array_equal(out, x_cond.reshape(-1))
 
     def test_zero_conditioning_matches_unconditional(self, gmm_model, sched50):
         n = 320
-        cond = Grid(np.full((8, 8, 1), 0.5))
-        m = np.zeros(64)
-        fuzzy = fuzzy_sample_array(
-            gmm_model, sched50, cond.flat(), m, 1, n, RngStream(73, 0)
-        ).reshape(-1)
+        cond = np.full((8, 8, 1), 0.5)
+        m = np.zeros((8, 8, 1))
+        fuzzy = fuzzy_sample(gmm_model, sched50, cond, m, 1, n, RngStream(73, 0)).reshape(-1)
         plain = ancestral_sample_array(gmm_model, sched50, n, RngStream(74, 0)).reshape(-1)
         d = ks_two_sample(fuzzy, plain)
         assert d < ks_critical(fuzzy.size, plain.size, alpha=0.01)
@@ -272,16 +285,15 @@ class TestFuzzySample:
         # so changing it must leave them bit-identical.
         mvals = np.zeros((8, 8, 1))
         mvals[:, :4, :] = 1.0
-        m = WeightMap(Grid(mvals))
-        cond_a = Grid(np.full((8, 8, 1), 0.25))
-        vals_b = np.full((8, 8, 1), 0.25)
-        vals_b[:, :4, :] = 0.75
-        cond_b = Grid(vals_b)
-        [out_a] = fuzzy_sample(gmm_model, sched50, cond_a, m, 2, [RngStream(75, 0)])
-        [out_b] = fuzzy_sample(gmm_model, sched50, cond_b, m, 2, [RngStream(75, 0)])
-        assert np.array_equal(out_a.values[:, :4], cond_a.values[:, :4])
-        assert np.array_equal(out_b.values[:, :4], cond_b.values[:, :4])
-        assert np.array_equal(out_a.values[:, 4:], out_b.values[:, 4:])
+        cond_a = np.full((8, 8, 1), 0.25)
+        cond_b = np.full((8, 8, 1), 0.25)
+        cond_b[:, :4, :] = 0.75
+        out_a = fuzzy_sample(gmm_model, sched50, cond_a, mvals, 2, 1, RngStream(75, 0))
+        out_b = fuzzy_sample(gmm_model, sched50, cond_b, mvals, 2, 1, RngStream(75, 0))
+        out_a, out_b = out_a.reshape(8, 8, 1), out_b.reshape(8, 8, 1)
+        assert np.array_equal(out_a[:, :4], cond_a[:, :4])
+        assert np.array_equal(out_b[:, :4], cond_b[:, :4])
+        assert np.array_equal(out_a[:, 4:], out_b[:, 4:])
 
     def test_spatial_locality_with_block_covariance(self, sched50):
         # Two independent halves: conditioning the left half must leave the
@@ -295,15 +307,11 @@ class TestFuzzySample:
 
         mvals = np.zeros((8, 8, 1))
         mvals[:, :4, :] = 1.0
-        x_cond = Grid(model.sample_x0(1, RngStream(80, 0))[0].reshape(8, 8, 1))
+        x_cond = model.sample_x0(1, RngStream(80, 0))[0]
         n = 400
-        rows = fuzzy_sample_array(
-            model, sched50, x_cond.flat(), mvals.reshape(-1), 1, n, RngStream(81, 0)
-        )
+        rows = fuzzy_sample(model, sched50, x_cond.reshape(8, 8, 1), mvals, 1, n, RngStream(81, 0))
         # Left half equals the conditioning image in every sample.
-        assert np.array_equal(
-            rows[:, left], np.broadcast_to(x_cond.flat()[left], (n, 32))
-        )
+        assert np.array_equal(rows[:, left], np.broadcast_to(x_cond[left], (n, 32)))
         # Right-half pixels keep the unconditional marginal.
         right_rows = rows[:, ~left]
         direct = model.sample_x0(n, RngStream(82, 0))[:, ~left]
@@ -319,34 +327,36 @@ class TestFuzzySample:
         assert mean_err < 0.05
 
     def test_conditioning_monotonicity_quick(self, field_model, sched50):
-        x_cond = Grid(field_model.sample_x0(1, RngStream(90, 0))[0].reshape(8, 8, 1))
+        x_cond = field_model.sample_x0(1, RngStream(90, 0))[0]
         dists = []
         for k, m in enumerate((0.0, 0.5, 1.0)):
-            rows = fuzzy_sample_array(
+            rows = fuzzy_sample(
                 field_model,
                 sched50,
-                x_cond.flat(),
-                np.full(64, m),
+                x_cond.reshape(8, 8, 1),
+                np.full((8, 8, 1), m),
                 1,
                 200,
                 RngStream(91, k),
             )
-            dists.append(np.linalg.norm(rows - x_cond.flat(), axis=1).mean())
+            dists.append(np.linalg.norm(rows - x_cond, axis=1).mean())
         assert dists[0] > dists[1] > dists[2]
         assert dists[2] == 0.0
 
     def test_deterministic(self, gmm_model, sched50):
-        x_cond = Grid(np.full((8, 8, 1), 0.5))
-        a = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 2, [RngStream(96, 4)])
-        b = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 2, [RngStream(96, 4)])
-        assert a == b
-        c = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 3, [RngStream(96, 4)])
-        assert a != c
+        x_cond = np.full((8, 8, 1), 0.5)
+        a = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 2, 1, RngStream(96, 4))
+        b = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 2, 1, RngStream(96, 4))
+        assert np.array_equal(a, b)
+        c = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 3, 1, RngStream(96, 4))
+        assert not np.array_equal(a, c)
 
     def test_config_validation(self, gmm_model, sched50):
         # J=0 would skip every step above t=1 and return the noised start state.
-        x_cond = Grid(np.full((8, 8, 1), 0.5))
+        x_cond = np.full((8, 8, 1), 0.5)
         with pytest.raises(ValidationError, match="J must be >= 1"):
-            fuzzy_sample_array(gmm_model, sched50, x_cond.flat(), np.zeros(64), 0, 1, RngStream(0, 0))
+            fuzzy_sample(gmm_model, sched50, x_cond, np.zeros((8, 8, 1)), 0, 1, RngStream(0, 0))
         with pytest.raises(ValidationError, match="J must be >= 1"):
-            fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 0, [RngStream(0, 0)])
+            fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 0, 1, RngStream(0, 0))
+        with pytest.raises(ValidationError, match="image shape"):
+            fuzzy_sample(gmm_model, sched50, x_cond.reshape(-1), 0.3, 1, 1, RngStream(0, 0))
