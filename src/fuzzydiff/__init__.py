@@ -14,7 +14,7 @@ from .denoiser import (
     GaussianFieldModel,
     GmmPixelModel,
 )
-from .gridio import read_grid, write_grid, write_pgm, write_ppm
+from .gridio import read_grid, write_grid, write_preview
 from .harness import (
     DegradationRecord,
     DegradeParams,
@@ -51,8 +51,7 @@ __all__ = [
     "ValidationError",
     "read_grid",
     "write_grid",
-    "write_pgm",
-    "write_ppm",
+    "write_preview",
     "NoiseSchedule",
     "linear_schedule",
     "posterior_mean_coeffs",

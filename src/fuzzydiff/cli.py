@@ -7,8 +7,16 @@ manifest records content hashes so that claim is easy to check. `sample` and
 `fuzzy` run all their samples as one batch in which sample i draws only from
 child stream i. --workers is still accepted but has no effect.
 
+:func:`entrypoint` owns every run's lifecycle: it loads the config, builds
+the model and schedule, looks up the command's section, prepares --out,
+calls the command's handler with a fresh ``RngStream(--seed, 0)`` and a
+staging directory, writes the manifest and commits the staged files.
+
 Exit codes: 0 success, 2 configuration problem, 3 file I/O problem,
-4 data validation failure (shapes, ranges, stale fingerprints).
+4 data validation failure (shapes, ranges, stale fingerprints). The checks
+run in one order for every command: the config first (exit 2), then the
+--out/--force check (exit 3), then reading inputs and doing the work
+(exit 3 or 4). A run that fails leaves the previous run in --out as it was.
 """
 
 from __future__ import annotations
@@ -154,7 +162,7 @@ def _commit_out(out: Path) -> None:
 def _write_manifest(
     out_dir: Path,
     command: str,
-    args,
+    seed: int,
     cfg: dict,
     model,
     schedule,
@@ -164,7 +172,7 @@ def _write_manifest(
     payload = {
         "schema_version": 1,
         "command": command,
-        "seed": args.seed,
+        "seed": seed,
         "config": cfg,
         "model_fingerprint": model.fingerprint(),
         "schedule_fingerprint": schedule.fingerprint(),
@@ -191,17 +199,16 @@ def _read_image(path_text: str, model) -> np.ndarray:
     return g.values
 
 
-def _cmd_sample(args, cfg, model, schedule, out: Path) -> None:
-    section = config_section(cfg, "sample")
+# A handler does one command's work: it reads the command's inputs, draws only
+# from ``root``, writes its artifacts into ``out`` and returns their paths.
+
+
+def _cmd_sample(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     count = section["count"]
-    stage = _prepare_out(out, args.force)
-    root = RngStream(args.seed, 0)
     streams = RowStreams(root.child(i) for i in range(count))
     rows = ancestral_sample_array(model, schedule, count, streams)
     named = ((f"sample_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))
-    files = _write_grids(stage, named)
-    _write_manifest(stage, "sample", args, cfg, model, schedule, files)
-    log.info("wrote %d samples", count)
+    return _write_grids(out, named)
 
 
 def _load_weight_map(section: dict):
@@ -210,84 +217,58 @@ def _load_weight_map(section: dict):
     if isinstance(m_spec, str):
         m = read_grid(m_spec).values
         return np.clip(m, 0.0, 1.0) if section["clamp_map"] else m
-    if not 0.0 <= float(m_spec) <= 1.0:
-        raise ConfigError(f"'fuzzy.map' scalar must lie in [0, 1], got {m_spec}")
     return float(m_spec)
 
 
-def _cmd_fuzzy(args, cfg, model, schedule, out: Path) -> None:
-    section = config_section(cfg, "fuzzy")
+def _cmd_fuzzy(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     count = section["count"]
     image = _read_image(section["image"], model)
     weights = _load_weight_map(section)
-    stage = _prepare_out(out, args.force)
-    root = RngStream(args.seed, 0)
     streams = RowStreams(root.child(i) for i in range(count))
     rows = fuzzy_sample(model, schedule, image, weights, section["J"], count, streams)
     named = ((f"fuzzy_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))
-    files = _write_grids(stage, named)
-    _write_manifest(stage, "fuzzy", args, cfg, model, schedule, files)
-    log.info("wrote %d conditioned samples", count)
+    return _write_grids(out, named)
 
 
-def _cmd_stats(args, cfg, model, schedule, out: Path) -> None:
-    section = config_section(cfg, "stats")
+def _cmd_stats(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     depths = section["depths"] if section["depths"] is not None else default_depths(schedule.T)
-    stage = _prepare_out(out, args.force)
-    root = RngStream(args.seed, 0)
     rows = model.sample_x0(section["v_count"], root.child(0))
     stats = validation_stats(model, schedule, rows, depths, section["reps"], root.child(1))
-    stats_dir = stage / "stats"
-    stats.save(stats_dir)
-    files = sorted(stats_dir.iterdir())
-    _write_manifest(stage, "stats", args, cfg, model, schedule, files)
-    log.info("stats over %d members at depths %s", section["v_count"], depths)
+    stats.save(out / "stats")
+    return sorted((out / "stats").iterdir())
 
 
-def _cmd_attend(args, cfg, model, schedule, out: Path) -> None:
-    section = config_section(cfg, "attend")
+def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     stats = ValidationStats.load(section["stats_dir"])
     image = _read_image(section["image"], model)
-    stage = _prepare_out(out, args.force)
-    root = RngStream(args.seed, 0)
     amap = attention_map(image, stats, model, schedule, section["reps"], root.child(0))
     weights = weight_from_attention(amap)
-    files = _write_grids(stage, (("attention", amap), ("weights", weights)))
-    _write_manifest(stage, "attend", args, cfg, model, schedule, files)
+    return _write_grids(out, (("attention", amap), ("weights", weights)))
 
 
-def _cmd_degrade(args, cfg, model, schedule, out: Path) -> None:
-    section = config_section(cfg, "degrade")
-    image = None if section["image"] is None else _read_image(section["image"], model)
-    stage = _prepare_out(out, args.force)
-    root = RngStream(args.seed, 0)
+def _cmd_degrade(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     files: list[Path] = []
-    if image is None:
+    if section["image"] is None:
         image = model.sample_x0(1, root.child(0))[0].reshape(model.shape)
-        files = _write_grids(stage, [("clean", image)])
-
+        files = _write_grids(out, [("clean", image)])
+    else:
+        image = _read_image(section["image"], model)
     params = DegradeParams.for_model(
         model, section["sigma_low"], section["sigma_high"], section["side_min"], section["side_max"]
     )
     degraded, record = degrade(image, params, root.child(1))
-    files += _write_grids(stage, (("degraded", degraded), ("mask", record.mask)))
-    record_path = stage / "record.json"
+    files += _write_grids(out, (("degraded", degraded), ("mask", record.mask)))
+    record_path = out / "record.json"
     record_path.write_text(json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n")
-    files.append(record_path)
-    _write_manifest(stage, "degrade", args, cfg, model, schedule, files)
+    return files + [record_path]
 
 
-def _cmd_eval(args, cfg, model, schedule, out: Path) -> None:
-    section = config_section(cfg, "eval")
-    stage = _prepare_out(out, args.force)
-    art_dir = stage / "artifacts" if section["record_artifacts"] else None
-    report = run_correction_experiment(model, schedule, section, RngStream(args.seed, 0), art_dir)
-    report_path = stage / "report.json"
+def _cmd_eval(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
+    art_dir = out / "artifacts" if section["record_artifacts"] else None
+    report = run_correction_experiment(model, schedule, section, root, art_dir)
+    report_path = out / "report.json"
     report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    files = [report_path]
-    if art_dir is not None:
-        files.extend(sorted(art_dir.iterdir()))
-    _write_manifest(stage, "eval", args, cfg, model, schedule, files)
+    return [report_path] + (sorted(art_dir.iterdir()) if art_dir is not None else [])
 
 
 _HANDLERS = {
@@ -313,24 +294,22 @@ def entrypoint(argv=None) -> int:
         cfg = load_config(args.config)
         model = build_model(cfg, base_dir=Path(args.config).parent)
         schedule = build_schedule(cfg)
+        section = config_section(cfg, args.command)
         out = Path(args.out)
         try:
-            _HANDLERS[args.command](args, cfg, model, schedule, out)
+            stage = _prepare_out(out, args.force)
+            root = RngStream(args.seed, 0)
+            files = _HANDLERS[args.command](section, model, schedule, root, stage)
+            _write_manifest(stage, args.command, args.seed, cfg, model, schedule, files)
             _commit_out(out)
         finally:
             shutil.rmtree(out / _STAGE, ignore_errors=True)
-        log.info("%s: wrote %s", args.command, out)
+        log.info("%s: wrote %d files to %s", args.command, len(files), out)
         return EXIT_OK
     except ConfigError as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
-    except FileExistsError as exc:
-        log.error("%s", exc)
-        return EXIT_IO
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # includes a missing input and an existing manifest
         log.error("i/o: %s", exc)
         return EXIT_IO
     except ValidationError as exc:

@@ -23,6 +23,11 @@ __all__ = ["ConfigError", "load_config", "build_schedule", "build_model"]
 
 SCHEMA_VERSION = 1
 
+# Size caps, checked at load: the longest schedule, and the most float64
+# values one (n, D) row array may hold (2**24 values are 128 MiB).
+MAX_T = 10**6
+MAX_ROW_VALUES = 2**24
+
 _MISSING = object()
 
 
@@ -71,7 +76,6 @@ _CHECKS = {
         lambda v: _is_number(v) or isinstance(v, str),
         "a finite number or a string",
     ),
-    "object": (lambda v: isinstance(v, dict), "an object"),
 }
 
 
@@ -180,9 +184,11 @@ _SECTION_FIELDS = {
     "eval": _EVAL_FIELDS,
 }
 
-# Range policy, checked at load time: fields that must be >= 1, projection
-# depths that must lie in [0, schedule.T], depth sets that must be non-empty
-# and distinct, and degradation ranges that must be ordered and fit the image.
+# Range policy, checked at load time: fields that must be >= 1, row counts
+# whose (n, D) arrays must fit MAX_ROW_VALUES, a scalar fuzzy.map in [0, 1],
+# projection depths that must lie in [0, schedule.T], depth sets that must be
+# non-empty and distinct, and degradation ranges that must be ordered and fit
+# the image.
 _POSITIVE = (
     ("model", "height"),
     ("model", "width"),
@@ -198,6 +204,13 @@ _POSITIVE = (
     ("eval", "reps"),
     ("eval", "v_count"),
 )
+_ROW_COUNTS = (
+    ("sample", "count"),
+    ("fuzzy", "count"),
+    ("stats", "v_count"),
+    ("eval", "v_count"),
+    ("eval", "trials"),
+)
 _DEPTHS = (("stats", "depths"), ("eval", "depths"), ("eval", "baseline_depth"))
 _DEPTH_SETS = ("stats", "eval")
 _DEGRADE_RANGES = ("degrade", "eval")
@@ -208,6 +221,19 @@ def _check_ranges(cfg: dict) -> None:
         if name in cfg and cfg[name][key] < 1:
             raise ConfigError(f"'{name}.{key}' must be >= 1")
     T = cfg["schedule"]["T"]
+    if T > MAX_T:
+        raise ConfigError(f"'schedule.T' must be <= {MAX_T}, got {T}")
+    model = cfg["model"]
+    D = model["height"] * model["width"] * model["channels"]
+    for name, key in _ROW_COUNTS:
+        if name in cfg and cfg[name][key] * D > MAX_ROW_VALUES:
+            raise ConfigError(
+                f"'{name}.{key}' times height*width*channels must be <= {MAX_ROW_VALUES}, "
+                f"got {cfg[name][key]} * {D}"
+            )
+    m_spec = cfg.get("fuzzy", {}).get("map")
+    if isinstance(m_spec, (int, float)) and not 0.0 <= m_spec <= 1.0:
+        raise ConfigError(f"'fuzzy.map' scalar must lie in [0, 1], got {m_spec}")
     for name, key in _DEPTHS:
         value = cfg.get(name, {}).get(key)
         for t in value if isinstance(value, list) else [value]:

@@ -47,36 +47,13 @@ class Grid:
         return self._values
 
     @property
-    def height(self) -> int:
-        return self._values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self._values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self._values.shape[2]
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return self._values.shape  # type: ignore[return-value]
-
-    @property
-    def size(self) -> int:
-        return self._values.size
-
-    def flat(self) -> np.ndarray:
-        """The values as a flat (h*w*c,) view."""
-        return self._values.reshape(-1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self._values, other._values)
-
-    def __hash__(self) -> int:  # Grids are immutable; hash by content.
-        return hash((self.shape, self._values.tobytes()))
 
     def __repr__(self) -> str:
         h, w, c = self.shape

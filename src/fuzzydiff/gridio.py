@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import Grid, ValidationError
 
-__all__ = ["read_grid", "write_grid", "write_pgm", "write_ppm"]
+__all__ = ["read_grid", "write_grid", "write_preview"]
 
 _MAGIC = b"FDG1"
 _HEADER = struct.Struct("<III")
@@ -43,41 +43,19 @@ def read_grid(path) -> Grid:
     return Grid(flat.reshape(h, w, c).copy())
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    """Linear [0,1] -> [0,255] with clamping, rounded to nearest."""
-    return np.rint(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8)
-
-
-def write_pgm(path, grid: Grid) -> None:
-    """8-bit binary PGM (P5) preview of channel 0."""
-    h, w, _ = grid.shape
-    pixels = _quantize(grid.values[:, :, 0])
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-
-
-def write_ppm(path, grid: Grid) -> None:
-    """8-bit binary PPM (P6) preview; requires exactly 3 channels."""
-    if grid.channels != 3:
-        raise ValidationError(f"PPM export needs 3 channels, got {grid.channels}")
-    h, w, _ = grid.shape
-    pixels = _quantize(grid.values)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-
-
 def write_preview(path, grid: Grid) -> Path:
-    """Write the natural preview for ``grid``: PPM when c=3, else PGM of channel 0.
+    """Write an 8-bit preview of ``grid``: binary PPM (P6) when c=3, else PGM (P5) of channel 0.
 
-    Returns the path actually written (extension chosen by format).
+    Values map linearly from [0, 1] to [0, 255], clamped and rounded to
+    nearest. Returns the path actually written (extension chosen by format).
     """
-    path = Path(path)
-    if grid.channels == 3:
-        out = path.with_suffix(".ppm")
-        write_ppm(out, grid)
+    h, w, c = grid.shape
+    if c == 3:
+        magic, out, values = "P6", Path(path).with_suffix(".ppm"), grid.values
     else:
-        out = path.with_suffix(".pgm")
-        write_pgm(out, grid)
+        magic, out, values = "P5", Path(path).with_suffix(".pgm"), grid.values[:, :, 0]
+    pixels = np.rint(np.clip(values, 0.0, 1.0) * 255.0).astype(np.uint8)
+    with open(out, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
     return out

@@ -174,7 +174,8 @@ class TestPerRowStreams:
             assert run(command, "--config", cfg, "--out", outs[count], "--seed", 13) == EXIT_OK
         for i in range(3):
             name = f"{command}_{i:04d}.fdg"
-            few, many = read_grid(outs[3] / name).flat(), read_grid(outs[5] / name).flat()
+            few = read_grid(outs[3] / name).values.reshape(-1)
+            many = read_grid(outs[5] / name).values.reshape(-1)
             alone = self.one_row_chain(command, cfg, i)
             if oracle == "gmm_pixel":
                 # Pixelwise arithmetic: rows are bit-identical for any count.
@@ -492,6 +493,8 @@ class TestErrors:
             ("sample", {"schedule": {"T": 10**21}}),
             ("degrade", {"degrade": {"sigma_low": 8.0, "sigma_high": 4.0}}),
             ("eval", {"eval": {"side_min": 3, "side_max": 2}}),
+            ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.5}}),
+            ("sample", {"schedule": {"T": 2**62}}),
         ],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, command, sections):
@@ -499,6 +502,29 @@ class TestErrors:
         out = tmp_path / "o"
         assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuzzy", "attend", "degrade"])
+    def test_existing_manifest_is_checked_before_inputs(self, tmp_path, command):
+        # Every input here is bad (a wrong-shape image, malformed statistics),
+        # but the --out check runs first, whatever the command.
+        wide = tmp_path / "wide.fdg"
+        write_grid(wide, Grid(np.full((4, 3, 1), 0.5)))
+        stats_dir = tmp_path / "stats"
+        stats_dir.mkdir()
+        (stats_dir / "manifest.json").write_text("{oops")
+        sections = {
+            "fuzzy": {"image": str(wide), "map": 1.0},
+            "attend": {"image": str(wide), "stats_dir": str(stats_dir)},
+            "degrade": {"image": str(wide)},
+        }
+        cfg = make_config(tmp_path, sections)
+        out = tmp_path / "out"
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(command, "--config", cfg, "--out", out) == EXIT_IO
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert run(command, "--config", cfg, "--out", out, "--force") == EXIT_VALIDATION
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_argparse_failures_exit_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

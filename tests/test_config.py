@@ -151,6 +151,16 @@ class TestLoadConfig:
             ("schedule", {"T": 10**21}, "'schedule.T' must be an integer in the signed 64-bit"),
             ("stats", {"v_count": 2**63}, "'stats.v_count' must be an integer in the signed"),
             ("eval", {"depths": [1, -(2**63) - 1]}, "'eval.depths' must be an array of signed"),
+            ("fuzzy", {"image": "x.fdg", "map": 1.5}, r"'fuzzy.map' scalar must lie in \[0, 1\]"),
+            ("fuzzy", {"image": "x.fdg", "map": -0.1}, r"'fuzzy.map' scalar must lie in \[0, 1\]"),
+            ("schedule", {"T": 10**6 + 1}, "'schedule.T' must be <= 1000000"),
+            # MINIMAL's model has 16 values per row, so 2**20 rows fill the 2**24 cap.
+            ("sample", {"count": 2**20 + 1}, "'sample.count' times height"),
+            ("fuzzy", {"image": "x.fdg", "map": 0.5, "count": 2**20 + 1}, "'fuzzy.count' times"),
+            ("stats", {"v_count": 2**20 + 1}, "'stats.v_count' times"),
+            ("eval", {"v_count": 2**20 + 1}, "'eval.v_count' times"),
+            ("eval", {"trials": 2**20 + 1}, "'eval.trials' times"),
+            ("sample", {"count": 10**12}, "'sample.count' times"),
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, section, values, message):
@@ -166,10 +176,11 @@ class TestLoadConfig:
     def test_range_limits_are_inclusive(self, tmp_path):
         degrade = {"side_min": 4, "side_max": 4, "sigma_low": 5.0, "sigma_high": 5.0}
         payload = dict(MINIMAL, degrade=degrade, eval=dict(degrade, side_min=0))
-        payload["schedule"] = {"T": 2**63 - 1}
+        payload["schedule"] = {"T": 10**6}
+        payload["sample"] = {"count": 2**20}
         cfg = load_config(write_cfg(tmp_path, payload))
         assert cfg["degrade"]["side_max"] == 4 and cfg["eval"]["side_min"] == 0
-        assert cfg["schedule"]["T"] == 2**63 - 1
+        assert cfg["schedule"]["T"] == 10**6 and cfg["sample"]["count"] == 2**20
 
     def test_section_defaults(self):
         assert section({}, "sample") == {"count": 1}
