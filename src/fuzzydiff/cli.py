@@ -5,7 +5,9 @@ Every subcommand reads one JSON config, draws from streams derived only from
 --out. Reruns with the same config and seed are byte-identical, and the
 manifest records content hashes so that claim is easy to check. `sample` and
 `fuzzy` run all their samples as one batch in which sample i draws only from
-child stream i. --workers is still accepted but has no effect.
+child stream i, and `eval` runs attention, repair and baseline of all its
+trials as one batch in which trial i draws only from child stream 2 + i.
+--workers is still accepted but has no effect.
 
 :func:`entrypoint` owns every run's lifecycle: it loads the config, builds
 the model and schedule, looks up the command's section, prepares --out,
@@ -241,7 +243,8 @@ def _cmd_stats(section, model, schedule, root: RngStream, out: Path) -> list[Pat
 def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     stats = ValidationStats.load(section["stats_dir"])
     image = _read_image(section["image"], model)
-    amap = attention_map(image, stats, model, schedule, section["reps"], root.child(0))
+    streams = RowStreams([root.child(0)])
+    [amap] = attention_map(image[None], stats, model, schedule, section["reps"], streams)
     weights = weight_from_attention(amap)
     return _write_grids(out, (("attention", amap), ("weights", weights)))
 

@@ -23,10 +23,13 @@ __all__ = ["ConfigError", "load_config", "build_schedule", "build_model"]
 
 SCHEMA_VERSION = 1
 
-# Size caps, checked at load: the longest schedule, and the most float64
-# values one (n, D) row array may hold (2**24 values are 128 MiB).
+# Size caps, checked at load: the longest schedule, the most float64 values
+# one (n, D) row array may hold (2**24 values are 128 MiB), and the largest
+# gaussian_field, whose D x D covariance and eigenbasis grow as D**2 (a
+# 2**12-pixel field needs 128 MiB per D x D array).
 MAX_T = 10**6
 MAX_ROW_VALUES = 2**24
+MAX_FIELD_DIM = 2**12
 
 _MISSING = object()
 
@@ -225,6 +228,11 @@ def _check_ranges(cfg: dict) -> None:
         raise ConfigError(f"'schedule.T' must be <= {MAX_T}, got {T}")
     model = cfg["model"]
     D = model["height"] * model["width"] * model["channels"]
+    if model["type"] == "gaussian_field" and D > MAX_FIELD_DIM:
+        raise ConfigError(
+            f"'model' height*width*channels must be <= {MAX_FIELD_DIM} for gaussian_field, "
+            f"got {D}"
+        )
     for name, key in _ROW_COUNTS:
         if name in cfg and cfg[name][key] * D > MAX_ROW_VALUES:
             raise ConfigError(

@@ -60,6 +60,29 @@ class Grid:
         return f"Grid({h}x{w}x{c})"
 
 
+def _uniforms(bits: np.ndarray) -> np.ndarray:
+    """The pinned map of raw 64-bit words onto uniforms in (0, 1]."""
+    return ((bits >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+
+
+def _box_muller(bits: np.ndarray, k: int) -> np.ndarray:
+    """The pinned transform: (rows, 2*pairs) raw Philox words -> (rows, k) normals.
+
+    Per row, the first ``pairs`` words give the radii and the last ``pairs``
+    the angles; the cosine and sine halves interleave, and k <= 2*pairs keeps
+    the first k. Every step is elementwise, so a row's normals do not depend
+    on how many rows share the pass.
+    """
+    pairs = bits.shape[1] // 2
+    u = _uniforms(bits)
+    r = np.sqrt(-2.0 * np.log(u[:, :pairs]))
+    theta = (2.0 * math.pi) * u[:, pairs:]
+    out = np.empty((bits.shape[0], 2 * pairs))
+    out[:, 0::2] = r * np.cos(theta)
+    out[:, 1::2] = r * np.sin(theta)
+    return out[:, :k]
+
+
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer; used to derive well-separated child stream ids."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -113,24 +136,13 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` i.i.d. uniforms on (0, 1]."""
-        bits = self.raw(n)
-        return ((bits >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+        return _uniforms(self.raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` i.i.d. standard normals via pair-consuming Box-Muller."""
         if n < 0:
             raise ValidationError(f"draw count must be non-negative, got {n}")
-        if n == 0:
-            return np.empty(0)
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1, u2 = u[:pairs], u[pairs:]
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * math.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return _box_muller(self.raw(2 * ((n + 1) // 2))[None], n)[0]
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id:#x})"
@@ -139,9 +151,10 @@ class RngStream:
 class RowStreams:
     """Per-row draws for an (n, D) chain: row i draws only from ``streams[i]``.
 
-    ``normals(k)`` concatenates ``k // n`` draws from each stream in row order,
-    so row i of a chain that draws whole (n, D) blocks gets exactly the draws
-    of a one-row chain on ``streams[i]``, whatever n is.
+    ``normals(k)`` gives row i the next ``k // n`` normals of ``streams[i]``,
+    in row order, so row i of a chain that draws whole (n, D) blocks gets
+    exactly the draws of a one-row chain on ``streams[i]``, whatever n is.
+    The rows' raw words go through one shared Box-Muller pass.
     """
 
     __slots__ = ("streams",)
@@ -151,8 +164,15 @@ class RowStreams:
         if not self.streams:
             raise ValidationError("row streams need at least one stream")
 
+    def child(self, index: int) -> "RowStreams":
+        """Row i's stream becomes ``streams[i].child(index)``."""
+        return RowStreams(s.child(index) for s in self.streams)
+
     def normals(self, n: int) -> np.ndarray:
         rows = len(self.streams)
-        if n % rows:
+        if n < 0 or n % rows:
             raise ValidationError(f"{n} draws do not split evenly over {rows} row streams")
-        return np.concatenate([s.normals(n // rows) for s in self.streams])
+        per = n // rows
+        words = 2 * ((per + 1) // 2)
+        bits = np.stack([s.raw(words) for s in self.streams])
+        return _box_muller(bits, per).reshape(-1)

@@ -43,6 +43,19 @@ def _f8(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
+def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for (n, k) rows a, with every row rounded as a gemm row.
+
+    BLAS takes a one-row product down its gemv path, whose last bits differ
+    from the same row inside a larger product. A one-row a is therefore
+    multiplied as two stacked copies, keeping row 0, so a row's result does
+    not depend on how many rows share the call.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
+
+
 class EpsilonModel(abc.ABC):
     """Contract for noise predictors operating on flattened pixel vectors.
 
@@ -160,14 +173,14 @@ class GaussianFieldModel(EpsilonModel):
     def _project(self, x: np.ndarray, t: int, s: NoiseSchedule):
         abar = s.alpha_bar[t]
         centered = x - np.sqrt(abar) * self.mu
-        return abar, centered @ self.cov_eigvecs
+        return abar, _rows_matmul(centered, self.cov_eigvecs)
 
     def predict_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         t = s.check_step(t)
         abar, y = self._project(x, t, s)
         root = np.sqrt(abar)
         denom = abar * self.cov_eigvals + (1.0 - abar)
-        post = self.mu + root * ((y * (self.cov_eigvals / denom)) @ self.cov_eigvecs.T)
+        post = self.mu + root * _rows_matmul(y * (self.cov_eigvals / denom), self.cov_eigvecs.T)
         return (x - root * post) / np.sqrt(1.0 - abar)
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
@@ -184,7 +197,7 @@ class GaussianFieldModel(EpsilonModel):
 
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
         z = rng.normals(n * self.dim).reshape(n, self.dim)
-        return self.mu + (z * self._sqrt_lam) @ self.cov_eigvecs.T
+        return self.mu + _rows_matmul(z * self._sqrt_lam, self.cov_eigvecs.T)
 
     def fingerprint(self) -> str:
         return _hash_parts(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import projection
-from .core import Grid, RngStream, ValidationError
+from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
 from .gridio import write_grid
 from .projection import attention_map, default_depths, validation_stats, weight_from_attention
@@ -253,7 +253,9 @@ def run_correction_experiment(
     Stream layout: child 0 draws the validation set, child 1 feeds
     validation_stats, and trial i uses child (2 + i) with sub-children for
     its clean draw, degradation, attention, fuzzy repair, and the projection
-    baseline. Trials are therefore independent and order-insensitive.
+    baseline. Trials are therefore independent and order-insensitive: the
+    clean draws and degradations run per trial, then attention, repair and
+    baseline each run as one (trials, D) chain on per-trial row streams.
     """
     depths = default_depths(s.T) if section["depths"] is None else tuple(section["depths"])
     baseline_t = section["baseline_depth"]
@@ -280,36 +282,44 @@ def run_correction_experiment(
 
     marginal_var = model.marginal_std() ** 2
     h, w, _ = model.shape
-    trials: list[dict] = []
-    for i in range(section["trials"]):
-        tr = rng.child(2 + i)
+    n = section["trials"]
+    streams = RowStreams(rng.child(2 + i) for i in range(n))
+    cleans, damaged, records = [], [], []
+    for tr in streams.streams:
         clean = model.sample_x0(1, tr.child(0))[0].reshape(model.shape)
         if params is not None:
             degraded, record = degrade(clean, params, tr.child(1))
         else:
             degraded = clean
             record = DegradationRecord((0, 0, 0, 0), 0.0, np.zeros((h, w, 1)))
-        amap = attention_map(degraded, stats, model, s, reps, tr.child(2))
-        weights = weight_from_attention(amap)
-        corrected = fuzzy_sample(model, s, degraded, weights, section["J"], 1, tr.child(3))
-        baseline = projection.project_reconstruct_array(
-            model, s, degraded.reshape(1, -1), baseline_t, tr.child(4)
-        )
-        corrected, baseline = corrected.reshape(model.shape), baseline.reshape(model.shape)
+        cleans.append(clean)
+        damaged.append(degraded)
+        records.append(record)
 
+    batch = np.stack(damaged)
+    amaps = attention_map(batch, stats, model, s, reps, streams.child(2))
+    weights = weight_from_attention(amaps)
+    corrected = fuzzy_sample(model, s, batch, weights, section["J"], n, streams.child(3))
+    baseline = projection.project_reconstruct_array(
+        model, s, batch.reshape(n, -1), baseline_t, streams.child(4)
+    )
+    corrected, baseline = corrected.reshape(batch.shape), baseline.reshape(batch.shape)
+
+    trials: list[dict] = []
+    for i, (clean, degraded, record) in enumerate(zip(cleans, damaged, records)):
         # AUC needs both classes: a rectangle covering every pixel has no negatives.
         scored = 0 < record.area < h * w
         trial = {
             "trial": i,
             "degradation": record.to_dict() if params is not None else None,
-            "auc": pixel_auc(amap, record.mask) if scored else None,
+            "auc": pixel_auc(amaps[i], record.mask) if scored else None,
             "mse_in_degraded": masked_mse(degraded, clean, record.mask, inside=True),
-            "mse_in_corrected": masked_mse(corrected, clean, record.mask, inside=True),
-            "mse_in_baseline": masked_mse(baseline, clean, record.mask, inside=True),
-            "mse_out_corrected": masked_mse(corrected, clean, record.mask, inside=False),
-            "mse_out_baseline": masked_mse(baseline, clean, record.mask, inside=False),
-            "mse_total_corrected": float(np.mean(np.square(corrected - clean))),
-            "mean_weight": float(weights.mean()),
+            "mse_in_corrected": masked_mse(corrected[i], clean, record.mask, inside=True),
+            "mse_in_baseline": masked_mse(baseline[i], clean, record.mask, inside=True),
+            "mse_out_corrected": masked_mse(corrected[i], clean, record.mask, inside=False),
+            "mse_out_baseline": masked_mse(baseline[i], clean, record.mask, inside=False),
+            "mse_total_corrected": float(np.mean(np.square(corrected[i] - clean))),
+            "mean_weight": float(weights[i].mean()),
         }
         trials.append(trial)
 
@@ -317,10 +327,10 @@ def run_correction_experiment(
             for name, g in (
                 ("clean", clean),
                 ("degraded", degraded),
-                ("attention", amap),
-                ("weights", weights),
-                ("corrected", corrected),
-                ("baseline", baseline),
+                ("attention", amaps[i]),
+                ("weights", weights[i]),
+                ("corrected", corrected[i]),
+                ("baseline", baseline[i]),
             ):
                 write_grid(art_dir / f"trial_{i:03d}_{name}.fdg", Grid(g))
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, RngStream, ValidationError
+from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
 from .gridio import read_grid, write_grid
 from .sampler import _reverse_step_array
@@ -135,7 +135,7 @@ class ValidationStats:
 
 
 def project_reconstruct_array(
-    model: EpsilonModel, s: NoiseSchedule, x: np.ndarray, t: int, rng: RngStream
+    model: EpsilonModel, s: NoiseSchedule, x: np.ndarray, t: int, rng: RngStream | RowStreams
 ) -> np.ndarray:
     """Noise (n, D) rows to level t, then run the reverse chain back down to 0; t=0 is exact."""
     t = s.check_step(t, lowest=0)
@@ -163,7 +163,7 @@ def _depth_discrepancies(
     X: np.ndarray,
     depths: Iterable[int],
     reps: int,
-    rng: RngStream,
+    rng: RngStream | RowStreams,
 ) -> Iterator[np.ndarray]:
     """Per depth, the (n, h*w) discrepancy of X averaged over ``reps`` reconstructions.
 
@@ -202,7 +202,7 @@ def validation_stats(
     X: np.ndarray,
     PS: list[int],
     reps: int,
-    rng: RngStream,
+    rng: RngStream | RowStreams,
 ) -> ValidationStats:
     """Mean and std of reconstruction discrepancy per pixel and depth.
 
@@ -255,10 +255,11 @@ def validation_stats(
 def attention_from_discrepancies(
     dmaps: dict[int, np.ndarray], stats: ValidationStats
 ) -> np.ndarray:
-    """Normalize per-depth (h, w, 1) discrepancy maps against stats and average.
+    """Normalize per-depth (..., h, w, 1) discrepancy maps against stats and average.
 
     Pure function of its inputs: score_t = clip((d_t - mu_t) / sigma_t, 1, 6)
-    per pixel, averaged over stats.depths. Returns the (h, w, 1) attention map.
+    per pixel, averaged over stats.depths. Returns the attention maps in the
+    shape of the inputs.
     """
     acc = None
     for t in stats.depths:
@@ -277,28 +278,29 @@ def attention_map(
     model: EpsilonModel,
     s: NoiseSchedule,
     reps: int,
-    rng: RngStream,
+    rng: RngStream | RowStreams,
 ) -> np.ndarray:
-    """(h, w, 1) anomaly map of the (h, w, c) image x over stats.depths.
+    """(n, h, w, 1) anomaly maps of the n (h, w, c) images in x over stats.depths.
 
     Refuses statistics whose fingerprints do not match the live model and
     schedule. Depth k uses draws from rng.child(k), the same stream layout
     validation_stats uses, and averages ``reps`` reconstructions per depth
-    before normalizing.
+    before normalizing. With ``RowStreams``, image i draws only from its own
+    stream, so its map is the one a batch of one on that stream gives.
     """
     stats.check_compatible(model, s)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.shape:
-        raise ValidationError(f"image shape {x.shape} != model shape {model.shape}")
+    if x.shape[1:] != model.shape:
+        raise ValidationError(f"image shape {x.shape} is not (n, *{model.shape})")
 
-    h, w, _ = x.shape
-    rows = _depth_discrepancies(model, s, x.reshape(1, -1), stats.depths, reps, rng)
-    dmaps = {t: d.reshape(h, w, 1) for t, d in zip(stats.depths, rows)}
+    n, h, w, _ = x.shape
+    rows = _depth_discrepancies(model, s, x.reshape(n, -1), stats.depths, reps, rng)
+    dmaps = {t: d.reshape(n, h, w, 1) for t, d in zip(stats.depths, rows)}
     return attention_from_discrepancies(dmaps, stats)
 
 
 def weight_from_attention(a: np.ndarray) -> np.ndarray:
-    """Map an (h, w, 1) attention map onto conditioning weights of the same shape.
+    """Map (..., h, w, 1) attention maps onto conditioning weights of the same shape.
 
     The score range [1, 6] is first rescaled to [0, 1]; the weight is the
     square of the remaining headroom: m = (1 - (A - 1)/5)^2. A pixel within
@@ -306,8 +308,8 @@ def weight_from_attention(a: np.ndarray) -> np.ndarray:
     fully regenerated (m=0).
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3 or a.shape[2] != 1:
-        raise ValidationError(f"attention map must be single-channel (h, w, 1), got {a.shape}")
+    if a.ndim not in (3, 4) or a.shape[-1] != 1:
+        raise ValidationError(f"attention maps must be single-channel (h, w, 1), got {a.shape}")
     if not (a.min() >= SCORE_MIN and a.max() <= SCORE_MAX):
         raise ValidationError(
             f"attention values must lie in [{SCORE_MIN}, {SCORE_MAX}], got "

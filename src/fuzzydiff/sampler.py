@@ -104,10 +104,11 @@ def fuzzy_sample(
 ) -> np.ndarray:
     """n samples as (n, D) rows, conditioned on the image x_cond at per-pixel strength m.
 
-    x_cond has the model's (h, w, c) shape. m is a scalar or an (h, w, 1) or
-    (h, w, c) array with every entry in [0, 1]; a single-channel map
-    broadcasts across channels. m=1 pixels reproduce x_cond exactly; m=0
-    pixels are unconditional.
+    x_cond is one image of the model's (h, w, c) shape, or n of them as
+    (n, h, w, c), one per sample. m is a scalar, an (h, w, 1) or (h, w, c)
+    array, or n such maps as (n, h, w, 1) or (n, h, w, c), with every entry
+    in [0, 1]; a single-channel map broadcasts across channels. m=1 pixels
+    reproduce x_cond exactly; m=0 pixels are unconditional.
 
     Per step t, the inner loop runs J times: draw the reprojected branch at
     level t-1, take one reverse step from the current level-t state, fuse, and
@@ -122,8 +123,10 @@ def fuzzy_sample(
         raise ValidationError(f"J must be >= 1, got {J}")
     h, w, c = model.shape
     x_cond = np.asarray(x_cond, dtype=np.float64)
-    if x_cond.shape != model.shape:
-        raise ValidationError(f"image shape {x_cond.shape} != model shape {model.shape}")
+    if x_cond.shape not in (model.shape, (n, h, w, c)):
+        raise ValidationError(
+            f"image shape {x_cond.shape} is neither {model.shape} nor {(n, h, w, c)}"
+        )
     m = np.asarray(m, dtype=np.float64)
     if m.ndim == 0:
         m = np.full((h, w, 1), m)
@@ -131,14 +134,17 @@ def fuzzy_sample(
         raise ValidationError(
             f"weight map values must lie in [0, 1], got range [{m.min():.6g}, {m.max():.6g}]"
         )
-    if m.ndim != 3 or m.shape[:2] != (h, w):
-        raise ValidationError(f"weight map spatial dims {m.shape[:2]} != image dims {(h, w)}")
-    if m.shape[2] not in (1, c):
-        raise ValidationError(f"weight map has {m.shape[2]} channels, image has {c}")
+    if m.ndim not in (3, 4) or m.shape[-3:-1] != (h, w):
+        raise ValidationError(f"weight map spatial dims {m.shape[-3:-1]} != image dims {(h, w)}")
+    if m.shape[-1] not in (1, c):
+        raise ValidationError(f"weight map has {m.shape[-1]} channels, image has {c}")
+    if m.ndim == 4 and m.shape[0] != n:
+        raise ValidationError(f"{m.shape[0]} weight maps for {n} samples")
 
+    # One row per image or map, or one row that every sample shares.
     D = model.dim
-    x_cond = x_cond.reshape(D)
-    m = np.broadcast_to(m, model.shape).reshape(D)
+    x_cond = x_cond.reshape(-1, D)
+    m = np.broadcast_to(m, m.shape[:-1] + (c,)).reshape(-1, D)
     x = rng.normals(n * D).reshape(n, D)
     for t in range(s.T, 0, -1):
         sq_prev = s.sqrt_alpha_bar[t - 1]

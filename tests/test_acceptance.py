@@ -254,7 +254,7 @@ def test_criterion_7_attention_detection(acceptance_lines):
             tr = root.child(2 + i)
             clean = field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1)
             degraded, record = degrade(clean, params, tr.child(1))
-            amap = attention_map(degraded, stats, field, s, reps=1, rng=tr.child(2))
+            [amap] = attention_map(degraded[None], stats, field, s, reps=1, rng=tr.child(2))
             aucs.append(pixel_auc(amap, record.mask))
             inside = record.mask[:, :, 0] == 1.0
             scores = amap[:, :, 0]
@@ -266,7 +266,7 @@ def test_criterion_7_attention_detection(acceptance_lines):
         for i in range(20):
             tr = root.child(100 + i)
             probe = field.sample_x0(1, tr.child(0))[0].reshape(8, 8, 1)
-            amap = attention_map(probe, stats, field, s, reps=1, rng=tr.child(1))
+            [amap] = attention_map(probe[None], stats, field, s, reps=1, rng=tr.child(1))
             fracs.append(float((amap <= 2.0).mean()))
         assert np.mean(fracs) >= 0.95  # measured 0.988
 

@@ -174,17 +174,32 @@ class TestPerRowStreams:
             assert run(command, "--config", cfg, "--out", outs[count], "--seed", 13) == EXIT_OK
         for i in range(3):
             name = f"{command}_{i:04d}.fdg"
-            few = read_grid(outs[3] / name).values.reshape(-1)
             many = read_grid(outs[5] / name).values.reshape(-1)
             alone = self.one_row_chain(command, cfg, i)
-            if oracle == "gmm_pixel":
-                # Pixelwise arithmetic: rows are bit-identical for any count.
-                assert (outs[3] / name).read_bytes() == (outs[5] / name).read_bytes()
-                assert np.array_equal(many, alone)
-            else:
-                # Batched matrix products may round the last bits differently.
-                assert np.abs(few - many).max() < 1e-12
-                assert np.abs(many - alone).max() < 1e-12
+            # Bit-identical across counts: gmm_pixel is pixelwise, and every
+            # gaussian_field row, one-row batches included, is a gemm row of
+            # one BLAS kernel (a 4x4 field stays below the kernel switch).
+            assert (outs[3] / name).read_bytes() == (outs[5] / name).read_bytes()
+            assert np.array_equal(many, alone)
+
+    @pytest.mark.parametrize("oracle", ["gmm_pixel", "gaussian_field"])
+    def test_eval_trial_does_not_depend_on_trials(self, tmp_path, oracle):
+        # Trial i draws only from child 2 + i, so trial 0 of the (trials, D)
+        # batch is the same bytes whether it runs alone or among others.
+        model = GMM_MODEL if oracle == "gmm_pixel" else self.FIELD_MODEL
+        names = ("clean", "degraded", "attention", "weights", "corrected", "baseline")
+        seen = []
+        for trials in (1, 3, 5):
+            section = {"trials": trials, "J": 2, "v_count": 6, "depths": [2, 4],
+                       "record_artifacts": True}
+            cfg = make_config(tmp_path, {"eval": section}, model=model, name=f"cfg{trials}.json")
+            out = tmp_path / f"out{trials}"
+            assert run("eval", "--config", cfg, "--out", out, "--seed", 5) == EXIT_OK
+            report = json.loads((out / "report.json").read_text())
+            assert len(report["trials"]) == trials
+            grids = [(out / "artifacts" / f"trial_000_{n}.fdg").read_bytes() for n in names]
+            seen.append((json.dumps(report["trials"][0], sort_keys=True), grids))
+        assert seen[0] == seen[1] == seen[2]
 
 
 class TestFuzzy:
@@ -495,9 +510,15 @@ class TestErrors:
             ("eval", {"eval": {"side_min": 3, "side_max": 2}}),
             ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.5}}),
             ("sample", {"schedule": {"T": 2**62}}),
+            ("sample", {"model": {"type": "gaussian_field", "height": 100, "width": 100}}),
         ],
     )
-    def test_out_of_range_values_exit_two(self, tmp_path, command, sections):
+    def test_out_of_range_values_exit_two(self, tmp_path, monkeypatch, command, sections):
+        # Every case must fail at load: building a 100x100 field takes GiBs.
+        def no_build(*args, **kwargs):
+            raise AssertionError("the config was accepted and a model was built")
+
+        monkeypatch.setattr("fuzzydiff.cli.build_model", no_build)
         cfg = make_config(tmp_path, sections)
         out = tmp_path / "o"
         assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG

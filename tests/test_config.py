@@ -161,6 +161,9 @@ class TestLoadConfig:
             ("eval", {"v_count": 2**20 + 1}, "'eval.v_count' times"),
             ("eval", {"trials": 2**20 + 1}, "'eval.trials' times"),
             ("sample", {"count": 10**12}, "'sample.count' times"),
+            # A 100x100 field would need a 1.49 GiB distance array to build.
+            ("model", dict(MINIMAL["model"], height=100, width=100), r"must be <= 4096 for gauss"),
+            ("model", dict(MINIMAL["model"], height=32, width=32, channels=5), "got 5120"),
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, section, values, message):
@@ -181,6 +184,14 @@ class TestLoadConfig:
         cfg = load_config(write_cfg(tmp_path, payload))
         assert cfg["degrade"]["side_max"] == 4 and cfg["eval"]["side_min"] == 0
         assert cfg["schedule"]["T"] == 10**6 and cfg["sample"]["count"] == 2**20
+
+    def test_field_size_cap_is_inclusive_and_field_only(self, tmp_path):
+        field = dict(MINIMAL["model"], height=64, width=64)
+        gmm = {"type": "gmm_pixel", "height": 100, "width": 100, "weights": [1.0],
+               "means": [0.5], "variances": [0.01]}
+        for model in (field, gmm):
+            cfg = load_config(write_cfg(tmp_path, dict(MINIMAL, model=model)))
+            assert cfg["model"]["height"] == model["height"]
 
     def test_section_defaults(self):
         assert section({}, "sample") == {"count": 1}

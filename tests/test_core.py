@@ -126,6 +126,19 @@ class TestRngStream:
             RngStream(0, 0).child(-1)
 
 
+class TestPinnedTransform:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 1001])
+    def test_normals_follow_the_documented_box_muller(self, n):
+        # The transform is part of the output contract, so spell it out once.
+        pairs = (n + 1) // 2
+        raw = RngStream(12, 3).raw(2 * pairs)
+        u = ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+        r, theta = np.sqrt(-2.0 * np.log(u[:pairs])), 2.0 * np.pi * u[pairs:]
+        expect = np.empty(2 * pairs)
+        expect[0::2], expect[1::2] = r * np.cos(theta), r * np.sin(theta)
+        assert RngStream(12, 3).normals(n).tobytes() == expect[:n].tobytes()
+
+
 class TestRowStreams:
     def test_rows_draw_from_their_own_streams(self):
         D = 7  # odd, so each row's final Box-Muller pair is cut in half
@@ -141,6 +154,22 @@ class TestRowStreams:
         assert np.array_equal(
             RowStreams([RngStream(8, 0)]).normals(9), RngStream(8, 0).normals(9)
         )
+
+    @pytest.mark.parametrize("per", [1, 7, 64, 65])
+    @pytest.mark.parametrize("rows", [1, 2, 16, 64])
+    def test_shared_pass_equals_per_stream_normals(self, rows, per):
+        batch = RowStreams(RngStream(31, 0).child(i) for i in range(rows))
+        alone = [RngStream(31, 0).child(i) for i in range(rows)]
+        for _ in range(2):  # successive draws continue each row's stream
+            expect = np.concatenate([s.normals(per) for s in alone])
+            assert batch.normals(rows * per).tobytes() == expect.tobytes()
+
+    def test_child_rows_are_the_streams_children(self):
+        streams = [RngStream(4, i) for i in range(3)]
+        batch = RowStreams(streams).child(5)
+        assert [s.stream_id for s in batch.streams] == [s.child(5).stream_id for s in streams]
+        expect = np.concatenate([s.child(5).normals(6) for s in streams])
+        assert batch.normals(18).tobytes() == expect.tobytes()
 
     def test_uneven_request_and_empty_set_rejected(self):
         rows = RowStreams(RngStream(0, i) for i in range(3))

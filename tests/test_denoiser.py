@@ -8,9 +8,11 @@ from fuzzydiff import (
     GaussianFieldModel,
     GmmPixelModel,
     RngStream,
+    RowStreams,
     ValidationError,
     linear_schedule,
 )
+from fuzzydiff.denoiser import _rows_matmul
 
 
 def scalar_schedule(abar: float):
@@ -89,6 +91,33 @@ class TestGaussianField:
         a = field_model.sample_x0(5, RngStream(3, 9))
         b = field_model.sample_x0(5, RngStream(3, 9))
         assert np.array_equal(a, b)
+
+    def test_gemm_rows_do_not_depend_on_row_count(self):
+        # The field's byte-identical rows across counts rest on this property
+        # of the running numpy/BLAS build; a build without it fails here.
+        rng = RngStream(17, 0)
+        b = rng.normals(64 * 64).reshape(64, 64)
+        a = rng.normals(400 * 64).reshape(400, 64)
+        full = a @ b
+        for n in (2, 3, 16, 39, 64, 400):
+            assert (a[:n] @ b).tobytes() == full[:n].tobytes()
+        assert _rows_matmul(a[:1], b).tobytes() == full[:1].tobytes()
+        # A transposed operand, as in predict_array, may switch BLAS kernels
+        # at a size threshold, so the one-row path is checked on a small batch.
+        assert _rows_matmul(a[:1], b.T).tobytes() == (a[:3] @ b.T)[:1].tobytes()
+
+    def test_rows_do_not_depend_on_batch(self, field_model, sched200):
+        x = field_model.sample_x0(9, RngStream(18, 0))
+        for t in (1, 57, 200):
+            full = field_model.predict_array(x, t, sched200)
+            for i in (0, 4):
+                one = field_model.predict_array(x[i : i + 1], t, sched200)
+                assert one.tobytes() == full[i : i + 1].tobytes()
+        streams = [RngStream(19, 0).child(i) for i in range(3)]
+        rows = field_model.sample_x0(3, RowStreams(streams))
+        for i in range(3):
+            one = field_model.sample_x0(1, RngStream(19, 0).child(i))
+            assert one.tobytes() == rows[i : i + 1].tobytes()
 
 
 class TestGmmPixel:

@@ -8,6 +8,7 @@ from fuzzydiff import (
     GaussianFieldModel,
     GmmPixelModel,
     RngStream,
+    RowStreams,
     ValidationError,
     fuzzy_fuse,
     fuzzy_sample,
@@ -350,6 +351,28 @@ class TestFuzzySample:
         assert np.array_equal(a, b)
         c = fuzzy_sample(gmm_model, sched50, x_cond, 0.3, 3, 1, RngStream(96, 4))
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("oracle", ["gmm_model", "field_model"])
+    def test_batch_axis_conditions_each_row_on_its_own_image(self, oracle, sched50, request):
+        model = request.getfixturevalue(oracle)
+        n = 3
+        images = np.stack([np.full((8, 8, 1), v) for v in (0.2, 0.5, 0.8)])
+        maps = np.stack([np.full((8, 8, 1), v) for v in (0.0, 0.4, 1.0)])
+        streams = [RngStream(97, 0).child(i) for i in range(n)]
+        rows = fuzzy_sample(model, sched50, images, maps, 2, n, RowStreams(streams))
+        for i in range(n):
+            stream = RngStream(97, 0).child(i)
+            [alone] = fuzzy_sample(model, sched50, images[i], maps[i], 2, 1, stream)
+            assert alone.tobytes() == rows[i].tobytes()
+        # One image, per-sample maps.
+        shared = fuzzy_sample(model, sched50, images[1], maps, 2, n, RowStreams(streams))
+        stream = RngStream(97, 0).child(2)
+        [alone] = fuzzy_sample(model, sched50, images[1], maps[2], 2, 1, stream)
+        assert alone.tobytes() == shared[2].tobytes()
+        with pytest.raises(ValidationError, match="image shape"):
+            fuzzy_sample(model, sched50, images, 0.5, 2, 2, RngStream(0, 0))
+        with pytest.raises(ValidationError, match="3 weight maps for 2 samples"):
+            fuzzy_sample(model, sched50, images[0], maps, 2, 2, RngStream(0, 0))
 
     def test_config_validation(self, gmm_model, sched50):
         # J=0 would skip every step above t=1 and return the noised start state.
