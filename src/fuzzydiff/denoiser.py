@@ -31,6 +31,14 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# GmmPixelModel.predict_array works on row blocks of about this many values,
+# so that its temporaries (64 KiB each) are reused from the allocator's free
+# lists and stay in cache. Unblocked, the 512 KiB temporaries of a (1000, 64)
+# call go back to the OS when freed and are page-faulted in again on every
+# call: 5.2 ms per call against 1.4 ms blocked (2-vCPU Xeon, glibc malloc).
+# Pixels are independent, so the blocking never changes a byte.
+_BLOCK_VALUES = 8192
+
 
 def _hash_parts(*parts: bytes) -> str:
     digest = hashlib.sha256()
@@ -87,10 +95,13 @@ class EpsilonModel(abc.ABC):
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
         """n exact draws from q(x_0), shape (n, D)."""
 
+    @abc.abstractmethod
+    def marginal_mean(self) -> float:
+        """Scalar level of a typical pixel (mean of the D marginal means)."""
+
+    @abc.abstractmethod
     def marginal_std(self) -> float:
         """Scalar spread of a typical pixel (root mean marginal variance)."""
-        _, cov = self.moments()
-        return float(np.sqrt(np.mean(np.diag(cov))))
 
     @abc.abstractmethod
     def fingerprint(self) -> str:
@@ -195,6 +206,12 @@ class GaussianFieldModel(EpsilonModel):
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
         return self.mu.copy(), self._cov.copy()
 
+    def marginal_mean(self) -> float:
+        return float(np.mean(self.mu))
+
+    def marginal_std(self) -> float:
+        return float(np.sqrt(np.mean(np.diag(self._cov))))
+
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
         z = rng.normals(n * self.dim).reshape(n, self.dim)
         return self.mu + _rows_matmul(z * self._sqrt_lam, self.cov_eigvecs.T)
@@ -212,7 +229,12 @@ class GmmPixelModel(EpsilonModel):
     """Every pixel i.i.d. from a K-component 1-d Gaussian mixture.
 
     Responsibilities are computed in log space with a log-sum-exp reduction;
-    with abar near 1 the per-component likelihoods underflow otherwise.
+    with abar near 1 the per-component likelihoods underflow otherwise. The
+    kernel is component-major: it loops over the K components on arrays
+    shaped like the input, keeping a running peak and summing left to right,
+    and never builds an (n, D, K) array. Each value meets the same IEEE
+    operations in the same order as a reduction over a trailing K axis, so
+    both give the same bytes (tests/test_denoiser.py pins this).
     """
 
     def __init__(self, shape: tuple[int, int, int], weights, means, variances) -> None:
@@ -250,37 +272,91 @@ class GmmPixelModel(EpsilonModel):
     def K(self) -> int:
         return self.weights.size
 
-    def _component_loglik(self, x: np.ndarray, t: int, s: NoiseSchedule):
-        abar = s.alpha_bar[t]
+    def _component_loglik(self, x: np.ndarray, abar):
+        """Per component k, two fresh arrays shaped like x: diff_k = x - root*m_k
+        and loglik_k = log w_k - 0.5*(log(2 pi var_k) + diff_k**2 / var_k),
+        with root = sqrt(abar) and var_k = abar*v_k + 1 - abar."""
         root = np.sqrt(abar)
         var_k = abar * self.variances + (1.0 - abar)  # (K,)
-        diff = x[..., None] - root * self.means  # (..., K)
-        loglik = self._logw - 0.5 * (np.log(2.0 * math.pi * var_k) + diff * diff / var_k)
-        return abar, root, var_k, diff, loglik
+        log_norm = np.log(2.0 * math.pi * var_k)
+        diff, loglik = [], []
+        for k in range(self.K):
+            d = x - root * self.means[k]
+            ll = d * d
+            ll /= var_k[k]
+            ll += log_norm[k]
+            ll *= 0.5
+            diff.append(d)
+            loglik.append(np.subtract(self._logw[k], ll, out=ll))
+        return root, var_k, diff, loglik
+
+    @staticmethod
+    def _log_sum_exp(loglik: list[np.ndarray]):
+        """Turn each loglik_k into exp(loglik_k - peak) in place; return the
+        running peak over the components and the left-to-right sum of those."""
+        peak = loglik[0].copy()
+        for ll in loglik[1:]:
+            np.maximum(peak, ll, out=peak)
+        for ll in loglik:
+            ll -= peak
+            np.exp(ll, out=ll)
+        total = loglik[0].copy()
+        for r in loglik[1:]:
+            total += r
+        return peak, total
+
+    def _predict_rows(self, x: np.ndarray, abar) -> np.ndarray:
+        root, var_k, diff, resp = self._component_loglik(x, abar)
+        _, total = self._log_sum_exp(resp)
+        gain = root * self.variances / var_k
+        for k in range(self.K):
+            diff[k] *= gain[k]
+            diff[k] += self.means[k]  # the component's posterior mean of x_0
+            resp[k] /= total
+            resp[k] *= diff[k]
+        post = resp[0]
+        for term in resp[1:]:
+            post += term
+        post *= root
+        np.subtract(x, post, out=post)
+        post /= np.sqrt(1.0 - abar)
+        return post
 
     def predict_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         t = s.check_step(t)
-        abar, root, var_k, diff, loglik = self._component_loglik(x, t, s)
-        peak = loglik.max(axis=-1, keepdims=True)
-        resp = np.exp(loglik - peak)
-        resp /= resp.sum(axis=-1, keepdims=True)
-        comp_mean = self.means + (root * self.variances / var_k) * diff
-        post = np.sum(resp * comp_mean, axis=-1)
-        return (x - root * post) / np.sqrt(1.0 - abar)
+        abar = s.alpha_bar[t]
+        rows = max(1, _BLOCK_VALUES // self.dim)
+        if len(x) <= rows:
+            return self._predict_rows(x, abar)
+        blocks = [self._predict_rows(x[i : i + rows], abar) for i in range(0, len(x), rows)]
+        return np.concatenate(blocks)
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         t = s.check_step(t, lowest=0)
-        _, _, _, _, loglik = self._component_loglik(x, t, s)
-        peak = loglik.max(axis=-1)
-        pixel_ll = peak + np.log(np.sum(np.exp(loglik - peak[..., None]), axis=-1))
-        return np.sum(pixel_ll, axis=-1)
+        *_, loglik = self._component_loglik(x, s.alpha_bar[t])
+        peak, total = self._log_sum_exp(loglik)
+        return np.sum(peak + np.log(total, out=total), axis=-1)
 
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+    def _pixel_moments(self) -> tuple[float, float]:
+        """(mean, variance) of one pixel."""
         m1 = float(np.sum(self.weights * self.means))
         m2 = float(np.sum(self.weights * (self.variances + self.means**2)))
-        var = m2 - m1 * m1
+        return m1, m2 - m1 * m1
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        m1, var = self._pixel_moments()
         D = self.dim
         return np.full(D, m1), np.eye(D) * var
+
+    # The scalars are means over D equal values, as for a field, not m1 and
+    # sqrt(var) themselves: the mean's rounding differs from its input for
+    # many D, and these scalars reach the artifacts (sigma floors, degradation
+    # thresholds). Neither builds the (D, D) covariance.
+    def marginal_mean(self) -> float:
+        return float(np.mean(np.full(self.dim, self._pixel_moments()[0])))
+
+    def marginal_std(self) -> float:
+        return float(np.sqrt(np.mean(np.full(self.dim, self._pixel_moments()[1]))))
 
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
         D = self.dim

@@ -70,7 +70,7 @@ class DegradeParams:
         side_max: int | None,
     ) -> "DegradeParams":
         h = model.shape[0]
-        mean = float(np.mean(model.moments()[0]))
+        mean = model.marginal_mean()
         std = model.marginal_std()
         return cls(
             side_min=max(1, h // 4) if side_min is None else int(side_min),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fuzzydiff import (
+    GmmPixelModel,
     Grid,
     RngStream,
     build_model,
@@ -464,6 +465,33 @@ class TestEval:
         assert run("eval", "--config", cfg, "--out", out) == EXIT_OK
         files = manifest_of(out)["files"]
         assert "artifacts/trial_000_corrected.fdg" in files
+
+
+class TestGmmScalarMarginals:
+    """gmm_pixel commands read the per-pixel scalars, never the (D, D) covariance."""
+
+    @pytest.fixture(autouse=True)
+    def no_covariance(self, monkeypatch):
+        # A 256x256 moments() would allocate a 32 GiB identity; fail fast instead.
+        def refuse(self):
+            raise AssertionError("moments() builds a (D, D) matrix")
+
+        monkeypatch.setattr(GmmPixelModel, "moments", refuse)
+
+    @pytest.mark.parametrize("command", ["stats", "degrade", "eval"])
+    def test_commands_do_not_call_moments(self, tmp_path, command):
+        sections = {
+            "stats": {"v_count": 4, "depths": [2, 4]},
+            "eval": {"trials": 2, "J": 1, "v_count": 4, "depths": [2, 3]},
+        }
+        cfg = make_config(tmp_path, sections)
+        assert run(command, "--config", cfg, "--out", tmp_path / "out", "--seed", 3) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["stats", "degrade"])
+    def test_large_image(self, tmp_path, command):
+        model = dict(GMM_MODEL, height=256, width=256)
+        cfg = make_config(tmp_path, {"stats": {"v_count": 1}}, model=model, T=4)
+        assert run(command, "--config", cfg, "--out", tmp_path / "out", "--seed", 3) == EXIT_OK
 
 
 class TestErrors:

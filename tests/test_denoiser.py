@@ -79,6 +79,13 @@ class TestGaussianField:
         assert abs(cov[0, 1] - 0.04 * np.exp(-0.5)) < 1e-15
         assert field_model.marginal_std() == pytest.approx(0.2)
 
+    def test_scalar_marginals_match_the_moments(self, field_model):
+        two = GaussianFieldModel.exponential(3, 5, 2, mean=0.3, marginal_variance=0.07)
+        for model in (field_model, two):
+            mean, cov = model.moments()
+            assert model.marginal_mean() == float(np.mean(mean))
+            assert model.marginal_std() == float(np.sqrt(np.mean(np.diag(cov))))
+
     def test_sample_moments(self, field_model):
         rows = field_model.sample_x0(20_000, RngStream(51, 0))
         mean, cov = field_model.moments()
@@ -152,12 +159,40 @@ class TestGmmPixel:
         assert np.count_nonzero(cov - np.diag(np.diag(cov))) == 0
         assert gmm_model.marginal_std() == pytest.approx(np.sqrt(0.0675))
 
+    @pytest.mark.parametrize(
+        "mixture",
+        [
+            ([0.5, 0.5], [0.25, 0.75], [0.005, 0.005]),
+            ([0.6, 0.4], [0.3, 0.7], [0.01, 0.01]),
+            ([0.2, 0.5, 0.3], [-0.4, 0.1, 0.9], [0.003, 0.05, 0.01]),
+        ],
+    )
+    def test_scalar_marginals_keep_the_moments_bytes(self, mixture):
+        # The scalars are computed without the (D, D) covariance but keep the
+        # bytes they had when read from moments(); the plain per-pixel mean and
+        # std differ from those in their last bit for many D.
+        for D in [*range(1, 300), 1000, 1024, 2049, 4097]:
+            model = GmmPixelModel((1, D, 1), *mixture)
+            mean, cov = model.moments()
+            assert model.marginal_mean() == float(np.mean(mean))
+            assert model.marginal_std() == float(np.sqrt(np.mean(np.diag(cov))))
+
     def test_sample_component_balance(self, gmm_model):
         rows = gmm_model.sample_x0(2000, RngStream(8, 1)).reshape(-1)
         hi = np.mean(rows > 0.5)
         assert abs(hi - 0.5) < 0.01
         assert abs(rows.mean() - 0.5) < 0.005
         assert abs(rows.var() - 0.0675) < 0.002
+
+    def test_rows_do_not_depend_on_batch(self, gmm_model, sched400):
+        # 1000 rows run in several of predict_array's row blocks, 1 and 7 in one.
+        x = gmm_model.sample_x0(1000, RngStream(18, 1))
+        for t in (1, 120, 400):
+            full = gmm_model.predict_array(x, t, sched400)
+            for n in (1, 7, 999):
+                for lo in (0, 1000 - n):
+                    part = gmm_model.predict_array(x[lo : lo + n], t, sched400)
+                    assert part.tobytes() == full[lo : lo + n].tobytes()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
@@ -168,6 +203,56 @@ class TestGmmPixel:
             GmmPixelModel((1, 1, 1), [1.0], [0.0], [0.0])
         with pytest.raises(ValidationError):
             GmmPixelModel((1, 1, 1), [0.5, 0.5], [0.0], [0.1, 0.1])
+
+
+def _trailing_axis_loglik(model, x, abar):
+    """The mixture kernel written as reductions over a trailing K axis."""
+    root = np.sqrt(abar)
+    var_k = abar * model.variances + (1.0 - abar)
+    diff = x[..., None] - root * model.means
+    loglik = np.log(model.weights) - 0.5 * (np.log(2.0 * np.pi * var_k) + diff * diff / var_k)
+    return root, var_k, diff, loglik
+
+
+def trailing_axis_predict(model, x, t, s):
+    abar = s.alpha_bar[t]
+    root, var_k, diff, loglik = _trailing_axis_loglik(model, x, abar)
+    resp = np.exp(loglik - loglik.max(axis=-1, keepdims=True))
+    resp /= resp.sum(axis=-1, keepdims=True)
+    post = np.sum(resp * (model.means + (root * model.variances / var_k) * diff), axis=-1)
+    return (x - root * post) / np.sqrt(1.0 - abar)
+
+
+def trailing_axis_log_marginal(model, x, t, s):
+    *_, loglik = _trailing_axis_loglik(model, x, s.alpha_bar[t])
+    peak = loglik.max(axis=-1)
+    return np.sum(peak + np.log(np.sum(np.exp(loglik - peak[..., None]), axis=-1)), axis=-1)
+
+
+class TestPinnedGmmKernel:
+    """The component-major kernel gives the bytes of the trailing-axis formula."""
+
+    MIXTURES = {
+        "K1": ([1.0], [0.3], [0.02]),
+        "K2": ([0.5, 0.5], [0.25, 0.75], [0.005, 0.005]),
+        "K3": ([0.2, 0.5, 0.3], [-0.4, 0.1, 0.9], [0.003, 0.05, 0.01]),
+    }
+
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("mix", sorted(MIXTURES))
+    def test_bytes_at_every_step(self, mix, shape, sched400):
+        model = GmmPixelModel(shape, *self.MIXTURES[mix])
+        rows, D = 40, model.dim
+        noise = RngStream(23, 1).normals(rows * D).reshape(rows, D)
+        x = model.sample_x0(rows, RngStream(23, 0)) + 0.3 * noise
+        # Saturated rows: far outside every component, where likelihoods underflow.
+        x[:5] = np.array([50.0, -50.0, 1e3, -1e3, 0.0])[:, None]
+        for t in range(0, sched400.T + 1):
+            if t >= 1:
+                got = model.predict_array(x, t, sched400)
+                assert got.tobytes() == trailing_axis_predict(model, x, t, sched400).tobytes()
+            got = model.log_marginal_array(x, t, sched400)
+            assert got.tobytes() == trailing_axis_log_marginal(model, x, t, sched400).tobytes()
 
 
 class TestLogMarginal:
