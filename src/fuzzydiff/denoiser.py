@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .core import RngStream, ValidationError
+from .core import _BLOCK_VALUES, RngStream, ValidationError
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -30,14 +30,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-# GmmPixelModel.predict_array works on row blocks of about this many values,
-# so that its temporaries (64 KiB each) are reused from the allocator's free
-# lists and stay in cache. Unblocked, the 512 KiB temporaries of a (1000, 64)
-# call go back to the OS when freed and are page-faulted in again on every
-# call: 5.2 ms per call against 1.4 ms blocked (2-vCPU Xeon, glibc malloc).
-# Pixels are independent, so the blocking never changes a byte.
-_BLOCK_VALUES = 8192
 
 
 def _hash_parts(*parts: bytes) -> str:

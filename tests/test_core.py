@@ -10,6 +10,8 @@ from scipy import stats as sps
 
 from fuzzydiff import Grid, RngStream, RowStreams, ValidationError, write_grid
 from fuzzydiff.cli import _load_weight_map
+from fuzzydiff.core import _BLOCK_VALUES
+from fuzzydiff.projection import project_reconstruct_array
 
 finite_grids = arrays(
     np.float64,
@@ -126,17 +128,31 @@ class TestRngStream:
             RngStream(0, 0).child(-1)
 
 
+def documented_box_muller(raw: np.ndarray, n: int) -> np.ndarray:
+    """The pinned transform spelled out on (rows, 2*pairs) words, unblocked."""
+    pairs = raw.shape[1] // 2
+    u = ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+    r, theta = np.sqrt(-2.0 * np.log(u[:, :pairs])), 2.0 * np.pi * u[:, pairs:]
+    expect = np.empty((raw.shape[0], 2 * pairs))
+    expect[:, 0::2], expect[:, 1::2] = r * np.cos(theta), r * np.sin(theta)
+    return expect[:, :n]
+
+
 class TestPinnedTransform:
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 1001])
+    # The sizes from 8191 on straddle the Box-Muller pass's block boundaries.
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 1001, 8191, 8192, 8193, 16385, 64001])
     def test_normals_follow_the_documented_box_muller(self, n):
         # The transform is part of the output contract, so spell it out once.
-        pairs = (n + 1) // 2
-        raw = RngStream(12, 3).raw(2 * pairs)
-        u = ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
-        r, theta = np.sqrt(-2.0 * np.log(u[:pairs])), 2.0 * np.pi * u[pairs:]
-        expect = np.empty(2 * pairs)
-        expect[0::2], expect[1::2] = r * np.cos(theta), r * np.sin(theta)
-        assert RngStream(12, 3).normals(n).tobytes() == expect[:n].tobytes()
+        raw = RngStream(12, 3).raw(2 * ((n + 1) // 2))
+        expect = documented_box_muller(raw[None], n)[0]
+        assert RngStream(12, 3).normals(n).tobytes() == expect.tobytes()
+
+    def test_one_pair_wide_blocks_of_many_rows(self):
+        rows, per = _BLOCK_VALUES // 2 + 3, 5
+        streams = [RngStream(12, 4).child(i) for i in range(rows)]
+        raw = np.stack([RngStream(12, 4).child(i).raw(6) for i in range(rows)])
+        expect = documented_box_muller(raw, per).reshape(-1)
+        assert RowStreams(streams).normals(rows * per).tobytes() == expect.tobytes()
 
 
 class TestRowStreams:
@@ -177,6 +193,39 @@ class TestRowStreams:
             rows.normals(7)
         with pytest.raises(ValidationError):
             RowStreams([])
+
+    def test_a_stream_object_serves_one_row(self):
+        s = RngStream(3, 0)
+        with pytest.raises(ValidationError, match="two rows"):
+            RowStreams([s, RngStream(3, 1), s])
+        # Equal but distinct streams are separate owners: each row gets the draws.
+        twins = RowStreams([RngStream(3, 0), RngStream(3, 0)]).normals(10)
+        assert twins[:5].tobytes() == twins[5:].tobytes() == RngStream(3, 0).normals(5).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 2, 16, 20, 64, 130]),
+        sizes=st.lists(st.integers(0, 130), min_size=1, max_size=12),
+    )
+    def test_read_ahead_keeps_every_rows_draws(self, rows, sizes):
+        # Per-row sizes 1..130 read 64 draws ahead down to 1; a size change
+        # mid-block must neither lose nor reuse a word.
+        batch = RowStreams(RngStream(41, 0).child(i) for i in range(rows))
+        alone = [RngStream(41, 0).child(i) for i in range(rows)]
+        for per in sizes:
+            expect = np.concatenate([s.normals(per) for s in alone])
+            assert batch.normals(rows * per).tobytes() == expect.tobytes()
+
+    def test_back_to_back_chains_continue_each_row(self, field_model, sched50):
+        # The reps loop of a depth: two reconstructions on one RowStreams.
+        x = field_model.sample_x0(3, RngStream(43, 0))
+        batch = RowStreams(RngStream(43, 1).child(i) for i in range(3))
+        alone = [RowStreams([RngStream(43, 1).child(i)]) for i in range(3)]
+        for t in (7, 12):
+            rows = project_reconstruct_array(field_model, sched50, x, t, batch)
+            for i, one in enumerate(alone):
+                [row] = project_reconstruct_array(field_model, sched50, x[i : i + 1], t, one)
+                assert row.tobytes() == rows[i].tobytes()
 
 
 def randn_grid(shape, rng):

@@ -364,7 +364,8 @@ class TestFuzzySample:
             stream = RngStream(97, 0).child(i)
             [alone] = fuzzy_sample(model, sched50, images[i], maps[i], 2, 1, stream)
             assert alone.tobytes() == rows[i].tobytes()
-        # One image, per-sample maps.
+        # One image, per-sample maps, on fresh streams: a RowStreams owns its streams.
+        streams = [RngStream(97, 0).child(i) for i in range(n)]
         shared = fuzzy_sample(model, sched50, images[1], maps, 2, n, RowStreams(streams))
         stream = RngStream(97, 0).child(2)
         [alone] = fuzzy_sample(model, sched50, images[1], maps[2], 2, 1, stream)
