@@ -21,8 +21,9 @@ _MASK64 = (1 << 64) - 1
 # the OS when freed and are page-faulted in again on every call: 5.2 ms per
 # GMM predict call against 1.4 ms blocked (2-vCPU Xeon, glibc malloc). Its
 # users: GmmPixelModel.predict_array (row blocks), _box_muller (pair-column
-# blocks) and RowStreams (how many draws it reads ahead). Values are
-# independent, so the blocking never changes a byte.
+# blocks), RngStream.normals (how many words a draw reads at a time)
+# and RowStreams (how many draws it reads ahead). Values are independent, so
+# the blocking never changes a byte.
 _BLOCK_VALUES = 8192
 
 
@@ -75,6 +76,19 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
 
 
+def _radii(bits: np.ndarray, out: np.ndarray) -> None:
+    """The radius half of the pinned transform: out = sqrt(-2 log u(bits))."""
+    np.sqrt(-2.0 * np.log(_uniforms(bits)), out=out)
+
+
+def _rotate(cos_slots: np.ndarray, sin_slots: np.ndarray, bits: np.ndarray) -> None:
+    """The angle half: with the radii in ``cos_slots``, write r*sin(theta) into
+    ``sin_slots`` and r*cos(theta) over the radii, theta = 2 pi u(bits)."""
+    theta = (2.0 * math.pi) * _uniforms(bits)
+    np.multiply(cos_slots, np.sin(theta), out=sin_slots)
+    cos_slots *= np.cos(theta)
+
+
 def _box_muller(bits: np.ndarray, k: int) -> np.ndarray:
     """The pinned transform: (rows, 2*pairs) raw Philox words -> (rows, k) normals.
 
@@ -89,10 +103,8 @@ def _box_muller(bits: np.ndarray, k: int) -> np.ndarray:
     width = max(1, _BLOCK_VALUES // (2 * rows))
     for i in range(0, pairs, width):
         j = min(i + width, pairs)
-        r = np.sqrt(-2.0 * np.log(_uniforms(bits[:, i:j])))
-        theta = (2.0 * math.pi) * _uniforms(bits[:, pairs + i : pairs + j])
-        out[:, i:j, 0] = r * np.cos(theta)
-        out[:, i:j, 1] = r * np.sin(theta)
+        _radii(bits[:, i:j], out[:, i:j, 0])
+        _rotate(out[:, i:j, 0], out[:, i:j, 1], bits[:, pairs + i : pairs + j])
     return out.reshape(rows, 2 * pairs)[:, :k]
 
 
@@ -155,7 +167,16 @@ class RngStream:
         """``n`` i.i.d. standard normals via pair-consuming Box-Muller."""
         if n < 0:
             raise ValidationError(f"draw count must be non-negative, got {n}")
-        return _box_muller(self.raw(2 * ((n + 1) // 2))[None], n)[0]
+        # The words are read in blocks, so a large draw makes no (n,)-sized
+        # word or temporary array: all radius words first, then the angles.
+        pairs = (n + 1) // 2
+        out = np.empty((pairs, 2))
+        for i in range(0, pairs, _BLOCK_VALUES):
+            _radii(self.raw(min(_BLOCK_VALUES, pairs - i)), out[i : i + _BLOCK_VALUES, 0])
+        for i in range(0, pairs, _BLOCK_VALUES):
+            block = out[i : i + _BLOCK_VALUES]
+            _rotate(block[:, 0], block[:, 1], self.raw(min(_BLOCK_VALUES, pairs - i)))
+        return out.reshape(-1)[:n]
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id:#x})"

@@ -14,6 +14,8 @@ closed-form truth instead of eyeballed.
 from __future__ import annotations
 
 import abc
+import ctypes
+import functools
 import hashlib
 import math
 import struct
@@ -43,17 +45,71 @@ def _f8(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ b for (n, k) rows a, with every row rounded as a gemm row.
 
     BLAS takes a one-row product down its gemv path, whose last bits differ
     from the same row inside a larger product. A one-row a is therefore
     multiplied as two stacked copies, keeping row 0, so a row's result does
-    not depend on how many rows share the call.
+    not depend on how many rows share the call. ``out``, if given, receives
+    the product and must not overlap a.
     """
     if a.shape[0] == 1:
-        return (np.concatenate((a, a)) @ b)[:1]
-    return a @ b
+        row = (np.concatenate((a, a)) @ b)[:1]
+        if out is None:
+            return row
+        out[...] = row
+        return out
+    return np.matmul(a, b, out=out)
+
+
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of every OpenBLAS in the process.
+
+    Each sets its library's thread count and returns the previous one. numpy
+    need not be the only package that brings an OpenBLAS (scipy ships its
+    own), and nothing portable tells which one numpy calls, so all of them
+    are set. The libraries are found through the process's memory map, so
+    there are none off Linux, under another BLAS, or in an OpenBLAS too old
+    to export the function. numpy's own library is mapped before any model is
+    built, so one look at the map suffices.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    setters = []
+    for path in paths:
+        try:
+            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = ctypes.c_int
+        setters.append(set_threads)
+    return tuple(setters)
+
+
+def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh on one BLAS thread where the thread count can be set.
+
+    OpenBLAS's threaded eigensolver gives other bytes than its one-thread
+    path from about 256x256 on, so the eigenvectors (and every artifact of
+    such a field) would depend on the host's core count. For small fields
+    one thread is also the fast path: an 8x8 field builds in ~1 ms, against
+    3-48 ms threaded (2-vCPU Xeon); a 32x32 one takes ~400 ms against ~325.
+    """
+    setters = _openblas_thread_setters()
+    previous = []
+    try:
+        for set_threads in setters:
+            previous.append(set_threads(1))
+        return np.linalg.eigh(cov)
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
 
 
 class EpsilonModel(abc.ABC):
@@ -72,8 +128,15 @@ class EpsilonModel(abc.ABC):
         return h * w * c
 
     @abc.abstractmethod
-    def predict_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-        """Noise estimates for a batch; x has shape (n, D), 1 <= t <= T."""
+    def predict_array(
+        self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Noise estimates for a batch; x has shape (n, D), 1 <= t <= T.
+
+        x is never written. The estimates go into ``out`` when given (a
+        C-contiguous (n, D) float64 array that does not overlap x), otherwise
+        into a new array; either way that array is returned.
+        """
 
     @abc.abstractmethod
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
@@ -130,7 +193,7 @@ class GaussianFieldModel(EpsilonModel):
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValidationError("covariance must be symmetric")
 
-        lam, vecs = np.linalg.eigh(cov)
+        lam, vecs = _eigh(cov)
         if lam.min() < -1e-10:
             raise ValidationError(f"covariance not PSD (min eigenvalue {lam.min():.3e})")
         lam = np.clip(lam, 0.0, None)
@@ -143,6 +206,7 @@ class GaussianFieldModel(EpsilonModel):
         self.cov_eigvecs = vecs
         self._cov = cov
         self._sqrt_lam = np.sqrt(lam)
+        self._work = (np.empty((0, D)), np.empty((0, D)))
 
     @classmethod
     def exponential(
@@ -173,22 +237,36 @@ class GaussianFieldModel(EpsilonModel):
             cov[np.ix_(idx, idx)] = block
         return cls((height, width, channels), mean, cov)
 
-    def _project(self, x: np.ndarray, t: int, s: NoiseSchedule):
-        abar = s.alpha_bar[t]
-        centered = x - np.sqrt(abar) * self.mu
-        return abar, _rows_matmul(centered, self.cov_eigvecs)
+    def _scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two (n, D) work arrays, kept for the last row count only, so a chain
+        that predicts on the same rows every step allocates them once."""
+        if self._work[0].shape[0] != n:
+            self._work = (np.empty((n, self.dim)), np.empty((n, self.dim)))
+        return self._work
 
-    def predict_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
+    def predict_array(
+        self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
+    ) -> np.ndarray:
         t = s.check_step(t)
-        abar, y = self._project(x, t, s)
+        abar = s.alpha_bar[t]
         root = np.sqrt(abar)
-        denom = abar * self.cov_eigvals + (1.0 - abar)
-        post = self.mu + root * _rows_matmul(y * (self.cov_eigvals / denom), self.cov_eigvecs.T)
-        return (x - root * post) / np.sqrt(1.0 - abar)
+        a, b = self._scratch(len(x))
+        np.subtract(x, root * self.mu, out=a)
+        _rows_matmul(a, self.cov_eigvecs, out=b)
+        b *= self.cov_eigvals / (abar * self.cov_eigvals + (1.0 - abar))
+        _rows_matmul(b, self.cov_eigvecs.T, out=a)
+        # root * (mu + root * a), in the operation order of the spelled-out formula
+        a *= root
+        a += self.mu
+        a *= root
+        out = np.subtract(x, a, out=out)
+        out /= np.sqrt(1.0 - abar)
+        return out
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         t = s.check_step(t, lowest=0)
-        abar, y = self._project(x, t, s)
+        abar = s.alpha_bar[t]
+        y = _rows_matmul(x - np.sqrt(abar) * self.mu, self.cov_eigvecs)
         d = abar * self.cov_eigvals + (1.0 - abar)
         if d.min() <= 0.0:
             raise ValidationError("marginal covariance is singular at this step")
@@ -297,7 +375,7 @@ class GmmPixelModel(EpsilonModel):
             total += r
         return peak, total
 
-    def _predict_rows(self, x: np.ndarray, abar) -> np.ndarray:
+    def _predict_rows(self, x: np.ndarray, abar, out: np.ndarray) -> None:
         root, var_k, diff, resp = self._component_loglik(x, abar)
         _, total = self._log_sum_exp(resp)
         gain = root * self.variances / var_k
@@ -310,18 +388,20 @@ class GmmPixelModel(EpsilonModel):
         for term in resp[1:]:
             post += term
         post *= root
-        np.subtract(x, post, out=post)
-        post /= np.sqrt(1.0 - abar)
-        return post
+        np.subtract(x, post, out=out)
+        out /= np.sqrt(1.0 - abar)
 
-    def predict_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
+    def predict_array(
+        self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
+    ) -> np.ndarray:
         t = s.check_step(t)
         abar = s.alpha_bar[t]
+        if out is None:
+            out = np.empty(x.shape)
         rows = max(1, _BLOCK_VALUES // self.dim)
-        if len(x) <= rows:
-            return self._predict_rows(x, abar)
-        blocks = [self._predict_rows(x[i : i + rows], abar) for i in range(0, len(x), rows)]
-        return np.concatenate(blocks)
+        for i in range(0, len(x), rows):
+            self._predict_rows(x[i : i + rows], abar, out[i : i + rows])
+        return out
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
         t = s.check_step(t, lowest=0)

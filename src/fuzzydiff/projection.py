@@ -137,16 +137,23 @@ class ValidationStats:
 def project_reconstruct_array(
     model: EpsilonModel, s: NoiseSchedule, x: np.ndarray, t: int, rng: RngStream | RowStreams
 ) -> np.ndarray:
-    """Noise (n, D) rows to level t, then run the reverse chain back down to 0; t=0 is exact."""
+    """Noise (n, D) rows to level t, then run the reverse chain back down to 0; t=0 is exact.
+
+    x is never written. The chain owns two (n, D) buffers that swap roles
+    every step, so its steps allocate no (n, D) arrays of their own.
+    """
     t = s.check_step(t, lowest=0)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValidationError(f"rows of shape {x.shape} do not fit model dim {model.dim}")
     if t == 0:
         return np.array(x, dtype=np.float64, copy=True)
     eps = rng.normals(x.size).reshape(x.shape)
-    xt = s.sqrt_alpha_bar[t] * x + s.sqrt_one_minus_alpha_bar[t] * eps
+    eps *= s.sqrt_one_minus_alpha_bar[t]
+    xt = s.sqrt_alpha_bar[t] * x
+    xt += eps
+    spare = np.empty_like(xt)
     for step in range(t, 0, -1):
-        xt = _reverse_step_array(model, xt, step, s, rng)
+        xt, spare = _reverse_step_array(model, xt, step, s, rng, out=spare), xt
     return xt
 
 

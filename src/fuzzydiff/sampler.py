@@ -35,16 +35,28 @@ __all__ = [
 
 
 def _reverse_step_array(
-    model: EpsilonModel, x: np.ndarray, t: int, s: NoiseSchedule, rng: RngStream | RowStreams
+    model: EpsilonModel,
+    x: np.ndarray,
+    t: int,
+    s: NoiseSchedule,
+    rng: RngStream | RowStreams,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One ancestral step t -> t-1 on (n, D) rows; drawless at t=1 (beta_tilde[1] = 0)."""
-    eps_hat = model.predict_array(x, t, s)
-    scale = (1.0 - s.alpha[t]) / s.sqrt_one_minus_alpha_bar[t]
-    mean = (x - scale * eps_hat) / np.sqrt(s.alpha[t])
+    """One ancestral step t -> t-1 on (n, D) rows; drawless at t=1 (beta_tilde[1] = 0).
+
+    The result is written into ``out`` when given (a C-contiguous (n, D)
+    array that must not overlap x, which is never written) and returned.
+    """
+    mean = model.predict_array(x, t, s, out=out)
+    mean *= s.reverse_scale[t]
+    np.subtract(x, mean, out=mean)
+    mean /= s.sqrt_alpha[t]
     if t == 1:
         return mean
-    eps2 = rng.normals(x.size).reshape(x.shape)
-    return mean + np.sqrt(s.beta_tilde[t]) * eps2
+    eps = rng.normals(x.size).reshape(x.shape)
+    eps *= s.sqrt_beta_tilde[t]
+    mean += eps
+    return mean
 
 
 def ancestral_sample_array(
@@ -55,13 +67,30 @@ def ancestral_sample_array(
         raise ValidationError(f"sample count must be >= 1, got {n}")
     D = model.dim
     x = rng.normals(n * D).reshape(n, D)
+    spare = np.empty_like(x)  # the chain's two buffers swap roles every step
     for t in range(s.T, 0, -1):
-        x = _reverse_step_array(model, x, t, s, rng)
+        x, spare = _reverse_step_array(model, x, t, s, rng, out=spare), x
     return x
 
 
 # ---------------------------------------------------------------------------
 # fuzzy conditioning
+
+
+def _fusion_weights(m) -> tuple:
+    """What fusion needs of m that no step changes: 1 - m, the variance-restoring
+    divisor sqrt(1 - 2m + 2m^2) and the masks of the m == 0 and m == 1 pixels."""
+    return 1.0 - m, np.sqrt(1.0 - 2.0 * m + 2.0 * m * m), m == 0.0, m == 1.0
+
+
+def _fuse(x_synth, x_reproj, base, m, weights) -> np.ndarray:
+    one_minus_m, divisor, is_zero, is_one = weights
+    blend = m * x_reproj + one_minus_m * x_synth
+    fused = base + (blend - base) / divisor
+    # The algebra is the identity at the endpoints, but float blending is not
+    # bit-exact there; the boundary contract is, so select explicitly.
+    fused = np.where(is_zero, x_synth, fused)
+    return np.where(is_one, x_reproj, fused)
 
 
 def fuzzy_fuse(
@@ -84,13 +113,7 @@ def fuzzy_fuse(
     marginal. m=0 returns x_synth and m=1 returns x_reproj, bit-exact.
     """
     base = s.sqrt_alpha_bar[t - 1] * x_cond
-    blend = m * x_reproj + (1.0 - m) * x_synth
-    fused = base + (blend - base) / np.sqrt(1.0 - 2.0 * m + 2.0 * m * m)
-    # The algebra is the identity at the endpoints, but float blending is not
-    # bit-exact there; the boundary contract is, so select explicitly.
-    fused = np.where(m == 0.0, x_synth, fused)
-    fused = np.where(m == 1.0, x_reproj, fused)
-    return fused
+    return _fuse(x_synth, x_reproj, base, m, _fusion_weights(m))
 
 
 def fuzzy_sample(
@@ -145,23 +168,25 @@ def fuzzy_sample(
     D = model.dim
     x_cond = x_cond.reshape(-1, D)
     m = np.broadcast_to(m, m.shape[:-1] + (c,)).reshape(-1, D)
+    weights = _fusion_weights(m)
     x = rng.normals(n * D).reshape(n, D)
     for t in range(s.T, 0, -1):
-        sq_prev = s.sqrt_alpha_bar[t - 1]
-        sig_prev = s.sqrt_one_minus_alpha_bar[t - 1]
+        base = s.sqrt_alpha_bar[t - 1] * x_cond
         inner = J if t > 1 else 1
         x_t = x
         x_m = x_t  # overwritten below; J >= 1
         for j in range(1, inner + 1):
             if t > 1:
                 eps_r = rng.normals(n * D).reshape(n, D)
-                x_reproj = sq_prev * x_cond + sig_prev * eps_r
+                x_reproj = base + s.sqrt_one_minus_alpha_bar[t - 1] * eps_r
             else:
                 x_reproj = np.broadcast_to(x_cond, (n, D))
+            # x_t is the input of every inner iteration, so the step gets a
+            # fresh output rather than one of x_t's buffers.
             x_synth = _reverse_step_array(model, x_t, t, s, rng)
-            x_m = fuzzy_fuse(x_synth, x_reproj, x_cond, m, t, s)
+            x_m = _fuse(x_synth, x_reproj, base, m, weights)
             if j < inner:
                 eps3 = rng.normals(n * D).reshape(n, D)
-                x_t = np.sqrt(s.alpha[t]) * x_m + np.sqrt(s.beta[t]) * eps3
+                x_t = s.sqrt_alpha[t] * x_m + s.sqrt_beta[t] * eps3
         x = x_m
     return x

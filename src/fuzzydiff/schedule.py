@@ -37,6 +37,10 @@ class NoiseSchedule:
     - ``beta_tilde[t]`` = posterior variance
       ``(1 - alpha_bar[t-1]) / (1 - alpha_bar[t]) * beta[t]``, which is 0
       exactly at t=1
+    - per-step coefficients of the samplers, each equal bit for bit to its
+      scalar expression at every t >= 1: ``reverse_scale[t] = (1 - alpha[t])
+      / sqrt(1 - alpha_bar[t])`` (0 in the padding slot), ``sqrt_alpha``,
+      ``sqrt_beta`` and ``sqrt_beta_tilde``
     """
 
     T: int
@@ -46,6 +50,10 @@ class NoiseSchedule:
     beta_tilde: np.ndarray = field(init=False)
     sqrt_alpha_bar: np.ndarray = field(init=False)
     sqrt_one_minus_alpha_bar: np.ndarray = field(init=False)
+    reverse_scale: np.ndarray = field(init=False)
+    sqrt_alpha: np.ndarray = field(init=False)
+    sqrt_beta: np.ndarray = field(init=False)
+    sqrt_beta_tilde: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         T = self.T
@@ -73,14 +81,24 @@ class NoiseSchedule:
         beta_tilde[1:] = (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:]) * beta[1:]
         beta_tilde[1] = 0.0  # exact: 1 - alpha_bar[0] == 0
 
-        object.__setattr__(self, "beta", _frozen(beta))
-        object.__setattr__(self, "alpha", _frozen(alpha))
-        object.__setattr__(self, "alpha_bar", _frozen(alpha_bar))
-        object.__setattr__(self, "beta_tilde", _frozen(beta_tilde))
-        object.__setattr__(self, "sqrt_alpha_bar", _frozen(np.sqrt(alpha_bar)))
-        object.__setattr__(
-            self, "sqrt_one_minus_alpha_bar", _frozen(np.sqrt(1.0 - alpha_bar))
-        )
+        sqrt_one_minus_alpha_bar = np.sqrt(1.0 - alpha_bar)
+        reverse_scale = np.zeros(T + 1)  # slot 0 would be 0/0
+        reverse_scale[1:] = (1.0 - alpha[1:]) / sqrt_one_minus_alpha_bar[1:]
+
+        tables = {
+            "beta": beta,
+            "alpha": alpha,
+            "alpha_bar": alpha_bar,
+            "beta_tilde": beta_tilde,
+            "sqrt_alpha_bar": np.sqrt(alpha_bar),
+            "sqrt_one_minus_alpha_bar": sqrt_one_minus_alpha_bar,
+            "reverse_scale": reverse_scale,
+            "sqrt_alpha": np.sqrt(alpha),
+            "sqrt_beta": np.sqrt(beta),
+            "sqrt_beta_tilde": np.sqrt(beta_tilde),
+        }
+        for name, table in tables.items():
+            object.__setattr__(self, name, _frozen(table))
 
     def check_step(self, t: int, lowest: int = 1) -> int:
         """Validate ``lowest <= t <= T`` and return t as int."""
@@ -130,5 +148,5 @@ def posterior_mean_coeffs(s: NoiseSchedule, t: int) -> tuple[float, float]:
     t = s.check_step(t)
     denom = 1.0 - s.alpha_bar[t]
     c0 = s.sqrt_alpha_bar[t - 1] * s.beta[t] / denom
-    ct = np.sqrt(s.alpha[t]) * (1.0 - s.alpha_bar[t - 1]) / denom
+    ct = s.sqrt_alpha[t] * (1.0 - s.alpha_bar[t - 1]) / denom
     return float(c0), float(ct)

@@ -1,9 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fuzzydiff
 from fuzzydiff import (
     GaussianFieldModel,
     GmmPixelModel,
@@ -12,7 +19,7 @@ from fuzzydiff import (
     ValidationError,
     linear_schedule,
 )
-from fuzzydiff.denoiser import _rows_matmul
+from fuzzydiff.denoiser import _openblas_thread_setters, _rows_matmul
 
 
 def scalar_schedule(abar: float):
@@ -253,6 +260,82 @@ class TestPinnedGmmKernel:
                 assert got.tobytes() == trailing_axis_predict(model, x, t, sched400).tobytes()
             got = model.log_marginal_array(x, t, sched400)
             assert got.tobytes() == trailing_axis_log_marginal(model, x, t, sched400).tobytes()
+
+
+def spelled_out_field_predict(model, x, t, s):
+    """The field's noise estimate out of place, one-row products as two stacked gemm rows."""
+
+    def rows_matmul(a, b):
+        return (np.concatenate((a, a)) @ b)[:1] if len(a) == 1 else a @ b
+
+    abar = s.alpha_bar[t]
+    root = np.sqrt(abar)
+    y = rows_matmul(x - root * model.mu, model.cov_eigvecs)
+    gain = model.cov_eigvals / (abar * model.cov_eigvals + (1.0 - abar))
+    post = model.mu + root * rows_matmul(y * gain, model.cov_eigvecs.T)
+    return (x - root * post) / np.sqrt(1.0 - abar)
+
+
+class TestPredictInto:
+    """predict_array with and without out= gives the bytes of the out-of-place
+    formulas and never writes its input."""
+
+    # Row counts alternate, so scratch kept from a previous count would show.
+    ROWS = (1, 2, 18, 19, 400, 1000, 19, 1, 400)
+
+    @pytest.mark.parametrize("kind", ["field", "gmm"])
+    def test_bytes_of_the_spelled_out_formula(self, kind, field_model, gmm_model, sched200):
+        model, formula = {
+            "field": (field_model, spelled_out_field_predict),
+            "gmm": (gmm_model, trailing_axis_predict),
+        }[kind]
+        pool = 0.5 + 0.3 * RngStream(41, 0).normals(1000 * model.dim).reshape(1000, -1)
+        for n in self.ROWS:
+            x = pool[-n:].copy()
+            kept = x.copy()
+            for t in (1, 2, sched200.T):
+                expect = formula(model, x, t, sched200).tobytes()
+                assert model.predict_array(x, t, sched200).tobytes() == expect
+                out = np.full_like(x, np.nan)
+                assert model.predict_array(x, t, sched200, out=out) is out
+                assert out.tobytes() == expect
+            assert x.tobytes() == kept.tobytes()
+
+
+class TestEigenThreads:
+    def test_eigenvectors_do_not_depend_on_the_blas_thread_count(self):
+        # Threaded OpenBLAS eigensolvers give other bytes from 16x16 fields on;
+        # on a one-core host both runs are one-threaded and agree anyway. The
+        # scipy run maps scipy's own OpenBLAS beside numpy's before the field
+        # is built, so the thread limit must reach the library numpy calls.
+        if not _openblas_thread_setters():
+            pytest.skip("numpy's BLAS offers no thread control here")
+        build = (
+            "import hashlib; from fuzzydiff import GaussianFieldModel; "
+            "m = GaussianFieldModel.exponential(16, 16); "
+            "print(hashlib.sha256(m.cov_eigvecs.tobytes() + m.cov_eigvals.tobytes()).hexdigest())"
+        )
+        runs = [(None, build), ("1", build)]
+        try:
+            import scipy.linalg  # noqa: F401
+        except ImportError:
+            pass
+        else:
+            runs.append((None, "import scipy.linalg; " + build))
+        src = str(Path(fuzzydiff.__file__).resolve().parents[1])
+        digests = set()
+        for threads, code in runs:
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(proc.stdout)
+        model = GaussianFieldModel.exponential(16, 16)
+        here = hashlib.sha256(model.cov_eigvecs.tobytes() + model.cov_eigvals.tobytes())
+        assert digests == {here.hexdigest() + "\n"}
 
 
 class TestLogMarginal:

@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,16 @@ def reverse_variance(s, t: int, v: float) -> float:
     v to alpha_t * v + beta_tilde_t.
     """
     return s.alpha[t] * v + s.beta_tilde[t]
+
+
+def spelled_out_reverse_step(model, x, t, s, rng):
+    """The reverse step out of place, with its per-step scalars computed inline."""
+    eps_hat = model.predict_array(x, t, s)
+    scale = (1.0 - s.alpha[t]) / s.sqrt_one_minus_alpha_bar[t]
+    mean = (x - scale * eps_hat) / np.sqrt(s.alpha[t])
+    if t == 1:
+        return mean
+    return mean + np.sqrt(s.beta_tilde[t]) * rng.normals(x.size).reshape(x.shape)
 
 
 class TestWeightMap:
@@ -151,12 +163,67 @@ class TestReverseStep:
             want = sched50.sqrt_alpha_bar[t - 1] * model.mu
             assert np.abs(out - noise - want).max() < 1e-10
 
+    @pytest.mark.parametrize("kind", ["field", "gmm"])
+    def test_bytes_of_the_spelled_out_step(self, kind, field_model, gmm_model, sched200):
+        model = field_model if kind == "field" else gmm_model
+        pool = 0.5 + 0.3 * RngStream(42, 0).normals(1000 * 64).reshape(1000, 64)
+        for n in (1, 2, 18, 19, 400, 1000, 19, 1):  # alternating counts
+            x = pool[-n:].copy()
+            kept = x.copy()
+            for t in (1, 2, sched200.T):
+                expect = spelled_out_reverse_step(model, x, t, sched200, RngStream(43, t))
+                got = _reverse_step_array(model, x, t, sched200, RngStream(43, t))
+                assert got.tobytes() == expect.tobytes()
+                out = np.full_like(x, np.nan)
+                got = _reverse_step_array(model, x, t, sched200, RngStream(43, t), out=out)
+                assert got is out and out.tobytes() == expect.tobytes()
+            assert x.tobytes() == kept.tobytes()
+
     def test_range_and_shape_checks(self, field_model, sched50):
         x = field_model.mu[None, :]
         with pytest.raises(IndexError):
             _reverse_step_array(field_model, x, 0, sched50, RngStream(0, 0))
         with pytest.raises(ValueError):
             _reverse_step_array(field_model, np.zeros((1, 4)), 5, sched50, RngStream(0, 0))
+
+
+class TestChainBuffers:
+    """The chain steps into two buffers of its own; x is never written."""
+
+    @pytest.mark.parametrize("kind", ["field", "gmm"])
+    @pytest.mark.parametrize("n", [1, 19, 400])
+    def test_bytes_of_the_spelled_out_chain(self, kind, n, field_model, gmm_model, sched50):
+        model = field_model if kind == "field" else gmm_model
+        x = model.sample_x0(n, RngStream(44, 0))
+        kept = x.copy()
+        rng = RngStream(45, 0)
+        eps = rng.normals(x.size).reshape(x.shape)
+        xt = sched50.sqrt_alpha_bar[20] * x + sched50.sqrt_one_minus_alpha_bar[20] * eps
+        for step in range(20, 0, -1):
+            xt = spelled_out_reverse_step(model, xt, step, sched50, rng)
+        got = project_reconstruct_array(model, sched50, x, 20, RngStream(45, 0))
+        assert got.tobytes() == xt.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+    # glibc returns freed 512 KiB arrays to the OS, so a step that allocated
+    # them would fault them in again (~400 faults a step at 1000 rows).
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc",
+        reason="counts page faults under glibc malloc's trim and mmap thresholds",
+    )
+    @pytest.mark.parametrize("kind, rows, bound", [("gmm", 1000, 40), ("field", 400, 4)])
+    def test_warm_chain_faults_in_no_fresh_pages(
+        self, kind, rows, bound, field_model, gmm_model, sched50
+    ):
+        import resource
+
+        model = field_model if kind == "field" else gmm_model
+        x = model.sample_x0(rows, RngStream(46, 0))
+        project_reconstruct_array(model, sched50, x, 50, RngStream(47, 0))  # warm
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        project_reconstruct_array(model, sched50, x, 50, RngStream(48, 0))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 50 < bound
 
 
 class TestAncestral:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,23 @@ def test_table_self_consistency(T):
     s = linear_schedule(T)
     recomputed = s.alpha_bar[:-1] * s.alpha[1:]
     assert np.all(np.abs(s.alpha_bar[1:] - recomputed) < 1e-15)
+
+
+@pytest.mark.parametrize(
+    "T, start, end",
+    [(1, 0.5, 0.5), (2, 1e-3, 0.2), (50, 1.2e-3, 0.24), (400, 1.25e-4, 0.025), (1000, 1e-4, 0.02)],
+)
+def test_step_tables_equal_their_scalar_expressions(T, start, end):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the padding slot must not compute 0/0
+        s = linear_schedule(T, start, end)
+    for t in range(1, T + 1):
+        assert s.reverse_scale[t] == (1.0 - s.alpha[t]) / s.sqrt_one_minus_alpha_bar[t]
+        assert s.sqrt_alpha[t] == np.sqrt(s.alpha[t])
+        assert s.sqrt_beta[t] == np.sqrt(s.beta[t])
+        assert s.sqrt_beta_tilde[t] == np.sqrt(s.beta_tilde[t])
+    padding = (s.reverse_scale[0], s.sqrt_alpha[0], s.sqrt_beta[0], s.sqrt_beta_tilde[0])
+    assert padding == (0.0, 1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("T", [1, 50, 200, 1000])
