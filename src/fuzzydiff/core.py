@@ -21,9 +21,10 @@ _MASK64 = (1 << 64) - 1
 # the OS when freed and are page-faulted in again on every call: 5.2 ms per
 # GMM predict call against 1.4 ms blocked (2-vCPU Xeon, glibc malloc). Its
 # users: GmmPixelModel.predict_array (row blocks), _box_muller (pair-column
-# blocks), RngStream.normals (how many words a draw reads at a time)
-# and RowStreams (how many draws it reads ahead). Values are independent, so
-# the blocking never changes a byte.
+# blocks), RngStream.normals (how many words a draw reads at a time),
+# RowStreams (how many draws it reads ahead) and the rotation scratch those
+# passes hold (_Scratch). Values are independent, so the blocking never
+# changes a byte.
 _BLOCK_VALUES = 8192
 
 
@@ -81,15 +82,96 @@ def _radii(bits: np.ndarray, out: np.ndarray) -> None:
     np.sqrt(-2.0 * np.log(_uniforms(bits)), out=out)
 
 
-def _rotate(cos_slots: np.ndarray, sin_slots: np.ndarray, bits: np.ndarray) -> None:
+# _rotate's table: cos and sin of 2 pi j / 1024. It is computed once, here,
+# and a test pins its bytes, so the angle follows no libm after that.
+_TABLE_BITS = 10
+_REM_BITS = 53 - _TABLE_BITS
+_ANGLE_TABLE = np.stack(
+    [f(np.arange(1 << _TABLE_BITS) * (2.0 * math.pi / (1 << _TABLE_BITS))) for f in (np.cos, np.sin)]
+)
+_ANGLE_TABLE.flags.writeable = False
+_REM_SCALE = 2.0 * math.pi * 2.0**-53  # radians per unit of the remainder
+
+
+class _Scratch:
+    """Float64 scratch rows for :func:`_rotate` that outlive one pass.
+
+    A pass that allocated its scratch afresh would hand it back to the OS at
+    the end and page-fault it in again on the next pass: ~58 700 minor faults
+    per ``stats-gmm-batch`` benchmark op against ~1 900 with held scratch, and
+    slower (2-vCPU Xeon, glibc malloc). The rows grow to the widest pass seen
+    and never shrink; each stream object owns one.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self) -> None:
+        self._rows = np.empty((5, 0))
+
+    def rows(self, shape: tuple[int, ...]) -> list[np.ndarray]:
+        """Five contiguous scratch arrays of ``shape``."""
+        n = math.prod(shape)
+        if self._rows.shape[1] < n:
+            self._rows = np.empty((5, n))
+        return [row[:n].reshape(shape) for row in self._rows]
+
+
+def _rotate(
+    cos_slots: np.ndarray, sin_slots: np.ndarray, bits: np.ndarray, scratch: _Scratch
+) -> None:
     """The angle half: with the radii in ``cos_slots``, write r*sin(theta) into
-    ``sin_slots`` and r*cos(theta) over the radii, theta = 2 pi u(bits)."""
-    theta = (2.0 * math.pi) * _uniforms(bits)
-    np.multiply(cos_slots, np.sin(theta), out=sin_slots)
-    cos_slots *= np.cos(theta)
+    ``sin_slots`` and r*cos(theta) over the radii, theta = 2 pi u(bits).
+
+    With q = (bits >> 11) + 1, theta = 2 pi j / 1024 + phi for the table index
+    j = (q >> 43) & 1023 and phi = (q & (2**43 - 1)) * 2 pi * 2**-53, which is
+    below 2 pi / 1024. At q = 2**53 (theta = 2 pi) j wraps to 0 and phi is 0.
+    Horner polynomials give sin phi (to phi**7) and cos phi - 1 (to phi**8),
+    and angle addition with the table's C = cos, S = sin of 2 pi j / 1024 gives
+        cos theta = (C (cos phi - 1) - S sin phi) + C,
+        sin theta = (S (cos phi - 1) + C sin phi) + S,
+    each then multiplied by r. The table term is added last, so the result is
+    within about an ulp of the exact rotation.
+    """
+    s, t, cm, sp, sin_t = scratch.rows(bits.shape)
+    q, j = s.view(np.uint64), t.view(np.uint64)
+    np.right_shift(bits, 11, out=q)
+    q += 1
+    np.right_shift(q, _REM_BITS, out=j)
+    j &= (1 << _TABLE_BITS) - 1
+    j = j.view(np.int64)  # np.take's index type; j < 1024
+    q &= (1 << _REM_BITS) - 1
+    np.multiply(q, _REM_SCALE, out=cm)  # phi
+    np.multiply(cm, cm, out=s)  # phi**2, over the spent q
+    np.multiply(s, -1.0 / 5040, out=sp)
+    sp += 1.0 / 120
+    sp *= s
+    sp += -1.0 / 6
+    sp *= s
+    sp += 1.0
+    sp *= cm  # sin phi
+    np.multiply(s, 1.0 / 40320, out=cm)
+    cm += -1.0 / 720
+    cm *= s
+    cm += 1.0 / 24
+    cm *= s
+    cm += -0.5
+    cm *= s  # cos phi - 1
+    cos_t = s
+    np.take(_ANGLE_TABLE[0], j, out=cos_t, mode="clip")
+    np.take(_ANGLE_TABLE[1], j, out=sin_t, mode="clip")
+    np.multiply(sin_t, sp, out=t)  # S sin phi, over the spent j
+    np.multiply(sin_t, cm, out=sin_slots)
+    cm *= cos_t
+    cm -= t
+    cm += cos_t  # cos theta
+    sp *= cos_t
+    sin_slots += sp
+    sin_slots += sin_t
+    sin_slots *= cos_slots
+    cos_slots *= cm
 
 
-def _box_muller(bits: np.ndarray, k: int) -> np.ndarray:
+def _box_muller(bits: np.ndarray, k: int, scratch: _Scratch) -> np.ndarray:
     """The pinned transform: (rows, 2*pairs) raw Philox words -> (rows, k) normals.
 
     Per row, the first ``pairs`` words give the radii and the last ``pairs``
@@ -104,7 +186,7 @@ def _box_muller(bits: np.ndarray, k: int) -> np.ndarray:
     for i in range(0, pairs, width):
         j = min(i + width, pairs)
         _radii(bits[:, i:j], out[:, i:j, 0])
-        _rotate(out[:, i:j, 0], out[:, i:j, 1], bits[:, pairs + i : pairs + j])
+        _rotate(out[:, i:j, 0], out[:, i:j, 1], bits[:, pairs + i : pairs + j], scratch)
     return out.reshape(rows, 2 * pairs)[:, :k]
 
 
@@ -125,8 +207,12 @@ class RngStream:
     64-bit words as ``((raw >> 11) + 1) * 2**-53``, which lies in (0, 1] and
     is safe to pass to ``log``. Normal variates use the trigonometric
     Box-Muller transform, consuming uniforms strictly in pairs; an odd request
-    discards the second half of the final pair. These transforms are part of
-    the output contract: changing them changes every downstream artifact.
+    discards the second half of the final pair. The radius takes numpy's
+    ``log`` and ``sqrt``; the angle comes from a pinned 1024-entry cos/sin
+    table and short polynomials (see ``_rotate``), not from libm's ``sin`` and
+    ``cos``. These transforms are part of the output contract: changing them
+    changes every downstream artifact, and ``tests/golden.json`` holds the
+    bytes they give.
 
     A stream is single-owner. Parallel work derives one child per task via
     :meth:`child`, which mixes the task index into the stream id with
@@ -134,7 +220,7 @@ class RngStream:
     each other.
     """
 
-    __slots__ = ("seed", "stream_id", "_bits")
+    __slots__ = ("seed", "stream_id", "_bits", "_scratch")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         seed = int(seed)
@@ -146,6 +232,7 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         self._bits = np.random.Philox(key=(stream_id << 64) | seed)
+        self._scratch = _Scratch()
 
     def child(self, index: int) -> "RngStream":
         """Derive the stream for subtask ``index`` (same seed, mixed stream id)."""
@@ -175,7 +262,7 @@ class RngStream:
             _radii(self.raw(min(_BLOCK_VALUES, pairs - i)), out[i : i + _BLOCK_VALUES, 0])
         for i in range(0, pairs, _BLOCK_VALUES):
             block = out[i : i + _BLOCK_VALUES]
-            _rotate(block[:, 0], block[:, 1], self.raw(min(_BLOCK_VALUES, pairs - i)))
+            _rotate(block[:, 0], block[:, 1], self.raw(min(_BLOCK_VALUES, pairs - i)), self._scratch)
         return out.reshape(-1)[:n]
 
     def __repr__(self) -> str:
@@ -197,7 +284,7 @@ class RowStreams:
     not be drawn from directly afterwards, and no stream may serve two rows.
     """
 
-    __slots__ = ("streams", "_words", "_ready", "_next")
+    __slots__ = ("streams", "_words", "_ready", "_next", "_scratch")
 
     def __init__(self, streams) -> None:
         self.streams = tuple(streams)
@@ -208,6 +295,7 @@ class RowStreams:
         self._words = np.empty((len(self.streams), 0), dtype=np.uint64)  # unconsumed
         self._ready = np.empty((len(self.streams), 0, 0))  # (rows, draws, per) normals
         self._next = 0  # the first ready draw not yet handed out
+        self._scratch = _Scratch()
 
     def child(self, index: int) -> "RowStreams":
         """Row i's stream becomes ``streams[i].child(index)``."""
@@ -240,5 +328,5 @@ class RowStreams:
             held = np.concatenate((held, np.stack([s.raw(short) for s in self.streams])), axis=1)
         self._words = held
         bits = held[:, : k * words].reshape(rows * k, words)
-        self._ready = _box_muller(bits, per).reshape(rows, k, per)
+        self._ready = _box_muller(bits, per, self._scratch).reshape(rows, k, per)
         self._next = 0

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from scipy import stats as sps
 
 from fuzzydiff import Grid, RngStream, RowStreams, ValidationError, write_grid
 from fuzzydiff.cli import _load_weight_map
-from fuzzydiff.core import _BLOCK_VALUES
+from fuzzydiff.core import _ANGLE_TABLE, _BLOCK_VALUES, _rotate, _Scratch
 from fuzzydiff.projection import project_reconstruct_array
 
 finite_grids = arrays(
@@ -128,14 +129,47 @@ class TestRngStream:
             RngStream(0, 0).child(-1)
 
 
+def documented_rotation(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of theta = 2 pi q 2**-53, as the pinned transform computes them.
+
+    The top 10 of q's 53 bits index a table of 2 pi j / 1024, the rest give
+    phi < 2 pi / 1024; polynomials give sin phi and cos phi - 1, and angle
+    addition adds the table's term last.
+    """
+    angles = np.arange(1024) * (2.0 * np.pi / 1024)
+    C, S = np.cos(angles)[(q >> 43) & 1023], np.sin(angles)[(q >> 43) & 1023]
+    phi = (q & (2**43 - 1)) * (2.0 * np.pi * 2.0**-53)
+    s = phi * phi
+    sin_phi = (((s * (-1.0 / 5040) + 1.0 / 120) * s + -1.0 / 6) * s + 1.0) * phi
+    cos_phi_m1 = (((s * (1.0 / 40320) + -1.0 / 720) * s + 1.0 / 24) * s + -0.5) * s
+    return (C * cos_phi_m1 - S * sin_phi) + C, (S * cos_phi_m1 + C * sin_phi) + S
+
+
 def documented_box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     """The pinned transform spelled out on (rows, 2*pairs) words, unblocked."""
     pairs = raw.shape[1] // 2
-    u = ((raw >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
-    r, theta = np.sqrt(-2.0 * np.log(u[:, :pairs])), 2.0 * np.pi * u[:, pairs:]
+    q = (raw >> np.uint64(11)) + np.uint64(1)
+    r = np.sqrt(-2.0 * np.log(q[:, :pairs] * 2.0**-53))
+    cos_theta, sin_theta = documented_rotation(q[:, pairs:])
     expect = np.empty((raw.shape[0], 2 * pairs))
-    expect[:, 0::2], expect[:, 1::2] = r * np.cos(theta), r * np.sin(theta)
+    expect[:, 0::2], expect[:, 1::2] = r * cos_theta, r * sin_theta
     return expect[:, :n]
+
+
+def rotate_unit(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The library's (cos theta, sin theta) of angle words, at radius 1."""
+    out = np.ones((raw.size, 2))
+    _rotate(out[:, 0], out[:, 1], raw, _Scratch())
+    return out[:, 0], out[:, 1]
+
+
+def exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x*x as an unevaluated sum hi + lo, exactly (Dekker's product)."""
+    hi = x * x
+    t = x * 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+    xh = t - (t - x)
+    xl = x - xh
+    return hi, ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
 
 
 class TestPinnedTransform:
@@ -153,6 +187,46 @@ class TestPinnedTransform:
         raw = np.stack([RngStream(12, 4).child(i).raw(6) for i in range(rows)])
         expect = documented_box_muller(raw, per).reshape(-1)
         assert RowStreams(streams).normals(rows * per).tobytes() == expect.tobytes()
+
+    def test_angle_table_bytes_are_pinned(self):
+        # The angle follows these 2 x 1024 values, not the host's libm.
+        digest = hashlib.sha256(_ANGLE_TABLE.astype("<f8").tobytes()).hexdigest()
+        assert _ANGLE_TABLE.shape == (2, 1024)
+        assert digest == "6ab3e4cbe1d27d3c8316ade56658ab44cf8526dd60f090fd86d5849ef7026113"
+
+    def test_edge_words(self):
+        # q = (raw >> 11) + 1: raw 0 is the smallest angle, 2**64 - 1 gives
+        # q = 2**53 (theta = 2 pi), and each bin edge j * 2**43 is taken on
+        # both sides, with the low 11 bits both clear and set.
+        edges = np.arange(1, 1025, dtype=np.uint64) << np.uint64(43)
+        q = np.concatenate([edges - np.uint64(1), edges, edges[:-1] + np.uint64(1)])
+        raw = np.concatenate([(q - np.uint64(1)) << np.uint64(11),
+                              ((q - np.uint64(1)) << np.uint64(11)) | np.uint64(2047),
+                              np.array([0, 2**64 - 1], dtype=np.uint64)])
+        cos_t, sin_t = rotate_unit(raw)
+        expect_cos, expect_sin = documented_rotation((raw >> np.uint64(11)) + np.uint64(1))
+        assert cos_t.tobytes() == expect_cos.tobytes()
+        assert sin_t.tobytes() == expect_sin.tobytes()
+        theta = 2.0 * np.pi * (((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
+        assert np.abs(cos_t - np.cos(theta)).max() <= 1e-15
+        assert np.abs(sin_t - np.sin(theta)).max() <= 1e-15
+        assert (cos_t[-2], sin_t[-2]) == (1.0, 2.0 * np.pi * 2.0**-53)
+        assert (cos_t[-1], sin_t[-1]) == (1.0, 0.0)
+
+    def test_within_an_ulp_scale_of_libm_and_on_the_unit_circle(self):
+        n = 1_000_000  # words: half give radii, half angles
+        raw = RngStream(14, 0).raw(n)
+        u = ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        r, theta = np.sqrt(-2.0 * np.log(u[: n // 2])), 2.0 * np.pi * u[n // 2 :]
+        z = RngStream(14, 0).normals(n).reshape(-1, 2)
+        assert np.all(np.abs(z[:, 0] - r * np.cos(theta)) <= 1e-15 * r)
+        assert np.all(np.abs(z[:, 1] - r * np.sin(theta)) <= 1e-15 * r)
+        # sin**2 + cos**2 - 1, evaluated exactly up to ~1e-32 (each square as
+        # hi + lo, the larger hi taken from 1 first, which is exact).
+        (ch, cl), (sh, sl) = (exact_square(x) for x in rotate_unit(raw))
+        big, small = np.maximum(ch, sh), np.minimum(ch, sh)
+        deviation = ((big - 1.0) + small) + (cl + sl)
+        assert np.abs(deviation).max() <= 4e-16
 
 
 class TestRowStreams:
