@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import stat
 import struct
 from pathlib import Path
 
@@ -13,6 +14,11 @@ __all__ = ["read_grid", "write_grid", "write_preview"]
 
 _MAGIC = b"FDG1"
 _HEADER = struct.Struct("<III")
+_HEAD_SIZE = len(_MAGIC) + _HEADER.size
+
+# The most values a grid file may hold (128 MiB of float64): the covariance
+# of the largest gaussian_field, 2**12 pixels squared, fits exactly.
+MAX_GRID_VALUES = 2**24
 
 
 def write_grid(path, grid: Grid) -> None:
@@ -26,21 +32,40 @@ def write_grid(path, grid: Grid) -> None:
 
 
 def read_grid(path) -> Grid:
+    """Read a grid written by :func:`write_grid`, checking it before reading it.
+
+    The path is stat'ed, not opened, until it is known to be a regular file
+    (opening a FIFO would block); anything else raises ``OSError``. Then the
+    16-byte header is read and checked (magic, dimensions >= 1, at most
+    ``MAX_GRID_VALUES`` values, a file size that matches), and only then
+    exactly the payload. A malformed file raises ``ValidationError``.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < len(_MAGIC) + _HEADER.size:
+    info = path.stat()
+    if not stat.S_ISREG(info.st_mode):
+        raise OSError(f"{path}: not a regular file")
+    with open(path, "rb") as fh:
+        head = fh.read(_HEAD_SIZE)
+        if len(head) < _HEAD_SIZE:
+            raise ValidationError(f"{path}: truncated grid file")
+        if head[: len(_MAGIC)] != _MAGIC:
+            raise ValidationError(f"{path}: bad magic, not a grid file")
+        h, w, c = _HEADER.unpack_from(head, len(_MAGIC))
+        if min(h, w, c) < 1:
+            raise ValidationError(f"{path}: invalid dimensions {(h, w, c)}")
+        if h * w * c > MAX_GRID_VALUES:
+            raise ValidationError(
+                f"{path}: {h}x{w}x{c} grid exceeds {MAX_GRID_VALUES} values"
+            )
+        expect = _HEAD_SIZE + h * w * c * 8
+        if info.st_size != expect:
+            raise ValidationError(f"{path}: file size {info.st_size} != expected {expect}")
+        payload = fh.read(expect - _HEAD_SIZE)
+    if len(payload) != expect - _HEAD_SIZE:  # the file shrank after the stat
         raise ValidationError(f"{path}: truncated grid file")
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ValidationError(f"{path}: bad magic, not a grid file")
-    h, w, c = _HEADER.unpack_from(blob, len(_MAGIC))
-    if min(h, w, c) < 1:
-        raise ValidationError(f"{path}: invalid dimensions {(h, w, c)}")
-    expect = len(_MAGIC) + _HEADER.size + h * w * c * 8
-    if len(blob) != expect:
-        raise ValidationError(f"{path}: payload size {len(blob)} != expected {expect}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=len(_MAGIC) + _HEADER.size)
+    flat = np.frombuffer(payload, dtype="<f8")
     # Grid() validates finiteness, so a corrupt payload fails loudly here.
-    return Grid(flat.reshape(h, w, c).copy())
+    return Grid(flat.reshape(h, w, c))
 
 
 def write_preview(path, grid: Grid) -> Path:

@@ -6,15 +6,21 @@ input files and a corrupted statistics directory.
 """
 
 import json
+import os
+import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzydiff
 from fuzzydiff import Grid, write_grid
-from fuzzydiff.cli import entrypoint
+from fuzzydiff.cli import EXIT_IO, EXIT_VALIDATION, entrypoint
 
 CONTRACT = {0, 2, 3, 4}
 COMMANDS = ["sample", "fuzzy", "stats", "attend", "degrade", "eval"]
@@ -137,3 +143,55 @@ def test_entrypoint_only_returns_documented_codes(scenario):
         assert entrypoint(argv) in CONTRACT
         if scenario["rerun_with_force"]:
             assert entrypoint(argv + ["--force"]) in CONTRACT
+
+
+def _header(h: int, w: int, c: int) -> bytes:
+    return b"FDG1" + struct.pack("<III", h, w, c)
+
+
+def _sparse(path: Path) -> None:
+    # A header that claims 2**31 values and a file of exactly that size,
+    # with no data blocks: reading it whole would need 16 GiB.
+    path.write_bytes(_header(2**16, 2**15, 1))
+    os.truncate(path, 16 + 8 * 2**31)
+
+
+BAD_IMAGES = {
+    "truncated": (lambda p: p.write_bytes(_header(2, 2, 1) + bytes(24)), EXIT_VALIDATION),
+    "bad magic": (lambda p: p.write_bytes(b"NOPE" + _header(2, 2, 1)[4:] + bytes(32)),
+                  EXIT_VALIDATION),
+    "dimensions overflow": (lambda p: p.write_bytes(_header(2**32 - 1, 2**32 - 1, 2**32 - 1)),
+                            EXIT_VALIDATION),
+    "sparse 2**31 values": (_sparse, EXIT_VALIDATION),
+    "nan payload": (lambda p: p.write_bytes(_header(2, 2, 1) + np.full(4, np.nan).tobytes()),
+                    EXIT_VALIDATION),
+    "fifo": (os.mkfifo, EXIT_IO),
+}
+
+
+def _limit_memory() -> None:
+    import resource
+
+    # A read_grid that read a file whole before checking it fails here with
+    # MemoryError instead of taking the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_IMAGES))
+def test_bad_image_files_end_in_a_documented_exit_code(tmp_path, case):
+    write, code = BAD_IMAGES[case]
+    image = tmp_path / "image.fdg"
+    write(image)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM,
+                                  "degrade": {"image": str(image)}}))
+    src = str(Path(fuzzydiff.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # In a subprocess under a timeout, so a read that blocks on the FIFO fails
+    # the test instead of hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzydiff.cli", "degrade", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), proc.stderr

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from fuzzydiff import Grid, RngStream, ValidationError, read_grid, write_grid
-from fuzzydiff.gridio import write_preview
+from fuzzydiff.gridio import MAX_GRID_VALUES, write_preview
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -63,6 +65,29 @@ def test_rejects_non_finite_payload(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ValidationError):
         read_grid(path)
+
+
+def test_rejects_short_header(tmp_path):
+    path = tmp_path / "short.fdg"
+    path.write_bytes(b"FDG1" + bytes(4))
+    with pytest.raises(ValidationError, match="truncated"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("dims,match", [((2**12, 2**12, 1), "file size"), ((2**12, 2**12, 2), "exceeds")])
+def test_value_cap_is_checked_before_the_payload(tmp_path, dims, match):
+    # Headers only: the cap of 2**24 values is inclusive, and a grid over it
+    # is rejected before its size is even compared.
+    assert dims[0] * dims[1] == MAX_GRID_VALUES
+    path = tmp_path / "big.fdg"
+    path.write_bytes(b"FDG1" + struct.pack("<III", *dims))
+    with pytest.raises(ValidationError, match=match):
+        read_grid(path)
+
+
+def test_rejects_what_is_not_a_regular_file(tmp_path):
+    with pytest.raises(OSError, match="not a regular file"):
+        read_grid(tmp_path)
 
 
 def test_missing_file(tmp_path):
