@@ -87,7 +87,8 @@ def _radii(bits: np.ndarray, out: np.ndarray) -> None:
 _TABLE_BITS = 10
 _REM_BITS = 53 - _TABLE_BITS
 _ANGLE_TABLE = np.stack(
-    [f(np.arange(1 << _TABLE_BITS) * (2.0 * math.pi / (1 << _TABLE_BITS))) for f in (np.cos, np.sin)]
+    [f(np.arange(1 << _TABLE_BITS) * (2.0 * math.pi / (1 << _TABLE_BITS)))
+     for f in (np.cos, np.sin)]
 )
 _ANGLE_TABLE.flags.writeable = False
 _REM_SCALE = 2.0 * math.pi * 2.0**-53  # radians per unit of the remainder
@@ -262,7 +263,8 @@ class RngStream:
             _radii(self.raw(min(_BLOCK_VALUES, pairs - i)), out[i : i + _BLOCK_VALUES, 0])
         for i in range(0, pairs, _BLOCK_VALUES):
             block = out[i : i + _BLOCK_VALUES]
-            _rotate(block[:, 0], block[:, 1], self.raw(min(_BLOCK_VALUES, pairs - i)), self._scratch)
+            bits = self.raw(min(_BLOCK_VALUES, pairs - i))
+            _rotate(block[:, 0], block[:, 1], bits, self._scratch)
         return out.reshape(-1)[:n]
 
     def __repr__(self) -> str:

@@ -169,12 +169,13 @@ BAD_IMAGES = {
 }
 
 
-def _limit_memory() -> None:
-    import resource
-
-    # A read_grid that read a file whole before checking it fails here with
-    # MemoryError instead of taking the machine's memory.
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+# The CLI under a 1 GiB address-space limit: a read_grid that read a file
+# whole before checking it fails with MemoryError instead of taking the
+# machine's memory.
+LIMITED_CLI = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from fuzzydiff.cli import main; main()"
+)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_IMAGES))
@@ -186,12 +187,13 @@ def test_bad_image_files_end_in_a_documented_exit_code(tmp_path, case):
     config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM,
                                   "degrade": {"image": str(image)}}))
     src = str(Path(fuzzydiff.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     # In a subprocess under a timeout, so a read that blocks on the FIFO fails
     # the test instead of hanging the suite.
     proc = subprocess.run(
-        [sys.executable, "-m", "fuzzydiff.cli", "degrade", "--config", str(config),
+        [sys.executable, "-c", LIMITED_CLI, "degrade", "--config", str(config),
          "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), proc.stderr

@@ -74,7 +74,9 @@ def test_rejects_short_header(tmp_path):
         read_grid(path)
 
 
-@pytest.mark.parametrize("dims,match", [((2**12, 2**12, 1), "file size"), ((2**12, 2**12, 2), "exceeds")])
+@pytest.mark.parametrize(
+    "dims,match", [((2**12, 2**12, 1), "file size"), ((2**12, 2**12, 2), "exceeds")]
+)
 def test_value_cap_is_checked_before_the_payload(tmp_path, dims, match):
     # Headers only: the cap of 2**24 values is inclusive, and a grid over it
     # is rejected before its size is even compared.
