@@ -9,8 +9,8 @@ child stream i, and `eval` runs attention, repair and baseline of all its
 trials as one batch in which trial i draws only from child stream 2 + i.
 --workers is still accepted but has no effect.
 
-:func:`entrypoint` owns every run's lifecycle: it loads the config, builds
-the model and schedule, looks up the command's section, prepares --out,
+:func:`entrypoint` owns every run's lifecycle: it loads the config, looks
+up the command's section, builds the model and schedule, prepares --out,
 calls the command's handler with a fresh ``RngStream(--seed, 0)`` and a
 staging directory, writes the manifest and commits the staged files.
 
@@ -117,6 +117,8 @@ def _previous_files(out: Path) -> list[Path]:
     manifest = out / "manifest.json"
     if not manifest.exists():
         return []
+    if not manifest.is_file():  # a FIFO would block the read below
+        raise OSError(f"{manifest}: not a regular file")
     try:
         listed = json.loads(manifest.read_text())["files"].keys()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -295,9 +297,9 @@ def entrypoint(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        section = config_section(cfg, args.command)
         model = build_model(cfg, base_dir=Path(args.config).parent)
         schedule = build_schedule(cfg)
-        section = config_section(cfg, args.command)
         out = Path(args.out)
         try:
             stage = _prepare_out(out, args.force)

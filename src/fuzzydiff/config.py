@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -23,23 +24,21 @@ __all__ = ["ConfigError", "load_config", "build_schedule", "build_model"]
 
 SCHEMA_VERSION = 1
 
-# Size caps, checked at load: the longest schedule, the most float64 values
-# one (n, D) row array may hold (2**24 values are 128 MiB), and the largest
-# gaussian_field, whose D x D covariance and eigenbasis grow as D**2 (a
-# 2**12-pixel field needs 128 MiB per D x D array).
+# Size caps: the longest schedule, the most float64 values one (n, D) row
+# array may hold (2**24 values are 128 MiB; no model may have more values per
+# row), and the largest gaussian_field, whose D x D covariance and eigenbasis
+# grow as D**2 (a 2**12-pixel field needs 128 MiB per D x D array).
 MAX_T = 10**6
 MAX_ROW_VALUES = 2**24
 MAX_FIELD_DIM = 2**12
+# The largest config file read; a config is a few hundred bytes.
+MAX_CONFIG_BYTES = 2**20
 
 _MISSING = object()
 
 
 class ConfigError(Exception):
     """Configuration file problem; the message names the offending path."""
-
-
-def _type_name(value) -> str:
-    return type(value).__name__
 
 
 def _is_number(v) -> bool:
@@ -57,8 +56,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
 
-_CHECKS = {
-    "int": (_is_int, "an integer in the signed 64-bit range"),
+def _dim(model: dict) -> int:
+    return model["height"] * model["width"] * model["channels"]
+
+
+_INT = "an integer in the signed 64-bit range"
+
+# kind: (JSON type check, what it wants). _check_range holds the range rules.
+_KINDS = {
     "number": (_is_number, "a finite number"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "a boolean"),
@@ -66,56 +71,97 @@ _CHECKS = {
         lambda v: isinstance(v, list) and len(v) > 0 and all(_is_number(x) for x in v),
         "a non-empty array of finite numbers",
     ),
-    "int_array_or_null": (
-        lambda v: v is None or (isinstance(v, list) and all(_is_int(x) for x in v)),
-        "an array of signed 64-bit integers or null",
+    "steps": (_is_int, _INT),
+    "count": (_is_int, _INT),
+    "rows": (_is_int, _INT),
+    "depth": (_is_int, _INT),
+    "depths": (
+        lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+        "an array of signed 64-bit integers",
     ),
-    "int_or_null": (
-        lambda v: v is None or _is_int(v),
-        "an integer in the signed 64-bit range or null",
-    ),
-    "string_or_null": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "number_or_string": (
-        lambda v: _is_number(v) or isinstance(v, str),
-        "a finite number or a string",
-    ),
+    "side": (_is_int, _INT),
+    "map": (lambda v: _is_number(v) or isinstance(v, str), "a finite number or a string"),
 }
 
 
-def _check_fields(section: dict, fields: dict, path: str) -> dict:
-    """Validate types, apply defaults, reject unknown keys. Returns a copy."""
-    unknown = set(section) - set(fields)
+def _check_range(kind: str, path: str, v, cfg: dict) -> None:
+    """Apply ``kind``'s range rule to the non-null value ``v`` of field ``path``.
+
+    steps: at most MAX_T. count: >= 1. rows: a count whose (n, D) array fits
+    MAX_ROW_VALUES. depth: in [0, T]. depths: non-empty, distinct, each in
+    [0, T]. side: in [0, min(height, width)]. map: a scalar in [0, 1] or a
+    path. ``cfg`` holds the checked 'schedule' and 'model' for every rule
+    that needs them.
+    """
+    if kind == "steps" and v > MAX_T:
+        raise ConfigError(f"'{path}' must be <= {MAX_T}, got {v}")
+    if kind in ("count", "rows") and v < 1:
+        raise ConfigError(f"'{path}' must be >= 1")
+    if kind == "rows" and v * _dim(cfg["model"]) > MAX_ROW_VALUES:
+        raise ConfigError(
+            f"'{path}' times height*width*channels must be <= {MAX_ROW_VALUES}, "
+            f"got {v} * {_dim(cfg['model'])}"
+        )
+    if kind in ("depth", "depths"):
+        T = cfg["schedule"]["T"]
+        for t in v if kind == "depths" else [v]:
+            if not 0 <= t <= T:
+                raise ConfigError(f"'{path}' must lie in [0, {T}], got {t}")
+        if kind == "depths" and (not v or len(set(v)) != len(v)):
+            raise ConfigError(f"'{path}' must be non-empty and distinct, got {v}")
+    if kind == "side":
+        cap = min(cfg["model"]["height"], cfg["model"]["width"])
+        if not 0 <= v <= cap:
+            raise ConfigError(f"'{path}' must lie in [0, {cap}], got {v}")
+    if kind == "map" and not isinstance(v, str) and not 0.0 <= v <= 1.0:
+        raise ConfigError(f"'{path}' scalar must lie in [0, 1], got {v}")
+
+
+def _check_section(path: str, sec: dict, fields: dict, cfg: dict) -> dict:
+    """Check one section and fill in its defaults; returns a copy.
+
+    Rejects unknown keys and missing required fields, then applies each
+    field's kind to its value, default or not. ``null`` passes only where the
+    default is ``None``. A section with the degradation fields also needs
+    ordered sigmas and sides.
+    """
+    unknown = set(sec) - set(fields)
     if unknown:
         name = sorted(unknown)[0]
         raise ConfigError(f"unknown field '{path}.{name}'")
     out = {}
     for key, (kind, default) in fields.items():
-        if key in section:
-            value = section[key]
-            ok, want = _CHECKS[kind]
-            if not ok(value):
-                raise ConfigError(
-                    f"'{path}.{key}' must be {want}, got {_type_name(value)}"
-                )
-            out[key] = value
-        elif default is _MISSING:
+        value = sec.get(key, default)
+        if value is _MISSING:
             raise ConfigError(f"missing required field '{path}.{key}'")
-        else:
-            out[key] = default
+        if value is not None or default is not None:
+            ok, want = _KINDS[kind]
+            if not ok(value):
+                null, got = " or null" if default is None else "", type(value).__name__
+                raise ConfigError(f"'{path}.{key}' must be {want}{null}, got {got}")
+            _check_range(kind, f"{path}.{key}", value, cfg)
+        out[key] = value
+    if "sigma_low" in out:
+        if out["sigma_low"] > out["sigma_high"]:
+            raise ConfigError(f"'{path}.sigma_low' must be <= '{path}.sigma_high'")
+        if None not in (out["side_min"], out["side_max"]) and out["side_min"] > out["side_max"]:
+            raise ConfigError(f"'{path}.side_min' must be <= '{path}.side_max'")
     return out
 
 
+# Each field is declared once, as name: (kind, default). A default of None
+# makes the field nullable; _MISSING makes it required.
 _SCHEDULE_FIELDS = {
-    "T": ("int", _MISSING),
+    "T": ("steps", _MISSING),
     "beta_start": ("number", 1e-4),
     "beta_end": ("number", 0.02),
 }
 
 _MODEL_COMMON = {
     "type": ("string", _MISSING),
-    "height": ("int", _MISSING),
-    "width": ("int", _MISSING),
-    "channels": ("int", 1),
+    "height": ("count", _MISSING),
+    "width": ("count", _MISSING),
+    "channels": ("count", 1),
 }
 
 _MODEL_FIELD_FIELDS = dict(
@@ -123,7 +169,7 @@ _MODEL_FIELD_FIELDS = dict(
     mean=("number", 0.5),
     marginal_variance=("number", 0.04),
     correlation_length=("number", 2.0),
-    covariance_file=("string_or_null", None),
+    covariance_file=("string", None),
 )
 
 _MODEL_GMM_FIELDS = dict(
@@ -133,150 +179,77 @@ _MODEL_GMM_FIELDS = dict(
     variances=("number_array", _MISSING),
 )
 
-_SAMPLE_FIELDS = {"count": ("int", 1)}
-
-_FUZZY_FIELDS = {
-    "image": ("string", _MISSING),
-    "map": ("number_or_string", _MISSING),
-    "count": ("int", 1),
-    "J": ("int", 5),
-    "clamp_map": ("bool", False),
+# model.type picks the field table and the cap on height*width*channels.
+_MODELS = {
+    "gaussian_field": (_MODEL_FIELD_FIELDS, MAX_FIELD_DIM),
+    "gmm_pixel": (_MODEL_GMM_FIELDS, MAX_ROW_VALUES),
 }
 
-_STATS_FIELDS = {
-    "v_count": ("int", 1000),
-    "depths": ("int_array_or_null", None),
-    "reps": ("int", 1),
-}
-
-_ATTEND_FIELDS = {
-    "image": ("string", _MISSING),
-    "stats_dir": ("string", _MISSING),
-    "reps": ("int", 1),
-}
-
-_DEGRADE_FIELDS = {
-    "image": ("string_or_null", None),
-    "side_min": ("int_or_null", None),
-    "side_max": ("int_or_null", None),
+# The degradation defaults, shared by 'degrade' and 'eval'.
+_DEGRADE_COMMON = {
+    "side_min": ("side", None),
+    "side_max": ("side", None),
     "sigma_low": ("number", 4.0),
     "sigma_high": ("number", 8.0),
-}
-
-_EVAL_FIELDS = {
-    "trials": ("int", 20),
-    "J": ("int", 2),
-    "depths": ("int_array_or_null", None),
-    "reps": ("int", 1),
-    "v_count": ("int", 200),
-    "baseline_depth": ("int_or_null", None),
-    "degrade_enabled": ("bool", True),
-    "sigma_low": ("number", 4.0),
-    "sigma_high": ("number", 8.0),
-    "side_min": ("int_or_null", None),
-    "side_max": ("int_or_null", None),
-    "record_artifacts": ("bool", False),
 }
 
 _SECTION_FIELDS = {
-    "sample": _SAMPLE_FIELDS,
-    "fuzzy": _FUZZY_FIELDS,
-    "stats": _STATS_FIELDS,
-    "attend": _ATTEND_FIELDS,
-    "degrade": _DEGRADE_FIELDS,
-    "eval": _EVAL_FIELDS,
+    "sample": {"count": ("rows", 1)},
+    "fuzzy": {
+        "image": ("string", _MISSING),
+        "map": ("map", _MISSING),
+        "count": ("rows", 1),
+        "J": ("count", 5),
+        "clamp_map": ("bool", False),
+    },
+    "stats": {
+        "v_count": ("rows", 1000),
+        "depths": ("depths", None),
+        "reps": ("count", 1),
+    },
+    "attend": {
+        "image": ("string", _MISSING),
+        "stats_dir": ("string", _MISSING),
+        "reps": ("count", 1),
+    },
+    "degrade": dict(_DEGRADE_COMMON, image=("string", None)),
+    "eval": dict(
+        _DEGRADE_COMMON,
+        trials=("rows", 20),
+        J=("count", 2),
+        depths=("depths", None),
+        reps=("count", 1),
+        v_count=("rows", 200),
+        baseline_depth=("depth", None),
+        degrade_enabled=("bool", True),
+        record_artifacts=("bool", False),
+    ),
 }
-
-# Range policy, checked at load time: fields that must be >= 1, row counts
-# whose (n, D) arrays must fit MAX_ROW_VALUES, a scalar fuzzy.map in [0, 1],
-# projection depths that must lie in [0, schedule.T], depth sets that must be
-# non-empty and distinct, and degradation ranges that must be ordered and fit
-# the image.
-_POSITIVE = (
-    ("model", "height"),
-    ("model", "width"),
-    ("model", "channels"),
-    ("sample", "count"),
-    ("fuzzy", "count"),
-    ("fuzzy", "J"),
-    ("stats", "v_count"),
-    ("stats", "reps"),
-    ("attend", "reps"),
-    ("eval", "trials"),
-    ("eval", "J"),
-    ("eval", "reps"),
-    ("eval", "v_count"),
-)
-_ROW_COUNTS = (
-    ("sample", "count"),
-    ("fuzzy", "count"),
-    ("stats", "v_count"),
-    ("eval", "v_count"),
-    ("eval", "trials"),
-)
-_DEPTHS = (("stats", "depths"), ("eval", "depths"), ("eval", "baseline_depth"))
-_DEPTH_SETS = ("stats", "eval")
-_DEGRADE_RANGES = ("degrade", "eval")
-
-
-def _check_ranges(cfg: dict) -> None:
-    for name, key in _POSITIVE:
-        if name in cfg and cfg[name][key] < 1:
-            raise ConfigError(f"'{name}.{key}' must be >= 1")
-    T = cfg["schedule"]["T"]
-    if T > MAX_T:
-        raise ConfigError(f"'schedule.T' must be <= {MAX_T}, got {T}")
-    model = cfg["model"]
-    D = model["height"] * model["width"] * model["channels"]
-    if model["type"] == "gaussian_field" and D > MAX_FIELD_DIM:
-        raise ConfigError(
-            f"'model' height*width*channels must be <= {MAX_FIELD_DIM} for gaussian_field, "
-            f"got {D}"
-        )
-    for name, key in _ROW_COUNTS:
-        if name in cfg and cfg[name][key] * D > MAX_ROW_VALUES:
-            raise ConfigError(
-                f"'{name}.{key}' times height*width*channels must be <= {MAX_ROW_VALUES}, "
-                f"got {cfg[name][key]} * {D}"
-            )
-    m_spec = cfg.get("fuzzy", {}).get("map")
-    if isinstance(m_spec, (int, float)) and not 0.0 <= m_spec <= 1.0:
-        raise ConfigError(f"'fuzzy.map' scalar must lie in [0, 1], got {m_spec}")
-    for name, key in _DEPTHS:
-        value = cfg.get(name, {}).get(key)
-        for t in value if isinstance(value, list) else [value]:
-            if t is not None and not 0 <= t <= T:
-                raise ConfigError(f"'{name}.{key}' must lie in [0, {T}], got {t}")
-    for name in _DEPTH_SETS:
-        depths = cfg.get(name, {}).get("depths")
-        if depths is not None and (not depths or len(set(depths)) != len(depths)):
-            raise ConfigError(f"'{name}.depths' must be non-empty and distinct, got {depths}")
-    side_cap = min(cfg["model"]["height"], cfg["model"]["width"])
-    for name in _DEGRADE_RANGES:
-        if name not in cfg:
-            continue
-        sec = cfg[name]
-        if sec["sigma_low"] > sec["sigma_high"]:
-            raise ConfigError(f"'{name}.sigma_low' must be <= '{name}.sigma_high'")
-        for key in ("side_min", "side_max"):
-            if sec[key] is not None and not 0 <= sec[key] <= side_cap:
-                raise ConfigError(f"'{name}.{key}' must lie in [0, {side_cap}], got {sec[key]}")
-        if None not in (sec["side_min"], sec["side_max"]) and sec["side_min"] > sec["side_max"]:
-            raise ConfigError(f"'{name}.side_min' must be <= '{name}.side_max'")
 
 
 def load_config(path) -> dict:
     """Parse and validate a config file; returns the normalized dict.
 
     The result always carries 'schedule' and 'model' plus whichever command
-    sections the file defined (with defaults filled in).
+    sections the file defined (with defaults filled in). The path must be a
+    regular file of at most ``MAX_CONFIG_BYTES``. It is stat'ed before it is
+    opened and read only up to its stat size, so a FIFO, a device or a file
+    that grows fails instead of blocking or filling memory.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        info = path.stat()
+        if not stat.S_ISREG(info.st_mode):
+            raise ConfigError(f"cannot read config {path}: not a regular file")
+        if info.st_size > MAX_CONFIG_BYTES:
+            raise ConfigError(
+                f"config {path} has {info.st_size} bytes, more than {MAX_CONFIG_BYTES}"
+            )
+        with open(path, "rb") as fh:
+            raw = json.loads(fh.read(info.st_size))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -297,42 +270,45 @@ def load_config(path) -> dict:
             raise ConfigError(f"'{required}' must be an object")
 
     out: dict = {"schema_version": SCHEMA_VERSION}
-    out["schedule"] = _check_fields(raw["schedule"], _SCHEDULE_FIELDS, "schedule")
+    out["schedule"] = _check_section("schedule", raw["schedule"], _SCHEDULE_FIELDS, out)
 
-    model_raw = raw["model"]
-    mtype = model_raw.get("type")
-    if mtype == "gaussian_field":
-        out["model"] = _check_fields(model_raw, _MODEL_FIELD_FIELDS, "model")
-    elif mtype == "gmm_pixel":
-        out["model"] = _check_fields(model_raw, _MODEL_GMM_FIELDS, "model")
-    elif mtype is None:
+    mtype = raw["model"].get("type")
+    if mtype is None:
         raise ConfigError("missing required field 'model.type'")
-    else:
+    if not isinstance(mtype, str) or mtype not in _MODELS:
         raise ConfigError(
             f"'model.type' must be 'gaussian_field' or 'gmm_pixel', got {mtype!r}"
+        )
+    fields, max_dim = _MODELS[mtype]
+    out["model"] = _check_section("model", raw["model"], fields, out)
+    D = _dim(out["model"])
+    if D > max_dim:
+        raise ConfigError(
+            f"'model' height*width*channels must be <= {max_dim} for {mtype}, got {D}"
         )
 
     for name, fields in _SECTION_FIELDS.items():
         if name in raw:
             if not isinstance(raw[name], dict):
                 raise ConfigError(f"'{name}' must be an object")
-            out[name] = _check_fields(raw[name], fields, name)
-    _check_ranges(out)
+            out[name] = _check_section(name, raw[name], fields, out)
     return out
 
 
 def section(cfg: dict, name: str) -> dict:
     """The command section ``name`` of a loaded config.
 
-    A config without that section gets its defaults, unless a field of the
-    section has none; then the section is required and this raises.
+    A config without that section gets its defaults, checked against the
+    config (a default row count may not fit the model) but not stored in it.
+    If a field of the section has no default, the section is required and
+    this raises.
     """
     if name in cfg:
         return cfg[name]
     fields = _SECTION_FIELDS[name]
     if any(default is _MISSING for _, default in fields.values()):
         raise ConfigError(f"config has no '{name}' section, required by this command")
-    return {key: default for key, (_, default) in fields.items()}
+    return _check_section(name, {}, fields, cfg)
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:

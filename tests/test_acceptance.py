@@ -33,7 +33,7 @@ from fuzzydiff import (
     write_grid,
 )
 from fuzzydiff.cli import entrypoint
-from fuzzydiff.config import section
+from fuzzydiff.config import load_config, section
 from fuzzydiff.sampler import ancestral_sample_array
 
 SEED = 20260816
@@ -271,7 +271,7 @@ def test_criterion_7_attention_detection(acceptance_lines):
         assert np.mean(fracs) >= 0.95  # measured 0.988
 
 
-def test_criterion_8_autonomous_correction(acceptance_lines):
+def test_criterion_8_autonomous_correction(acceptance_lines, tmp_path):
     with criterion(
         acceptance_lines,
         8,
@@ -281,7 +281,14 @@ def test_criterion_8_autonomous_correction(acceptance_lines):
     ):
         field = field_model()
         s = linear_schedule(*FIELD_SCHED)
-        cfg = dict(section({}, "eval"), trials=20, J=2, v_count=400)
+        # The eval defaults of a loaded config with no eval section.
+        T, beta_start, beta_end = FIELD_SCHED
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "schedule": {"T": T, "beta_start": beta_start, "beta_end": beta_end},
+            "model": {"type": "gaussian_field", "height": 8, "width": 8},
+        }))
+        cfg = dict(section(load_config(config), "eval"), trials=20, J=2, v_count=400)
         report = run_correction_experiment(field, s, cfg, RngStream(SEED, 8), None)
         agg = report["aggregates"]
         assert agg["median_masked_reduction"] >= 0.5  # measured 0.966

@@ -21,6 +21,8 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return path
 
 
+INT = "an integer in the signed 64-bit range"
+
 MINIMAL = {
     "schedule": {"T": 10},
     "model": {"type": "gaussian_field", "height": 4, "width": 4},
@@ -193,11 +195,72 @@ class TestLoadConfig:
             cfg = load_config(write_cfg(tmp_path, dict(MINIMAL, model=model)))
             assert cfg["model"]["height"] == model["height"]
 
-    def test_section_defaults(self):
-        assert section({}, "sample") == {"count": 1}
-        assert section({}, "eval")["trials"] == 20
+    def test_section_defaults(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, MINIMAL))
+        assert section(cfg, "sample") == {"count": 1}
+        assert section(cfg, "eval")["trials"] == 20
+        assert "eval" not in cfg  # defaults are checked, never stored
         with pytest.raises(ConfigError):
-            section({}, "attend")
+            section(cfg, "attend")
+
+    def test_section_checks_the_defaults_it_fills_in(self, tmp_path):
+        # 20 default trials of 2**20 values each exceed the 2**24 row cap.
+        gmm = {"type": "gmm_pixel", "height": 1024, "width": 1024, "weights": [1.0],
+               "means": [0.5], "variances": [0.01]}
+        cfg = load_config(write_cfg(tmp_path, dict(MINIMAL, model=gmm)))
+        with pytest.raises(ConfigError, match="'eval.trials' times height"):
+            section(cfg, "eval")
+        with pytest.raises(ConfigError, match="'stats.v_count' times height"):
+            section(cfg, "stats")
+        assert section(cfg, "sample") == {"count": 1}
+
+    def test_every_model_fits_one_row(self, tmp_path):
+        gmm = {"type": "gmm_pixel", "height": 4097, "width": 4096, "weights": [1.0],
+               "means": [0.5], "variances": [0.01]}
+        with pytest.raises(ConfigError, match=r"must be <= 16777216 for gmm_pixel"):
+            load_config(write_cfg(tmp_path, dict(MINIMAL, model=gmm)))
+        cfg = load_config(write_cfg(tmp_path, dict(MINIMAL, model=dict(gmm, height=4096))))
+        assert cfg["model"]["height"] == 4096
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("model", "covariance_file"),
+            ("stats", "depths"),
+            ("degrade", "image"),
+            ("degrade", "side_min"),
+            ("degrade", "side_max"),
+            ("eval", "depths"),
+            ("eval", "baseline_depth"),
+            ("eval", "side_min"),
+            ("eval", "side_max"),
+        ],
+    )
+    def test_null_accepted_where_the_default_is_null(self, tmp_path, section, key):
+        payload = dict(MINIMAL, **{section: dict(MINIMAL.get(section, {}), **{key: None})})
+        assert load_config(write_cfg(tmp_path, payload))[section][key] is None
+
+    @pytest.mark.parametrize(
+        "section,values,key,want",
+        [
+            ("schedule", {"T": None}, "T", INT),
+            ("model", dict(MINIMAL["model"], channels=None), "channels", INT),
+            ("model", dict(MINIMAL["model"], mean=None), "mean", "a finite number"),
+            ("sample", {"count": None}, "count", INT),
+            ("fuzzy", {"image": None, "map": 0.5}, "image", "a string"),
+            ("fuzzy", {"image": "x", "map": None}, "map", "a finite number or a string"),
+            ("fuzzy", {"image": "x", "map": 0.5, "clamp_map": None}, "clamp_map", "a boolean"),
+            ("stats", {"v_count": None}, "v_count", INT),
+            ("degrade", {"sigma_low": None}, "sigma_low", "a finite number"),
+            ("eval", {"sigma_high": None}, "sigma_high", "a finite number"),
+            ("eval", {"trials": None}, "trials", INT),
+        ],
+    )
+    def test_null_refused_where_the_default_is_not_null(self, tmp_path, section, values, key, want):
+        # The message has no " or null": only a null default makes a field nullable.
+        message = f"^'{section}.{key}' must be {want}, got NoneType$"
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_cfg(tmp_path, dict(MINIMAL, **{section: values})))
 
 
 class TestBuilders:

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import fuzzydiff
 from fuzzydiff import Grid, write_grid
-from fuzzydiff.cli import EXIT_IO, EXIT_VALIDATION, entrypoint
+from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION, entrypoint
+from fuzzydiff.config import MAX_CONFIG_BYTES
 
 CONTRACT = {0, 2, 3, 4}
 COMMANDS = ["sample", "fuzzy", "stats", "attend", "degrade", "eval"]
@@ -178,6 +179,20 @@ LIMITED_CLI = (
 )
 
 
+def _assert_limited_cli_exits(code: int, *argv) -> None:
+    """Run the CLI under LIMITED_CLI; it must exit with ``code`` and print no traceback."""
+    src = str(Path(fuzzydiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    # In a subprocess under a timeout, so a read that blocks on a FIFO fails
+    # the test instead of hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), proc.stderr
+
+
 @pytest.mark.parametrize("case", sorted(BAD_IMAGES))
 def test_bad_image_files_end_in_a_documented_exit_code(tmp_path, case):
     write, code = BAD_IMAGES[case]
@@ -186,14 +201,57 @@ def test_bad_image_files_end_in_a_documented_exit_code(tmp_path, case):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM,
                                   "degrade": {"image": str(image)}}))
-    src = str(Path(fuzzydiff.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    # In a subprocess under a timeout, so a read that blocks on the FIFO fails
-    # the test instead of hanging the suite.
-    proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, "degrade", "--config", str(config),
-         "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), proc.stderr
+    _assert_limited_cli_exits(code, "degrade", "--config", config, "--out", tmp_path / "out")
+
+
+# The default eval.trials (20) and stats.v_count (1000) times 2**20 values per
+# row exceed the 2**24 row cap; a 2**30-value model does not fit even one row.
+CAP_PROBES = [
+    ("eval", dict(GMM, height=2**10, width=2**10)),
+    ("stats", dict(GMM, height=2**10, width=2**10)),
+    ("degrade", dict(GMM, height=2**15, width=2**15)),
+    ("sample", dict(GMM, height=2**15, width=2**15)),
+]
+
+
+@pytest.mark.parametrize("command,model", CAP_PROBES, ids=[c for c, _ in CAP_PROBES])
+def test_defaults_and_models_over_the_row_cap_exit_2(tmp_path, command, model):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schedule": {"T": 4}, "model": model}))
+    _assert_limited_cli_exits(EXIT_CONFIG, command, "--config", config, "--out", tmp_path / "out")
+
+
+def _oversized(path: Path) -> None:
+    # A valid config padded past the cap with whitespace.
+    config = {"schedule": {"T": 4}, "model": GMM}
+    path.write_text(json.dumps(config).ljust(MAX_CONFIG_BYTES + 1))
+
+
+BAD_CONFIGS = {
+    "fifo": os.mkfifo,
+    "oversized": _oversized,
+    "not utf-8": lambda p: p.write_bytes(b'{"schedule": {"T": 4\xff}}'),
+    "nested too deep": lambda p: p.write_text("[" * 10**5 + "]" * 10**5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_files_that_cannot_be_read_or_parsed_exit_2(tmp_path, case):
+    config = tmp_path / "cfg.json"
+    BAD_CONFIGS[case](config)
+    _assert_limited_cli_exits(EXIT_CONFIG, "sample", "--config", config, "--out", tmp_path / "out")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_config_exits_2(tmp_path):
+    _assert_limited_cli_exits(EXIT_CONFIG, "sample", "--config", "/dev/zero",
+                              "--out", tmp_path / "out")
+
+
+def test_a_previous_manifest_that_is_not_a_regular_file_exits_3(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM}))
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "manifest.json")
+    _assert_limited_cli_exits(EXIT_IO, "sample", "--config", config, "--out", out, "--force")

@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from fuzzydiff import (
     pixel_auc,
     run_correction_experiment,
 )
-from fuzzydiff.config import section
+from fuzzydiff.config import load_config, section
 
 
 def mean_image(model):
@@ -209,9 +212,19 @@ class TestMaskedMse:
             masked_mse(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), np.zeros((2, 2, 1)))
 
 
+@functools.cache
+def _minimal_config() -> dict:
+    """A loaded config on the default 8x8 field, with no eval section."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        model = {"type": "gaussian_field", "height": 8, "width": 8}
+        path.write_text(json.dumps({"schedule": {"T": 50}, "model": model}))
+        return load_config(path)
+
+
 def eval_section(**kw) -> dict:
     """The eval config section: the config's defaults, overridden by kw."""
-    return dict(section({}, "eval"), **kw)
+    return dict(section(_minimal_config(), "eval"), **kw)
 
 
 class TestExperimentConfig:
