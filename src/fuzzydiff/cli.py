@@ -197,10 +197,7 @@ def _write_grids(out: Path, named) -> list[Path]:
 
 
 def _read_image(path_text: str, model) -> np.ndarray:
-    g = read_grid(path_text)
-    if g.shape != model.shape:
-        raise ValidationError(f"image shape {g.shape} != model shape {model.shape}")
-    return g.values
+    return read_grid(path_text, {model.shape}).values
 
 
 # A handler does one command's work: it reads the command's inputs, draws only
@@ -215,11 +212,13 @@ def _cmd_sample(section, model, schedule, root: RngStream, out: Path) -> list[Pa
     return _write_grids(out, named)
 
 
-def _load_weight_map(section: dict):
-    """The weight map a fuzzy section names: a scalar, or the array of a grid file."""
+def _load_weight_map(section: dict, shape: tuple[int, int, int]):
+    """The weight map a fuzzy section names for a model of ``shape``: a scalar,
+    or the array of a grid file of one channel or the model's channels."""
     m_spec = section["map"]
     if isinstance(m_spec, str):
-        m = read_grid(m_spec).values
+        h, w, c = shape
+        m = read_grid(m_spec, {(h, w, 1), (h, w, c)}).values
         return np.clip(m, 0.0, 1.0) if section["clamp_map"] else m
     return float(m_spec)
 
@@ -227,7 +226,7 @@ def _load_weight_map(section: dict):
 def _cmd_fuzzy(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
     count = section["count"]
     image = _read_image(section["image"], model)
-    weights = _load_weight_map(section)
+    weights = _load_weight_map(section, model.shape)
     streams = RowStreams(root.child(i) for i in range(count))
     rows = fuzzy_sample(model, schedule, image, weights, section["J"], count, streams)
     named = ((f"fuzzy_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))

@@ -227,6 +227,16 @@ _SECTION_FIELDS = {
 }
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object hook: a repeated key is an error, not a silent last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"duplicate key {repeated!r}")
+    return obj
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file; returns the normalized dict.
 
@@ -246,7 +256,7 @@ def load_config(path) -> dict:
                 f"config {path} has {info.st_size} bytes, more than {MAX_CONFIG_BYTES}"
             )
         with open(path, "rb") as fh:
-            raw = json.loads(fh.read(info.st_size))
+            raw = json.loads(fh.read(info.st_size), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting

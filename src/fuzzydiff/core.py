@@ -20,11 +20,11 @@ _MASK64 = (1 << 64) - 1
 # in cache. Unblocked, the 512 KiB temporaries of a (1000, 64) call go back to
 # the OS when freed and are page-faulted in again on every call: 5.2 ms per
 # GMM predict call against 1.4 ms blocked (2-vCPU Xeon, glibc malloc). Its
-# users: GmmPixelModel.predict_array (row blocks), _box_muller (pair-column
-# blocks), RngStream.normals (how many words a draw reads at a time),
-# RowStreams (how many draws it reads ahead) and the rotation scratch those
-# passes hold (_Scratch). Values are independent, so the blocking never
-# changes a byte.
+# users: GmmPixelModel.predict_array (row blocks), _box_muller (blocks of
+# whole draws or of one draw's columns), RngStream.normals (how many words a
+# draw reads at a time), RowStreams (it reads four blocks ahead) and the
+# scratch those passes hold (_Scratch). Values are independent, so the
+# blocking never changes a byte.
 _BLOCK_VALUES = 8192
 
 
@@ -77,9 +77,21 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
 
 
-def _radii(bits: np.ndarray, out: np.ndarray) -> None:
-    """The radius half of the pinned transform: out = sqrt(-2 log u(bits))."""
-    np.sqrt(-2.0 * np.log(_uniforms(bits)), out=out)
+def _radii(bits: np.ndarray, out: np.ndarray, scratch: "_Scratch") -> None:
+    """The radius half of the pinned transform: out = sqrt(-2 log u(bits)).
+
+    It runs in two of ``scratch``'s rows, which :func:`_rotate` reuses after
+    it, so a block makes no temporaries. Scaling by -2 is exact, so scaling
+    the log in place gives the bytes of ``-2.0 * log(u)``.
+    """
+    q, u = scratch.rows(bits.shape, 0, 2)
+    q = q.view(np.uint64)
+    np.right_shift(bits, 11, out=q)
+    q += 1
+    np.multiply(q, 2.0**-53, out=u)  # _uniforms, in place
+    np.log(u, out=u)
+    u *= -2.0
+    np.sqrt(u, out=out)
 
 
 # _rotate's table: cos and sin of 2 pi j / 1024. It is computed once, here,
@@ -95,26 +107,32 @@ _REM_SCALE = 2.0 * math.pi * 2.0**-53  # radians per unit of the remainder
 
 
 class _Scratch:
-    """Float64 scratch rows for :func:`_rotate` that outlive one pass.
+    """Float64 scratch rows that outlive one pass.
 
     A pass that allocated its scratch afresh would hand it back to the OS at
     the end and page-fault it in again on the next pass: ~58 700 minor faults
     per ``stats-gmm-batch`` benchmark op against ~1 900 with held scratch, and
-    slower (2-vCPU Xeon, glibc malloc). The rows grow to the widest pass seen
-    and never shrink; each stream object owns one.
+    slower (2-vCPU Xeon, glibc malloc). :func:`_rotate` works in the first
+    five rows (:func:`_radii` in the first two, before it), and
+    :func:`_box_muller` keeps a block's normals in two more: an
+    :class:`RngStream` holds five rows and a :class:`RowStreams` seven. (Seven
+    rows on every bulk stream measured ~7 % slower per ``stats-gmm-batch`` op
+    in fresh processes, though the two extra rows are never touched.) The
+    rows grow to the widest block seen and never shrink; each stream object
+    owns one.
     """
 
     __slots__ = ("_rows",)
 
-    def __init__(self) -> None:
-        self._rows = np.empty((5, 0))
+    def __init__(self, count: int) -> None:
+        self._rows = np.empty((count, 0))
 
-    def rows(self, shape: tuple[int, ...]) -> list[np.ndarray]:
-        """Five contiguous scratch arrays of ``shape``."""
+    def rows(self, shape: tuple[int, ...], first: int, stop: int) -> list[np.ndarray]:
+        """Scratch rows ``first`` to ``stop - 1``, as contiguous arrays of ``shape``."""
         n = math.prod(shape)
         if self._rows.shape[1] < n:
-            self._rows = np.empty((5, n))
-        return [row[:n].reshape(shape) for row in self._rows]
+            self._rows = np.empty((len(self._rows), n))
+        return [row[:n].reshape(shape) for row in self._rows[first:stop]]
 
 
 def _rotate(
@@ -133,7 +151,7 @@ def _rotate(
     each then multiplied by r. The table term is added last, so the result is
     within about an ulp of the exact rotation.
     """
-    s, t, cm, sp, sin_t = scratch.rows(bits.shape)
+    s, t, cm, sp, sin_t = scratch.rows(bits.shape, 0, 5)
     q, j = s.view(np.uint64), t.view(np.uint64)
     np.right_shift(bits, 11, out=q)
     q += 1
@@ -173,22 +191,33 @@ def _rotate(
 
 
 def _box_muller(bits: np.ndarray, k: int, scratch: _Scratch) -> np.ndarray:
-    """The pinned transform: (rows, 2*pairs) raw Philox words -> (rows, k) normals.
+    """The pinned transform: (draws, 2*pairs) raw Philox words -> (draws, k) normals.
 
-    Per row, the first ``pairs`` words give the radii and the last ``pairs``
+    Per draw, the first ``pairs`` words give the radii and the last ``pairs``
     the angles; the cosine and sine halves interleave, and k <= 2*pairs keeps
-    the first k. Every step is elementwise, so a row's normals do not depend
-    on how many rows share the pass, and the pass runs on blocks of pair
-    columns of about ``_BLOCK_VALUES`` values without changing a byte.
+    the first k. Every step is elementwise, so a draw's normals do not depend
+    on how many draws share the pass. The pass runs on blocks of about
+    ``_BLOCK_VALUES`` pairs, whole draws or one draw's columns. The first
+    operation of :func:`_radii` and of :func:`_rotate` reads a block's words
+    into contiguous scratch, the block's normals stay in contiguous scratch,
+    and one copy per half interleaves them into a fresh array, so no
+    operation runs on narrow strided columns and no later pass writes the
+    normals handed out.
     """
-    rows, pairs = bits.shape[0], bits.shape[1] // 2
-    out = np.empty((rows, pairs, 2))
-    width = max(1, _BLOCK_VALUES // (2 * rows))
-    for i in range(0, pairs, width):
-        j = min(i + width, pairs)
-        _radii(bits[:, i:j], out[:, i:j, 0])
-        _rotate(out[:, i:j, 0], out[:, i:j, 1], bits[:, pairs + i : pairs + j], scratch)
-    return out.reshape(rows, 2 * pairs)[:, :k]
+    draws, pairs = bits.shape[0], bits.shape[1] // 2
+    out = np.empty((draws, pairs, 2))
+    step = max(1, _BLOCK_VALUES // pairs)  # draws per block
+    width = min(pairs, _BLOCK_VALUES)  # pair columns per block
+    for i in range(0, draws, step):
+        for j in range(0, pairs, width):
+            end = min(j + width, pairs)
+            cos, sin = scratch.rows((min(step, draws - i), end - j), 5, 7)
+            _radii(bits[i : i + step, j:end], cos, scratch)
+            _rotate(cos, sin, bits[i : i + step, pairs + j : pairs + end], scratch)
+            block = out[i : i + step, j:end]
+            block[..., 0] = cos
+            block[..., 1] = sin
+    return out.reshape(draws, 2 * pairs)[:, :k]
 
 
 def _mix64(z: int) -> int:
@@ -233,7 +262,7 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         self._bits = np.random.Philox(key=(stream_id << 64) | seed)
-        self._scratch = _Scratch()
+        self._scratch = _Scratch(5)
 
     def child(self, index: int) -> "RngStream":
         """Derive the stream for subtask ``index`` (same seed, mixed stream id)."""
@@ -260,7 +289,8 @@ class RngStream:
         pairs = (n + 1) // 2
         out = np.empty((pairs, 2))
         for i in range(0, pairs, _BLOCK_VALUES):
-            _radii(self.raw(min(_BLOCK_VALUES, pairs - i)), out[i : i + _BLOCK_VALUES, 0])
+            bits = self.raw(min(_BLOCK_VALUES, pairs - i))
+            _radii(bits, out[i : i + _BLOCK_VALUES, 0], self._scratch)
         for i in range(0, pairs, _BLOCK_VALUES):
             block = out[i : i + _BLOCK_VALUES]
             bits = self.raw(min(_BLOCK_VALUES, pairs - i))
@@ -278,12 +308,17 @@ class RowStreams:
     in row order, so row i of a chain that draws whole (n, D) blocks gets
     exactly the draws of a one-row chain on ``streams[i]``, whatever n is.
 
-    A ``RowStreams`` owns its streams and reads at most one block ahead: it
-    draws the raw words of about ``_BLOCK_VALUES`` normals at a time (at least
-    one draw) and turns them into normals in one shared Box-Muller pass. The
-    bytes are the ones per-stream draws give, since a Philox stream's words do
-    not depend on how many are taken per call; but a stream handed to it must
-    not be drawn from directly afterwards, and no stream may serve two rows.
+    A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per
+    row gives the words of k draws, about ``4 * _BLOCK_VALUES`` normals in all
+    (at least one draw), and one shared Box-Muller pass turns them into
+    normals. The bytes are the ones per-stream draws give, since a Philox
+    stream's words do not depend on how many are taken per call; but a stream
+    handed to it must not be drawn from directly afterwards, and no stream may
+    serve two rows.
+
+    A draw belongs to its caller: each pass writes a fresh array, so no later
+    draw reuses or rewrites a draw's memory, and a chain may keep a draw as
+    its state and write into it.
     """
 
     __slots__ = ("streams", "_words", "_ready", "_next", "_scratch")
@@ -297,7 +332,7 @@ class RowStreams:
         self._words = np.empty((len(self.streams), 0), dtype=np.uint64)  # unconsumed
         self._ready = np.empty((len(self.streams), 0, 0))  # (rows, draws, per) normals
         self._next = 0  # the first ready draw not yet handed out
-        self._scratch = _Scratch()
+        self._scratch = _Scratch(7)
 
     def child(self, index: int) -> "RowStreams":
         """Row i's stream becomes ``streams[i].child(index)``."""
@@ -323,11 +358,15 @@ class RowStreams:
         rows = len(self.streams)
         used = 2 * ((self._ready.shape[2] + 1) // 2) * self._next
         words = 2 * ((per + 1) // 2)
-        k = max(1, _BLOCK_VALUES // (rows * words))
+        k = max(1, 4 * _BLOCK_VALUES // (rows * words))
         held = self._words[:, used:]
-        short = k * words - held.shape[1]
-        if short > 0:
-            held = np.concatenate((held, np.stack([s.raw(short) for s in self.streams])), axis=1)
+        kept = held.shape[1]
+        if kept < k * words:
+            more = np.empty((rows, k * words), dtype=np.uint64)
+            more[:, :kept] = held
+            for row, stream in zip(more, self.streams):
+                row[kept:] = stream.raw(k * words - kept)
+            held = more
         self._words = held
         bits = held[:, : k * words].reshape(rows * k, words)
         self._ready = _box_muller(bits, per, self._scratch).reshape(rows, k, per)

@@ -207,6 +207,7 @@ class GaussianFieldModel(EpsilonModel):
         self._cov = cov
         self._sqrt_lam = np.sqrt(lam)
         self._work = (np.empty((0, D)), np.empty((0, D)))
+        self._terms = (None, 0, None)  # (schedule, t, terms) of the last step predicted
 
     @classmethod
     def exponential(
@@ -244,23 +245,35 @@ class GaussianFieldModel(EpsilonModel):
             self._work = (np.empty((n, self.dim)), np.empty((n, self.dim)))
         return self._work
 
+    def _step_terms(self, t: int, s: NoiseSchedule) -> tuple:
+        """sqrt(abar), sqrt(abar) * mu, the gain vector and sqrt(1 - abar) of
+        step t, kept for the last step only: a fuzzy chain predicts J times
+        per step, and the memory does not grow with T."""
+        last, last_t, terms = self._terms
+        if last is s and last_t == t:
+            return terms
+        abar = s.alpha_bar[t]
+        root = np.sqrt(abar)
+        lam = self.cov_eigvals
+        terms = (root, root * self.mu, lam / (abar * lam + (1.0 - abar)), np.sqrt(1.0 - abar))
+        self._terms = (s, t, terms)
+        return terms
+
     def predict_array(
         self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
     ) -> np.ndarray:
-        t = s.check_step(t)
-        abar = s.alpha_bar[t]
-        root = np.sqrt(abar)
+        root, root_mu, gain, scale = self._step_terms(s.check_step(t), s)
         a, b = self._scratch(len(x))
-        np.subtract(x, root * self.mu, out=a)
+        np.subtract(x, root_mu, out=a)
         _rows_matmul(a, self.cov_eigvecs, out=b)
-        b *= self.cov_eigvals / (abar * self.cov_eigvals + (1.0 - abar))
+        b *= gain
         _rows_matmul(b, self.cov_eigvecs.T, out=a)
         # root * (mu + root * a), in the operation order of the spelled-out formula
         a *= root
         a += self.mu
         a *= root
         out = np.subtract(x, a, out=out)
-        out /= np.sqrt(1.0 - abar)
+        out /= scale
         return out
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:

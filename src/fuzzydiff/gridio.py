@@ -31,14 +31,15 @@ def write_grid(path, grid: Grid) -> None:
         fh.write(payload)
 
 
-def read_grid(path) -> Grid:
+def read_grid(path, shapes=None) -> Grid:
     """Read a grid written by :func:`write_grid`, checking it before reading it.
 
     The path is stat'ed, not opened, until it is known to be a regular file
     (opening a FIFO would block); anything else raises ``OSError``. Then the
     16-byte header is read and checked (magic, dimensions >= 1, at most
-    ``MAX_GRID_VALUES`` values, a file size that matches), and only then
-    exactly the payload. A malformed file raises ``ValidationError``.
+    ``MAX_GRID_VALUES`` values, one of ``shapes`` when that collection of
+    accepted (h, w, c) shapes is given, a file size that matches), and only
+    then exactly the payload. A malformed file raises ``ValidationError``.
     """
     path = Path(path)
     info = path.stat()
@@ -57,6 +58,9 @@ def read_grid(path) -> Grid:
             raise ValidationError(
                 f"{path}: {h}x{w}x{c} grid exceeds {MAX_GRID_VALUES} values"
             )
+        if shapes is not None and (h, w, c) not in shapes:
+            accepted = " or ".join(str(tuple(shape)) for shape in sorted(shapes))
+            raise ValidationError(f"{path}: grid shape {(h, w, c)} is not {accepted}")
         expect = _HEAD_SIZE + h * w * c * 8
         if info.st_size != expect:
             raise ValidationError(f"{path}: file size {info.st_size} != expected {expect}")

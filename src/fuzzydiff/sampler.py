@@ -83,14 +83,20 @@ def _fusion_weights(m) -> tuple:
     return 1.0 - m, np.sqrt(1.0 - 2.0 * m + 2.0 * m * m), m == 0.0, m == 1.0
 
 
-def _fuse(x_synth, x_reproj, base, m, weights) -> np.ndarray:
+def _fuse(x_synth, x_reproj, base, m, weights, out, work) -> np.ndarray:
+    """Write the fusion into ``out`` (``work`` is scratch of its shape) and return it."""
     one_minus_m, divisor, is_zero, is_one = weights
-    blend = m * x_reproj + one_minus_m * x_synth
-    fused = base + (blend - base) / divisor
+    np.multiply(m, x_reproj, out=out)
+    np.multiply(one_minus_m, x_synth, out=work)
+    out += work  # the blend
+    out -= base
+    out /= divisor
+    out += base
     # The algebra is the identity at the endpoints, but float blending is not
     # bit-exact there; the boundary contract is, so select explicitly.
-    fused = np.where(is_zero, x_synth, fused)
-    return np.where(is_one, x_reproj, fused)
+    np.copyto(out, x_synth, where=is_zero)
+    np.copyto(out, x_reproj, where=is_one)
+    return out
 
 
 def fuzzy_fuse(
@@ -113,7 +119,8 @@ def fuzzy_fuse(
     marginal. m=0 returns x_synth and m=1 returns x_reproj, bit-exact.
     """
     base = s.sqrt_alpha_bar[t - 1] * x_cond
-    return _fuse(x_synth, x_reproj, base, m, _fusion_weights(m))
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (x_synth, x_reproj, base, m)))
+    return _fuse(x_synth, x_reproj, base, m, _fusion_weights(m), np.empty(shape), np.empty(shape))
 
 
 def fuzzy_sample(
@@ -164,29 +171,38 @@ def fuzzy_sample(
     if m.ndim == 4 and m.shape[0] != n:
         raise ValidationError(f"{m.shape[0]} weight maps for {n} samples")
 
-    # One row per image or map, or one row that every sample shares.
+    # One row per image or map, or one row that every sample shares. Fusion's
+    # operands are broadcast to (n, D) once: at a few rows, a numpy op that
+    # broadcasts a row costs several times one on equal shapes.
     D = model.dim
     x_cond = x_cond.reshape(-1, D)
     m = np.broadcast_to(m, m.shape[:-1] + (c,)).reshape(-1, D)
-    weights = _fusion_weights(m)
+    m, *weights = (np.ascontiguousarray(np.broadcast_to(a, (n, D)))
+                   for a in (m, *_fusion_weights(m)))
+    # The chain's state is its first draw; these four buffers serve every
+    # step, and the reprojection and the renoise run in place on their draws.
     x = rng.normals(n * D).reshape(n, D)
+    base, synth, fused, work = (np.empty((n, D)) for _ in range(4))
     for t in range(s.T, 0, -1):
-        base = s.sqrt_alpha_bar[t - 1] * x_cond
+        np.multiply(s.sqrt_alpha_bar[t - 1], x_cond, out=base)
         inner = J if t > 1 else 1
         x_t = x
-        x_m = x_t  # overwritten below; J >= 1
         for j in range(1, inner + 1):
             if t > 1:
-                eps_r = rng.normals(n * D).reshape(n, D)
-                x_reproj = base + s.sqrt_one_minus_alpha_bar[t - 1] * eps_r
+                x_reproj = rng.normals(n * D).reshape(n, D)
+                x_reproj *= s.sqrt_one_minus_alpha_bar[t - 1]
+                x_reproj += base
             else:
                 x_reproj = np.broadcast_to(x_cond, (n, D))
-            # x_t is the input of every inner iteration, so the step gets a
-            # fresh output rather than one of x_t's buffers.
-            x_synth = _reverse_step_array(model, x_t, t, s, rng)
-            x_m = _fuse(x_synth, x_reproj, base, m, weights)
+            _reverse_step_array(model, x_t, t, s, rng, out=synth)
+            _fuse(synth, x_reproj, base, m, weights, fused, work)
             if j < inner:
+                # The renoised state is the next step's input; the step has
+                # read it before the next fusion overwrites it.
                 eps3 = rng.normals(n * D).reshape(n, D)
-                x_t = s.sqrt_alpha[t] * x_m + s.sqrt_beta[t] * eps3
-        x = x_m
+                eps3 *= s.sqrt_beta[t]
+                fused *= s.sqrt_alpha[t]
+                fused += eps3
+                x_t = fused
+        x, fused = fused, x
     return x

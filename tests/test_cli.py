@@ -17,6 +17,7 @@ from fuzzydiff import (
     read_grid,
     write_grid,
 )
+from fuzzydiff import gridio
 from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, entrypoint
 from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample
 
@@ -268,6 +269,40 @@ class TestFuzzy:
         write_grid(path, Grid(np.full((8, 8, 1), 0.5)))
         cfg = make_config(tmp_path, {"fuzzy": {"image": str(path), "map": 1.0}})
         assert run("fuzzy", "--config", cfg, "--out", tmp_path / "o") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("wrong", ["image", "map"])
+    def test_wrong_shape_is_refused_from_the_header(self, tmp_path, monkeypatch, wrong):
+        # A well-formed grid of another shape than the 4x4x1 model's fails on
+        # its 16-byte header; its 64 KiB payload is never read.
+        big = tmp_path / "big.fdg"
+        write_grid(big, Grid(np.full((64, 64, 2), 0.5)))
+        img = big if wrong == "image" else self.write_image(tmp_path)
+        cfg = make_config(tmp_path, {"fuzzy": {"image": str(img), "map": str(big)}})
+        read = {}
+
+        class Counted:
+            def __init__(self, fh, path):
+                self._fh, self._path = fh, Path(path)
+
+            def read(self, size=-1):
+                data = self._fh.read(size)
+                read[self._path] = read.get(self._path, 0) + len(data)
+                return data
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        monkeypatch.setattr(
+            gridio, "open", lambda path, *a, **kw: Counted(open(path, *a, **kw), path),
+            raising=False,
+        )
+        assert run("fuzzy", "--config", cfg, "--out", tmp_path / "o") == EXIT_VALIDATION
+        assert read[big] == 16
+        if wrong == "map":
+            assert read[img] == 16 + 4 * 4 * 8
 
 
 class TestStatsAttend:

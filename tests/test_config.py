@@ -48,6 +48,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    def test_duplicate_keys_rejected(self, tmp_path):
+        # json keeps the last of two equal keys; a strict config must not.
+        path = tmp_path / "dup.json"
+        path.write_text('{"schedule": {"T": 4, "T": 6}, '
+                        '"model": {"type": "gaussian_field", "height": 4, "width": 4}}')
+        with pytest.raises(ConfigError, match="duplicate key 'T'"):
+            load_config(path)
+
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")

@@ -159,7 +159,7 @@ def documented_box_muller(raw: np.ndarray, n: int) -> np.ndarray:
 def rotate_unit(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The library's (cos theta, sin theta) of angle words, at radius 1."""
     out = np.ones((raw.size, 2))
-    _rotate(out[:, 0], out[:, 1], raw, _Scratch())
+    _rotate(out[:, 0], out[:, 1], raw, _Scratch(5))
     return out[:, 0], out[:, 1]
 
 
@@ -245,8 +245,11 @@ class TestRowStreams:
             RowStreams([RngStream(8, 0)]).normals(9), RngStream(8, 0).normals(9)
         )
 
-    @pytest.mark.parametrize("per", [1, 7, 64, 65])
-    @pytest.mark.parametrize("rows", [1, 2, 16, 64])
+    # Rows and per-row sizes where the read-ahead depth (4 * _BLOCK_VALUES
+    # normals over rows * words) and the pass's blocks straddle their bounds:
+    # 400 and 513 rows read one 64-normal draw ahead, 16 rows read 32.
+    @pytest.mark.parametrize("per", [1, 7, 63, 64, 65, 130])
+    @pytest.mark.parametrize("rows", [1, 2, 16, 20, 33, 64, 400, 513])
     def test_shared_pass_equals_per_stream_normals(self, rows, per):
         batch = RowStreams(RngStream(31, 0).child(i) for i in range(rows))
         alone = [RngStream(31, 0).child(i) for i in range(rows)]
@@ -278,17 +281,44 @@ class TestRowStreams:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        rows=st.sampled_from([1, 2, 16, 20, 64, 130]),
+        rows=st.sampled_from([1, 2, 16, 20, 33, 64, 130, 400, 513]),
         sizes=st.lists(st.integers(0, 130), min_size=1, max_size=12),
     )
     def test_read_ahead_keeps_every_rows_draws(self, rows, sizes):
-        # Per-row sizes 1..130 read 64 draws ahead down to 1; a size change
-        # mid-block must neither lose nor reuse a word.
+        # Per-row sizes 1..130 read up to 16384 draws ahead, down to 1; a
+        # size change mid-read-ahead must neither lose nor reuse a word.
         batch = RowStreams(RngStream(41, 0).child(i) for i in range(rows))
         alone = [RngStream(41, 0).child(i) for i in range(rows)]
         for per in sizes:
             expect = np.concatenate([s.normals(per) for s in alone])
             assert batch.normals(rows * per).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_draws_wider_than_a_block(self, rows):
+        # 2 * _BLOCK_VALUES + 3 normals a row: the pass splits a draw's
+        # columns into blocks, the last one a single pair.
+        per = 2 * _BLOCK_VALUES + 3
+        batch = RowStreams(RngStream(37, 0).child(i) for i in range(rows))
+        alone = [RngStream(37, 0).child(i) for i in range(rows)]
+        for _ in range(2):
+            expect = np.concatenate([s.normals(per) for s in alone])
+            assert batch.normals(rows * per).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_a_draw_belongs_to_its_caller(self, rows):
+        # A draw keeps its bytes while later draws run three more read-aheads,
+        # and a caller that writes into its draws changes no later draw.
+        per = 64
+        batch = RowStreams(RngStream(53, 0).child(i) for i in range(rows))
+        twin = RowStreams(RngStream(53, 0).child(i) for i in range(rows))
+        first = batch.normals(rows * per)
+        kept = first.copy()
+        assert first.tobytes() == twin.normals(rows * per).tobytes()
+        for _ in range(3 * 4 * _BLOCK_VALUES // (rows * per) + 1):
+            later = batch.normals(rows * per)
+            assert later.tobytes() == twin.normals(rows * per).tobytes()
+            later[:] = np.nan
+        assert first.tobytes() == kept.tobytes()
 
     def test_back_to_back_chains_continue_each_row(self, field_model, sched50):
         # The reps loop of a depth: two reconstructions on one RowStreams.
@@ -346,7 +376,7 @@ def clamped_map(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.fdg"
         write_grid(path, Grid(values))
-        return _load_weight_map({"map": str(path), "clamp_map": True})
+        return _load_weight_map({"map": str(path), "clamp_map": True}, np.shape(values))
 
 
 class TestClampUnit:

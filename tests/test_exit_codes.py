@@ -232,6 +232,9 @@ BAD_CONFIGS = {
     "oversized": _oversized,
     "not utf-8": lambda p: p.write_bytes(b'{"schedule": {"T": 4\xff}}'),
     "nested too deep": lambda p: p.write_text("[" * 10**5 + "]" * 10**5),
+    "duplicate key": lambda p: p.write_text(
+        '{"schedule": {"T": 4, "T": 6}, "model": %s}' % json.dumps(GMM)
+    ),
 }
 
 

@@ -211,17 +211,31 @@ class TestChainBuffers:
         platform.libc_ver()[0] != "glibc",
         reason="counts page faults under glibc malloc's trim and mmap thresholds",
     )
-    @pytest.mark.parametrize("kind, rows, bound", [("gmm", 1000, 40), ("field", 400, 4)])
+    # The row-batched fuzzy chain faults in only its new RowStreams' read-ahead
+    # and scratch, about 210 pages a chain (4.2 a step at T=50, 2-vCPU Xeon).
+    @pytest.mark.parametrize(
+        "kind, rows, bound", [("gmm", 1000, 40), ("field", 400, 4), ("fuzzy", 16, 8)]
+    )
     def test_warm_chain_faults_in_no_fresh_pages(
         self, kind, rows, bound, field_model, gmm_model, sched50
     ):
         import resource
 
-        model = field_model if kind == "field" else gmm_model
+        model = gmm_model if kind == "gmm" else field_model
         x = model.sample_x0(rows, RngStream(46, 0))
-        project_reconstruct_array(model, sched50, x, 50, RngStream(47, 0))  # warm
+        if kind == "fuzzy":
+            x_cond = x[0].reshape(model.shape)
+            m = RngStream(46, 1).uniforms(model.dim).reshape(model.shape)
+
+            def chain(seed):
+                streams = RowStreams(RngStream(seed, 0).child(i) for i in range(rows))
+                fuzzy_sample(model, sched50, x_cond, m, 5, rows, streams)
+        else:
+            def chain(seed):
+                project_reconstruct_array(model, sched50, x, 50, RngStream(seed, 0))
+        chain(47)  # warm
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        project_reconstruct_array(model, sched50, x, 50, RngStream(48, 0))
+        chain(48)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 50 < bound
 
@@ -441,6 +455,24 @@ class TestFuzzySample:
             fuzzy_sample(model, sched50, images, 0.5, 2, 2, RngStream(0, 0))
         with pytest.raises(ValidationError, match="3 weight maps for 2 samples"):
             fuzzy_sample(model, sched50, images[0], maps, 2, 2, RngStream(0, 0))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_read_only_inputs_give_the_same_bytes(self, field_model, sched50, batched):
+        # The chain writes only its own buffers and its draws, never x_cond or m.
+        n = 3
+        shape = (n, *field_model.shape) if batched else field_model.shape
+        x_cond = RngStream(98, 0).normals(int(np.prod(shape))).reshape(shape)
+        m = RngStream(98, 1).uniforms(x_cond.size).reshape(shape)
+        m[..., :2, :, :] = 1.0
+        m[..., -2:, :, :] = 0.0
+
+        def run(x_cond, m):
+            streams = RowStreams(RngStream(99, 0).child(i) for i in range(n))
+            return fuzzy_sample(field_model, sched50, x_cond, m, 2, n, streams)
+
+        expect = run(x_cond.copy(), m.copy())
+        x_cond.flags.writeable = m.flags.writeable = False
+        assert run(x_cond, m).tobytes() == expect.tobytes()
 
     def test_config_validation(self, gmm_model, sched50):
         # J=0 would skip every step above t=1 and return the noised start state.
