@@ -19,10 +19,7 @@ from .harness import (
     DegradationRecord,
     DegradeParams,
     degrade,
-    ks_critical,
-    ks_two_sample,
     masked_mse,
-    moment_error,
     pixel_auc,
     run_correction_experiment,
 )
@@ -36,7 +33,7 @@ from .projection import (
     weight_from_attention,
 )
 from .sampler import fuzzy_fuse, fuzzy_sample
-from .schedule import NoiseSchedule, linear_schedule, posterior_mean_coeffs
+from .schedule import NoiseSchedule, linear_schedule
 
 __version__ = "0.1.0"
 
@@ -54,7 +51,6 @@ __all__ = [
     "write_preview",
     "NoiseSchedule",
     "linear_schedule",
-    "posterior_mean_coeffs",
     "EpsilonModel",
     "GaussianFieldModel",
     "GmmPixelModel",
@@ -70,9 +66,6 @@ __all__ = [
     "DegradeParams",
     "DegradationRecord",
     "degrade",
-    "ks_two_sample",
-    "ks_critical",
-    "moment_error",
     "pixel_auc",
     "masked_mse",
     "run_correction_experiment",

@@ -242,7 +242,8 @@ def _cmd_stats(section, model, schedule, root: RngStream, out: Path) -> list[Pat
 
 
 def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
-    stats = ValidationStats.load(section["stats_dir"])
+    h, w, _ = model.shape
+    stats = ValidationStats.load(section["stats_dir"], (h, w, 1))
     image = _read_image(section["image"], model)
     streams = RowStreams([root.child(0)])
     [amap] = attention_map(image[None], stats, model, schedule, section["reps"], streams)

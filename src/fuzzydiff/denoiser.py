@@ -311,13 +311,21 @@ class GaussianFieldModel(EpsilonModel):
 class GmmPixelModel(EpsilonModel):
     """Every pixel i.i.d. from a K-component 1-d Gaussian mixture.
 
-    Responsibilities are computed in log space with a log-sum-exp reduction;
-    with abar near 1 the per-component likelihoods underflow otherwise. The
-    kernel is component-major: it loops over the K components on arrays
-    shaped like the input, keeping a running peak and summing left to right,
-    and never builds an (n, D, K) array. Each value meets the same IEEE
-    operations in the same order as a reduction over a trailing K axis, so
-    both give the same bytes (tests/test_denoiser.py pins this).
+    Component k alone gives the noise estimate eps_k = slope_k*x - icpt_k,
+    with slope_k = sqrt(1 - abar) / var_k, icpt_k = slope_k*sqrt(abar)*m_k
+    and var_k = abar*v_k + 1 - abar; written so, it needs no subtraction of
+    x - sqrt(abar)*E[x_0 | x], which cancels near t = 1. The kernel starts
+    from eps_0 and merges components 1..K-1 left to right,
+
+        eps += (eps_k - eps) / (1 + exp(ll_0 - ll_k + lse)),
+
+    where ll_k = log(w_k N_k(x)), ll_0 - ll_k is one quadratic in x, and lse
+    is the running log of the earlier components' summed weights over
+    w_0 N_0 (zero, and not kept, for K = 2). An exp that overflows weighs its
+    component exactly 0. It runs on row blocks of about ``_BLOCK_VALUES``
+    values in work arrays the model holds. Its results agree with the
+    trailing-axis log-sum-exp formula within 1e-12 * max(1, |eps|), saturated
+    rows included (tests/test_denoiser.py pins both).
     """
 
     def __init__(self, shape: tuple[int, int, int], weights, means, variances) -> None:
@@ -343,6 +351,7 @@ class GmmPixelModel(EpsilonModel):
         self.variances = sig2
         self._logw = np.log(wts)
         self._cumw = np.cumsum(wts)
+        self._work = (np.empty((0, self.dim)),)
 
     @classmethod
     def two_mode(
@@ -355,71 +364,98 @@ class GmmPixelModel(EpsilonModel):
     def K(self) -> int:
         return self.weights.size
 
-    def _component_loglik(self, x: np.ndarray, abar):
-        """Per component k, two fresh arrays shaped like x: diff_k = x - root*m_k
-        and loglik_k = log w_k - 0.5*(log(2 pi var_k) + diff_k**2 / var_k),
-        with root = sqrt(abar) and var_k = abar*v_k + 1 - abar."""
+    def _component_loglik(self, x: np.ndarray, abar) -> list[np.ndarray]:
+        """Per component k, loglik_k = log w_k - 0.5*(log(2 pi var_k) +
+        (x - root*m_k)**2 / var_k), a fresh array shaped like x, with
+        root = sqrt(abar) and var_k = abar*v_k + 1 - abar."""
         root = np.sqrt(abar)
         var_k = abar * self.variances + (1.0 - abar)  # (K,)
         log_norm = np.log(2.0 * math.pi * var_k)
-        diff, loglik = [], []
+        loglik = []
         for k in range(self.K):
-            d = x - root * self.means[k]
-            ll = d * d
+            ll = x - root * self.means[k]
+            ll *= ll
             ll /= var_k[k]
             ll += log_norm[k]
             ll *= 0.5
-            diff.append(d)
             loglik.append(np.subtract(self._logw[k], ll, out=ll))
-        return root, var_k, diff, loglik
+        return loglik
 
-    @staticmethod
-    def _log_sum_exp(loglik: list[np.ndarray]):
-        """Turn each loglik_k into exp(loglik_k - peak) in place; return the
-        running peak over the components and the left-to-right sum of those."""
-        peak = loglik[0].copy()
-        for ll in loglik[1:]:
-            np.maximum(peak, ll, out=peak)
-        for ll in loglik:
-            ll -= peak
-            np.exp(ll, out=ll)
-        total = loglik[0].copy()
-        for r in loglik[1:]:
-            total += r
-        return peak, total
+    def _step_terms(self, abar) -> tuple[np.ndarray, ...]:
+        """(K,) vectors of one step: eps_k = slope_k*x - icpt_k, and the
+        Horner coefficients of ll_0 - ll_k = (a_k*x + b_k)*x + c_k."""
+        root = np.sqrt(abar)
+        var_k = abar * self.variances + (1.0 - abar)
+        slope = np.sqrt(1.0 - abar) / var_k
+        icpt = slope * root * self.means
+        alpha = -0.5 / var_k
+        beta = root * self.means / var_k
+        gamma = self._logw - 0.5 * (np.log(var_k) + root * self.means * beta)
+        return slope, icpt, alpha[0] - alpha, beta[0] - beta, gamma[0] - gamma
 
-    def _predict_rows(self, x: np.ndarray, abar, out: np.ndarray) -> None:
-        root, var_k, diff, resp = self._component_loglik(x, abar)
-        _, total = self._log_sum_exp(resp)
-        gain = root * self.variances / var_k
-        for k in range(self.K):
-            diff[k] *= gain[k]
-            diff[k] += self.means[k]  # the component's posterior mean of x_0
-            resp[k] /= total
-            resp[k] *= diff[k]
-        post = resp[0]
-        for term in resp[1:]:
-            post += term
-        post *= root
-        np.subtract(x, post, out=out)
-        out /= np.sqrt(1.0 - abar)
+    def _scratch(self, n: int) -> tuple[np.ndarray, ...]:
+        """Work arrays of n rows (three for K >= 3, else two), kept for the
+        last row count only, as for the field."""
+        if self._work[0].shape[0] != n:
+            self._work = tuple(np.empty((n, self.dim)) for _ in range(2 + (self.K > 2)))
+        return self._work
+
+    def _predict_rows(self, x: np.ndarray, terms, out: np.ndarray, work) -> None:
+        slope, icpt, a, b, c = terms
+        q, e, lse = (*work, None)[:3]  # lse: the running log-sum-exp, K >= 3 only
+        if lse is not None:
+            lse.fill(0.0)
+        np.multiply(x, slope[0], out=out)
+        out -= icpt[0]
+        for k in range(1, self.K):
+            np.multiply(x, a[k], out=q)
+            q += b[k]
+            q *= x
+            q += c[k]  # ll_0 - ll_k
+            if lse is None:
+                d, eps_k = q, e
+            else:
+                d, eps_k = np.add(q, lse, out=e), q
+                if k < self.K - 1:
+                    np.negative(q, out=q)
+                    np.logaddexp(lse, q, out=lse)
+            # exp overflows only where component k's weight is below about
+            # 1e-308: 1 / (1 + inf) then weighs it exactly 0.
+            with np.errstate(over="ignore"):
+                np.exp(d, out=d)
+            d += 1.0
+            np.multiply(x, slope[k], out=eps_k)
+            eps_k -= icpt[k]
+            eps_k -= out
+            eps_k /= d
+            out += eps_k
 
     def predict_array(
         self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
     ) -> np.ndarray:
-        t = s.check_step(t)
-        abar = s.alpha_bar[t]
+        terms = self._step_terms(s.alpha_bar[s.check_step(t)])
         if out is None:
             out = np.empty(x.shape)
         rows = max(1, _BLOCK_VALUES // self.dim)
+        work = self._scratch(min(len(x), rows))
         for i in range(0, len(x), rows):
-            self._predict_rows(x[i : i + rows], abar, out[i : i + rows])
+            block = out[i : i + rows]
+            n = len(block)
+            self._predict_rows(x[i : i + rows], terms, block, [w[:n] for w in work])
         return out
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
+        """log q(x_t) by a log-sum-exp over the components, summed left to
+        right after a running peak, in the order of a trailing-axis reduction."""
         t = s.check_step(t, lowest=0)
-        *_, loglik = self._component_loglik(x, s.alpha_bar[t])
-        peak, total = self._log_sum_exp(loglik)
+        loglik = self._component_loglik(x, s.alpha_bar[t])
+        peak = loglik[0].copy()
+        for ll in loglik[1:]:
+            np.maximum(peak, ll, out=peak)
+        total = np.zeros(x.shape)
+        for ll in loglik:
+            ll -= peak
+            total += np.exp(ll, out=ll)
         return np.sum(peak + np.log(total, out=total), axis=-1)
 
     def _pixel_moments(self) -> tuple[float, float]:

@@ -5,7 +5,6 @@ attention map, and repair it with fuzzy-conditioned sampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,9 +22,6 @@ __all__ = [
     "DegradeParams",
     "DegradationRecord",
     "degrade",
-    "ks_two_sample",
-    "ks_critical",
-    "moment_error",
     "pixel_auc",
     "masked_mse",
     "run_correction_experiment",
@@ -141,48 +137,6 @@ def degrade(
 
 # ---------------------------------------------------------------------------
 # metrics
-
-
-def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b|."""
-    a = np.sort(np.asarray(a, dtype=np.float64).reshape(-1))
-    b = np.sort(np.asarray(b, dtype=np.float64).reshape(-1))
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("ks_two_sample needs non-empty samples")
-    pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
-def ks_critical(n: int, m: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at level alpha."""
-    if n < 1 or m < 1:
-        raise ValidationError("sample sizes must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
-    return c * math.sqrt((n + m) / (n * m))
-
-
-def moment_error(rows: np.ndarray, model: EpsilonModel) -> tuple[float, float]:
-    """Gap between sample moments and the model's analytic ones.
-
-    Returns (max per-pixel |mean difference|, relative Frobenius error of the
-    sample covariance) of (n, D) sample rows; needs at least two samples.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValidationError(f"sample array must be (n, D), got {rows.shape}")
-    if rows.shape[0] < 2:
-        raise ValidationError("moment_error needs at least 2 samples")
-    mean, cov = model.moments()
-    if rows.shape[1] != mean.size:
-        raise ValidationError(f"sample dim {rows.shape[1]} != model dim {mean.size}")
-    mean_err = float(np.abs(rows.mean(axis=0) - mean).max())
-    sample_cov = np.cov(rows, rowvar=False)
-    cov_err = float(np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov))
-    return mean_err, cov_err
 
 
 def pixel_auc(score: np.ndarray, mask: np.ndarray) -> float:

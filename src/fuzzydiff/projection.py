@@ -96,7 +96,9 @@ class ValidationStats:
             write_grid(directory / f"sigma_{t:05d}.fdg", self.sigma[t])
 
     @classmethod
-    def load(cls, directory) -> "ValidationStats":
+    def load(cls, directory, shape=None) -> "ValidationStats":
+        """Statistics saved by :meth:`save`; with ``shape`` given, a grid of
+        another (h, w, c) shape is refused after its header."""
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
         if not manifest_path.is_file():
@@ -116,8 +118,9 @@ class ValidationStats:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed stats manifest {manifest_path}: {exc}") from exc
-        mu = {t: read_grid(directory / f"mu_{t:05d}.fdg") for t in depths}
-        sigma = {t: read_grid(directory / f"sigma_{t:05d}.fdg") for t in depths}
+        shapes = None if shape is None else {tuple(shape)}
+        mu = {t: read_grid(directory / f"mu_{t:05d}.fdg", shapes) for t in depths}
+        sigma = {t: read_grid(directory / f"sigma_{t:05d}.fdg", shapes) for t in depths}
         return cls(depths=depths, mu=mu, sigma=sigma, **meta)
 
     def check_compatible(self, model: EpsilonModel, s: NoiseSchedule) -> None:

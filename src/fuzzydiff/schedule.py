@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ValidationError
 
-__all__ = ["NoiseSchedule", "linear_schedule", "posterior_mean_coeffs"]
+__all__ = ["NoiseSchedule", "linear_schedule"]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -135,18 +135,3 @@ def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) ->
     beta = np.zeros(T + 1)
     beta[1:] = np.linspace(beta_start, beta_end, T)
     return NoiseSchedule(T=T, beta=beta)
-
-
-def posterior_mean_coeffs(s: NoiseSchedule, t: int) -> tuple[float, float]:
-    """Coefficients (c0, ct) of the posterior mean  mu = c0*x0 + ct*xt.
-
-    c0 = sqrt(alpha_bar[t-1]) * beta_t / (1 - alpha_bar[t])
-    ct = sqrt(alpha[t]) * (1 - alpha_bar[t-1]) / (1 - alpha_bar[t])
-
-    At t=1 this collapses onto x0: (c0, ct) = (1, 0).
-    """
-    t = s.check_step(t)
-    denom = 1.0 - s.alpha_bar[t]
-    c0 = s.sqrt_alpha_bar[t - 1] * s.beta[t] / denom
-    ct = s.sqrt_alpha[t] * (1.0 - s.alpha_bar[t - 1]) / denom
-    return float(c0), float(ct)

@@ -22,12 +22,8 @@ from fuzzydiff import (
     degrade,
     fuzzy_fuse,
     fuzzy_sample,
-    ks_critical,
-    ks_two_sample,
     linear_schedule,
-    moment_error,
     pixel_auc,
-    posterior_mean_coeffs,
     run_correction_experiment,
     validation_stats,
     write_grid,
@@ -35,6 +31,8 @@ from fuzzydiff import (
 from fuzzydiff.cli import entrypoint
 from fuzzydiff.config import load_config, section
 from fuzzydiff.sampler import ancestral_sample_array
+
+from oracle_helpers import ks_critical, ks_two_sample, moment_error, posterior_mean_coeffs
 
 SEED = 20260816
 

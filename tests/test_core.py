@@ -173,8 +173,11 @@ def exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestPinnedTransform:
-    # The sizes from 8191 on straddle the Box-Muller pass's block boundaries.
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 1001, 8191, 8192, 8193, 16385, 64001])
+    # The sizes from 8191 on straddle block boundaries: 8192 values (an
+    # earlier block size) and the pass's blocks of 16384 pairs (32768 normals).
+    @pytest.mark.parametrize(
+        "n", [1, 2, 7, 64, 65, 1001, 8191, 8192, 8193, 16385, 32767, 32768, 32769, 32771, 64001]
+    )
     def test_normals_follow_the_documented_box_muller(self, n):
         # The transform is part of the output contract, so spell it out once.
         raw = RngStream(12, 3).raw(2 * ((n + 1) // 2))
@@ -247,7 +250,7 @@ class TestRowStreams:
 
     # Rows and per-row sizes where the read-ahead depth (4 * _BLOCK_VALUES
     # normals over rows * words) and the pass's blocks straddle their bounds:
-    # 400 and 513 rows read one 64-normal draw ahead, 16 rows read 32.
+    # 400 rows read two 64-normal draws ahead, 513 rows one, 16 rows 64.
     @pytest.mark.parametrize("per", [1, 7, 63, 64, 65, 130])
     @pytest.mark.parametrize("rows", [1, 2, 16, 20, 33, 64, 400, 513])
     def test_shared_pass_equals_per_stream_normals(self, rows, per):

@@ -236,30 +236,83 @@ def trailing_axis_log_marginal(model, x, t, s):
     return np.sum(peak + np.log(np.sum(np.exp(loglik - peak[..., None]), axis=-1)), axis=-1)
 
 
+def spelled_out_gmm_predict(model, x, t, s):
+    """The mixture's noise estimate out of place: eps_0, then each further
+    component merged in with weight 1 / (1 + exp(ll_0 - ll_k + lse))."""
+    abar = s.alpha_bar[t]
+    root = np.sqrt(abar)
+    var_k = abar * model.variances + (1.0 - abar)
+    slope = np.sqrt(1.0 - abar) / var_k
+    icpt = slope * root * model.means
+    alpha = -0.5 / var_k
+    beta = root * model.means / var_k
+    gamma = np.log(model.weights) - 0.5 * (np.log(var_k) + root * model.means * beta)
+    eps = slope[0] * x - icpt[0]
+    lse = 0.0
+    for k in range(1, model.K):
+        q = ((alpha[0] - alpha[k]) * x + (beta[0] - beta[k])) * x + (gamma[0] - gamma[k])
+        with np.errstate(over="ignore"):
+            eps = eps + ((slope[k] * x - icpt[k]) - eps) / (1.0 + np.exp(q + lse))
+        lse = np.logaddexp(lse, -q)
+    return eps
+
+
 class TestPinnedGmmKernel:
-    """The component-major kernel gives the bytes of the trailing-axis formula."""
+    """predict_array gives the bytes of the spelled-out merge formula and
+    agrees with the trailing-axis formula; log_marginal_array gives the bytes
+    of the trailing-axis log-sum-exp."""
 
     MIXTURES = {
         "K1": ([1.0], [0.3], [0.02]),
         "K2": ([0.5, 0.5], [0.25, 0.75], [0.005, 0.005]),
         "K3": ([0.2, 0.5, 0.3], [-0.4, 0.1, 0.9], [0.003, 0.05, 0.01]),
+        "K4": ([0.1, 0.4, 0.3, 0.2], [-0.3, 0.2, 0.5, 1.1], [0.004, 0.02, 0.006, 0.03]),
     }
 
-    @pytest.mark.parametrize("shape", [(8, 8, 1), (2, 2, 2)])
-    @pytest.mark.parametrize("mix", sorted(MIXTURES))
-    def test_bytes_at_every_step(self, mix, shape, sched400):
-        model = GmmPixelModel(shape, *self.MIXTURES[mix])
+    @staticmethod
+    def rows(model):
         rows, D = 40, model.dim
         noise = RngStream(23, 1).normals(rows * D).reshape(rows, D)
         x = model.sample_x0(rows, RngStream(23, 0)) + 0.3 * noise
         # Saturated rows: far outside every component, where likelihoods underflow.
         x[:5] = np.array([50.0, -50.0, 1e3, -1e3, 0.0])[:, None]
+        return x
+
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("mix", sorted(MIXTURES))
+    def test_bytes_at_every_step(self, mix, shape, sched400):
+        model = GmmPixelModel(shape, *self.MIXTURES[mix])
+        x = self.rows(model)
         for t in range(0, sched400.T + 1):
             if t >= 1:
                 got = model.predict_array(x, t, sched400)
-                assert got.tobytes() == trailing_axis_predict(model, x, t, sched400).tobytes()
+                assert got.tobytes() == spelled_out_gmm_predict(model, x, t, sched400).tobytes()
             got = model.log_marginal_array(x, t, sched400)
             assert got.tobytes() == trailing_axis_log_marginal(model, x, t, sched400).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (2, 2, 2)])
+    @pytest.mark.parametrize("mix", sorted(MIXTURES))
+    def test_agrees_with_the_trailing_axis_formula(self, mix, shape, sched400):
+        # 1e-12 is the worst gap measured over these rows (5.8e-14, K3) with headroom.
+        model = GmmPixelModel(shape, *self.MIXTURES[mix])
+        x = self.rows(model)
+        for t in range(1, sched400.T + 1):
+            ref = trailing_axis_predict(model, x, t, sched400)
+            gap = np.abs(model.predict_array(x, t, sched400) - ref)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(ref))), t
+
+    @pytest.mark.parametrize("mix", ["K2", "K3"])
+    def test_rows_across_block_edges(self, mix, sched400):
+        # With D = 64 a row block is 256 rows, so these counts end just inside,
+        # on and just past block edges; pairs of rows run in one block.
+        model = GmmPixelModel((8, 8, 1), *self.MIXTURES[mix])
+        pool = model.sample_x0(1000, RngStream(29, 0))
+        for t in (1, 140, 400):
+            pairs = [model.predict_array(pool[i : i + 2], t, sched400) for i in range(0, 1000, 2)]
+            ref = np.concatenate(pairs)
+            for n in (1, 255, 256, 257, 1000):
+                got = model.predict_array(pool[:n], t, sched400)
+                assert got.tobytes() == ref[:n].tobytes()
 
 
 def spelled_out_field_predict(model, x, t, s):
@@ -287,7 +340,7 @@ class TestPredictInto:
     def test_bytes_of_the_spelled_out_formula(self, kind, field_model, gmm_model, sched200):
         model, formula = {
             "field": (field_model, spelled_out_field_predict),
-            "gmm": (gmm_model, trailing_axis_predict),
+            "gmm": (gmm_model, spelled_out_gmm_predict),
         }[kind]
         pool = 0.5 + 0.3 * RngStream(41, 0).normals(1000 * model.dim).reshape(1000, -1)
         for n in self.ROWS:

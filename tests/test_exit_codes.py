@@ -47,7 +47,7 @@ MODELS = [
 IMAGES = ["probe.fdg", "wide.fdg", "absent.fdg"]
 MAPS = [0.5, 1.0, 1.5, "weights.fdg", "wide.fdg", "absent.fdg"]
 STATS_DIRS = ["stats", "absent"]
-STATS_DAMAGE = [None, "not json", "missing key", "missing grid", "wrong shape"]
+STATS_DAMAGE = [None, "not json", "missing key", "missing grid", "wrong shape", "all wide"]
 
 counts = st.integers(-2, 3)
 small = st.integers(0, 2)
@@ -129,6 +129,9 @@ def _write_inputs(root: Path, schedule: dict, damage) -> None:
         (root / "stats" / "sigma_00001.fdg").unlink()
     elif damage == "wrong shape":
         write_grid(root / "stats" / "mu_00001.fdg", Grid(np.zeros((3, 2, 1))))
+    elif damage == "all wide":
+        for name in ("mu_00001.fdg", "sigma_00001.fdg"):
+            write_grid(root / "stats" / name, Grid(np.ones((2, 3, 1))))
 
 
 @given(scenarios())
@@ -150,11 +153,11 @@ def _header(h: int, w: int, c: int) -> bytes:
     return b"FDG1" + struct.pack("<III", h, w, c)
 
 
-def _sparse(path: Path) -> None:
-    # A header that claims 2**31 values and a file of exactly that size,
-    # with no data blocks: reading it whole would need 16 GiB.
-    path.write_bytes(_header(2**16, 2**15, 1))
-    os.truncate(path, 16 + 8 * 2**31)
+def _sparse(path: Path, h: int = 2**16, w: int = 2**15) -> None:
+    # A header that claims h*w values and a file of exactly that size, with
+    # no data blocks: by default 2**31 values, which read whole need 16 GiB.
+    path.write_bytes(_header(h, w, 1))
+    os.truncate(path, 16 + 8 * h * w)
 
 
 BAD_IMAGES = {
@@ -179,8 +182,9 @@ LIMITED_CLI = (
 )
 
 
-def _assert_limited_cli_exits(code: int, *argv) -> None:
-    """Run the CLI under LIMITED_CLI; it must exit with ``code`` and print no traceback."""
+def _assert_limited_cli_exits(code: int, *argv) -> str:
+    """Run the CLI under LIMITED_CLI; it must exit with ``code`` and print no
+    traceback. Returns its stderr."""
     src = str(Path(fuzzydiff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -191,6 +195,7 @@ def _assert_limited_cli_exits(code: int, *argv) -> None:
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), proc.stderr
+    return proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(BAD_IMAGES))
@@ -202,6 +207,40 @@ def test_bad_image_files_end_in_a_documented_exit_code(tmp_path, case):
     config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM,
                                   "degrade": {"image": str(image)}}))
     _assert_limited_cli_exits(code, "degrade", "--config", config, "--out", tmp_path / "out")
+
+
+def _stats_with_a_wide_grid(root: Path) -> list:
+    """attend argv on stats whose mu grid claims 2**24 values (a sparse 128 MiB file)."""
+    config = root / "cfg.json"
+    config.write_text(json.dumps({
+        "schedule": {"T": 4}, "model": GMM, "stats": {"v_count": 3, "depths": [1]},
+        "attend": {"image": str(root / "probe.fdg"), "stats_dir": str(root / "built" / "stats")},
+    }))
+    assert entrypoint(["stats", "--config", str(config), "--out", str(root / "built")]) == 0
+    _sparse(root / "built" / "stats" / "mu_00001.fdg", 2**12, 2**12)
+    return ["attend", "--config", config, "--out", root / "out"]
+
+
+def _wide_weight_map(root: Path) -> list:
+    """fuzzy argv with a weight map that claims 2**24 values (a sparse 128 MiB file)."""
+    _sparse(root / "map.fdg", 2**12, 2**12)
+    config = root / "cfg.json"
+    config.write_text(json.dumps({
+        "schedule": {"T": 4}, "model": GMM,
+        "fuzzy": {"image": str(root / "probe.fdg"), "map": str(root / "map.fdg")},
+    }))
+    return ["fuzzy", "--config", config, "--out", root / "out"]
+
+
+WRONG_SHAPES = {"stats grid": _stats_with_a_wide_grid, "weight map": _wide_weight_map}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+def test_wrong_shape_inputs_exit_4_after_the_header(tmp_path, case):
+    # read_grid's shape error comes from the header, before the payload is read.
+    write_grid(tmp_path / "probe.fdg", Grid(np.full((2, 2, 1), 0.4)))
+    stderr = _assert_limited_cli_exits(EXIT_VALIDATION, *WRONG_SHAPES[case](tmp_path))
+    assert "grid shape (4096, 4096, 1) is not (2, 2, 1)" in stderr, stderr
 
 
 # The default eval.trials (20) and stats.v_count (1000) times 2**20 values per

@@ -10,6 +10,9 @@ A change that moves artifact bytes on purpose regenerates the file, from the
 root of a checkout, and names the moved runs and the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The script prints the runs whose hashes differ from the previous file, one
+a line, before it overwrites the file.
 """
 
 from __future__ import annotations
@@ -95,14 +98,23 @@ def corpus(root: Path) -> dict[str, dict[str, str]]:
     return hashes
 
 
+def moved_runs(expect: dict, got: dict) -> list[str]:
+    """The runs of either corpus whose file hashes differ from the other's."""
+    return sorted(run for run in expect.keys() | got.keys() if expect.get(run) != got.get(run))
+
+
 def test_cli_artifacts_match_the_golden_corpus(tmp_path):
     expect = json.loads(GOLDEN.read_text())
     got = corpus(tmp_path)
     assert sorted(got) == sorted(expect)
-    moved = sorted(run for run in expect if got[run] != expect[run])
+    moved = moved_runs(expect, got)
     assert not moved, f"artifact bytes moved in {moved}; see the module docstring"
 
 
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(corpus(Path(tmp)), indent=1, sort_keys=True) + "\n")
+        hashes = corpus(Path(tmp))
+    for run in moved_runs(previous, hashes):
+        print(run)
+    GOLDEN.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")

@@ -14,15 +14,14 @@ from fuzzydiff import (
     RngStream,
     ValidationError,
     degrade,
-    ks_critical,
-    ks_two_sample,
     linear_schedule,
     masked_mse,
-    moment_error,
     pixel_auc,
     run_correction_experiment,
 )
 from fuzzydiff.config import load_config, section
+
+from oracle_helpers import ks_critical, ks_two_sample, moment_error
 
 
 def mean_image(model):

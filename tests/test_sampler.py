@@ -14,12 +14,12 @@ from fuzzydiff import (
     ValidationError,
     fuzzy_fuse,
     fuzzy_sample,
-    ks_critical,
-    ks_two_sample,
     linear_schedule,
 )
 from fuzzydiff.projection import project_reconstruct_array
 from fuzzydiff.sampler import _reverse_step_array, ancestral_sample_array
+
+from oracle_helpers import ks_critical, ks_two_sample
 
 
 def std_normal_model() -> GaussianFieldModel:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzydiff import NoiseSchedule, ValidationError, linear_schedule, posterior_mean_coeffs
+from fuzzydiff import NoiseSchedule, ValidationError, linear_schedule
+
+from oracle_helpers import posterior_mean_coeffs
 
 
 def test_single_step_schedule():
