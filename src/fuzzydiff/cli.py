@@ -121,7 +121,7 @@ def _previous_files(out: Path) -> list[Path]:
         raise OSError(f"{manifest}: not a regular file")
     try:
         listed = json.loads(manifest.read_text())["files"].keys()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
     root, stage = out.resolve(), (out / _STAGE).resolve()
     paths = [(out / rel).resolve() for rel in listed]

@@ -333,7 +333,8 @@ def build_model(cfg: dict, base_dir=None) -> EpsilonModel:
     """Construct the oracle named by the config's model section.
 
     covariance_file paths resolve relative to base_dir (normally the config
-    file's directory); the file must hold a DxD single-channel grid.
+    file's directory); the file must hold a DxD single-channel grid, which its
+    header shows before the payload is read.
     """
     spec = cfg["model"]
     shape = (spec["height"], spec["width"], spec["channels"])
@@ -343,14 +344,8 @@ def build_model(cfg: dict, base_dir=None) -> EpsilonModel:
                 cov_path = Path(spec["covariance_file"])
                 if base_dir is not None and not cov_path.is_absolute():
                     cov_path = Path(base_dir) / cov_path
-                cov_grid = read_grid(cov_path)
                 D = shape[0] * shape[1] * shape[2]
-                if cov_grid.shape != (D, D, 1):
-                    raise ConfigError(
-                        f"covariance grid must be {D}x{D}x1, got "
-                        f"{cov_grid.shape[0]}x{cov_grid.shape[1]}x{cov_grid.shape[2]}"
-                    )
-                cov = cov_grid.values[:, :, 0]
+                cov = read_grid(cov_path, {(D, D, 1)}).values[:, :, 0]
                 return GaussianFieldModel(shape, float(spec["mean"]), cov)
             return GaussianFieldModel.exponential(
                 height=shape[0],

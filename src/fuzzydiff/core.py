@@ -21,7 +21,7 @@ _MASK64 = (1 << 64) - 1
 # when freed and were page-faulted in again on every call: 5.2 ms a call
 # against 1.4 ms blocked (2-vCPU Xeon, glibc malloc). 16384 against 8192
 # values: ~7 % less time per bulk normal (18.0 against 19.3 ns). Its users:
-# GmmPixelModel.predict_array (row blocks, in work arrays the model holds),
+# GmmPixelModel.predict_array (row blocks, in the model's _Scratch),
 # _box_muller (blocks of whole draws or of one draw's columns),
 # RngStream.normals (how many words a draw reads at a time), RowStreams (it
 # reads four blocks ahead) and the scratch those passes hold (_Scratch).
@@ -113,27 +113,38 @@ class _Scratch:
     A pass that allocated its scratch afresh would hand it back to the OS at
     the end and page-fault it in again on the next pass: ~58 700 minor faults
     per ``stats-gmm-batch`` benchmark op against ~1 900 with held scratch, and
-    slower (2-vCPU Xeon, glibc malloc). :func:`_rotate` works in the first
-    five rows (:func:`_radii` in the first two, before it), and
-    :func:`_box_muller` keeps a block's normals in two more: an
-    :class:`RngStream` holds five rows and a :class:`RowStreams` seven. (Seven
-    rows on every bulk stream measured ~7 % slower per ``stats-gmm-batch`` op
-    in fresh processes, though the two extra rows are never touched.) The
-    rows grow to the widest block seen and never shrink; each stream object
-    owns one.
+    slower (2-vCPU Xeon, glibc malloc). The rows grow to the widest request
+    seen and never shrink; each owner holds its own. The owners:
+
+    - :class:`RngStream`, five rows: :func:`_rotate` works in rows 0-4 and
+      :func:`_radii` in rows 0-1, before it;
+    - :class:`RowStreams`, seven rows: those five, and :func:`_box_muller`
+      keeps a block's normals in rows 5-6. (Seven rows on every bulk stream
+      measured ~7 % slower per ``stats-gmm-batch`` op in fresh processes,
+      though the two extra rows are never touched.)
+    - ``GaussianFieldModel``, two rows, and ``GmmPixelModel``, two, or three
+      for K > 2: the ``(n, D)`` work arrays of ``predict_array``.
+
+    ``rows`` keeps its last request and the views it gave, so an oracle that
+    asks for the same rows on every step builds no views.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_last", "_views")
 
     def __init__(self, count: int) -> None:
         self._rows = np.empty((count, 0))
+        self._last = None
+        self._views: list[np.ndarray] = []
 
     def rows(self, shape: tuple[int, ...], first: int, stop: int) -> list[np.ndarray]:
         """Scratch rows ``first`` to ``stop - 1``, as contiguous arrays of ``shape``."""
-        n = math.prod(shape)
-        if self._rows.shape[1] < n:
-            self._rows = np.empty((len(self._rows), n))
-        return [row[:n].reshape(shape) for row in self._rows[first:stop]]
+        if self._last != (shape, first, stop):
+            n = math.prod(shape)
+            if self._rows.shape[1] < n:
+                self._rows = np.empty((len(self._rows), n))
+            self._views = [row[:n].reshape(shape) for row in self._rows[first:stop]]
+            self._last = (shape, first, stop)
+        return self._views
 
 
 def _rotate(
@@ -308,6 +319,9 @@ class RowStreams:
     ``normals(k)`` gives row i the next ``k // n`` normals of ``streams[i]``,
     in row order, so row i of a chain that draws whole (n, D) blocks gets
     exactly the draws of a one-row chain on ``streams[i]``, whatever n is.
+    A ``RowStreams`` draws one size: every call after the first must ask for
+    as many normals as the first, or it raises ``ValidationError``. A chain
+    that needs another size draws from a :meth:`child`.
 
     A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per
     row gives the words of k draws, about ``4 * _BLOCK_VALUES`` normals in all
@@ -322,7 +336,7 @@ class RowStreams:
     its state and write into it.
     """
 
-    __slots__ = ("streams", "_words", "_ready", "_next", "_scratch")
+    __slots__ = ("streams", "_ready", "_next", "_scratch")
 
     def __init__(self, streams) -> None:
         self.streams = tuple(streams)
@@ -330,7 +344,6 @@ class RowStreams:
             raise ValidationError("row streams need at least one stream")
         if len({id(s) for s in self.streams}) != len(self.streams):
             raise ValidationError("a stream object serves two rows; give each row its own")
-        self._words = np.empty((len(self.streams), 0), dtype=np.uint64)  # unconsumed
         self._ready = np.empty((len(self.streams), 0, 0))  # (rows, draws, per) normals
         self._next = 0  # the first ready draw not yet handed out
         self._scratch = _Scratch(7)
@@ -347,28 +360,17 @@ class RowStreams:
         if per == 0:
             return np.empty(0)
         _, ready, size = self._ready.shape
-        if size != per or self._next == ready:
-            self._read_ahead(per)
+        if size and size != per:
+            raise ValidationError(f"these row streams draw {size} normals a row, not {per}")
+        if self._next == ready:  # read the next k draws ahead
+            words = 2 * ((per + 1) // 2)
+            k = max(1, 4 * _BLOCK_VALUES // (rows * words))
+            bits = np.empty((rows, k * words), dtype=np.uint64)
+            for row, stream in zip(bits, self.streams):
+                row[:] = stream.raw(k * words)
+            z = _box_muller(bits.reshape(rows * k, words), per, self._scratch)
+            self._ready = z.reshape(rows, k, per)
+            self._next = 0
         draw = self._ready[:, self._next]
         self._next += 1
         return draw.reshape(-1)
-
-    def _read_ahead(self, per: int) -> None:
-        """Drop the words of the draws handed out, then turn the words of the
-        next k draws of ``per`` normals into ready normals."""
-        rows = len(self.streams)
-        used = 2 * ((self._ready.shape[2] + 1) // 2) * self._next
-        words = 2 * ((per + 1) // 2)
-        k = max(1, 4 * _BLOCK_VALUES // (rows * words))
-        held = self._words[:, used:]
-        kept = held.shape[1]
-        if kept < k * words:
-            more = np.empty((rows, k * words), dtype=np.uint64)
-            more[:, :kept] = held
-            for row, stream in zip(more, self.streams):
-                row[kept:] = stream.raw(k * words - kept)
-            held = more
-        self._words = held
-        bits = held[:, : k * words].reshape(rows * k, words)
-        self._ready = _box_muller(bits, per, self._scratch).reshape(rows, k, per)
-        self._next = 0

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .core import _BLOCK_VALUES, RngStream, ValidationError
+from .core import _BLOCK_VALUES, RngStream, ValidationError, _Scratch
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -206,7 +206,7 @@ class GaussianFieldModel(EpsilonModel):
         self.cov_eigvecs = vecs
         self._cov = cov
         self._sqrt_lam = np.sqrt(lam)
-        self._work = (np.empty((0, D)), np.empty((0, D)))
+        self._scratch = _Scratch(2)
         self._terms = (None, 0, None)  # (schedule, t, terms) of the last step predicted
 
     @classmethod
@@ -238,13 +238,6 @@ class GaussianFieldModel(EpsilonModel):
             cov[np.ix_(idx, idx)] = block
         return cls((height, width, channels), mean, cov)
 
-    def _scratch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two (n, D) work arrays, kept for the last row count only, so a chain
-        that predicts on the same rows every step allocates them once."""
-        if self._work[0].shape[0] != n:
-            self._work = (np.empty((n, self.dim)), np.empty((n, self.dim)))
-        return self._work
-
     def _step_terms(self, t: int, s: NoiseSchedule) -> tuple:
         """sqrt(abar), sqrt(abar) * mu, the gain vector and sqrt(1 - abar) of
         step t, kept for the last step only: a fuzzy chain predicts J times
@@ -263,7 +256,7 @@ class GaussianFieldModel(EpsilonModel):
         self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
     ) -> np.ndarray:
         root, root_mu, gain, scale = self._step_terms(s.check_step(t), s)
-        a, b = self._scratch(len(x))
+        a, b = self._scratch.rows(x.shape, 0, 2)
         np.subtract(x, root_mu, out=a)
         _rows_matmul(a, self.cov_eigvecs, out=b)
         b *= gain
@@ -323,9 +316,10 @@ class GmmPixelModel(EpsilonModel):
     is the running log of the earlier components' summed weights over
     w_0 N_0 (zero, and not kept, for K = 2). An exp that overflows weighs its
     component exactly 0. It runs on row blocks of about ``_BLOCK_VALUES``
-    values in work arrays the model holds. Its results agree with the
-    trailing-axis log-sum-exp formula within 1e-12 * max(1, |eps|), saturated
-    rows included (tests/test_denoiser.py pins both).
+    values, in work arrays the model holds in a ``core._Scratch``. Its results
+    agree with the trailing-axis log-sum-exp formula within
+    1e-12 * max(1, |eps|), saturated rows included (tests/test_denoiser.py
+    pins both).
     """
 
     def __init__(self, shape: tuple[int, int, int], weights, means, variances) -> None:
@@ -351,7 +345,7 @@ class GmmPixelModel(EpsilonModel):
         self.variances = sig2
         self._logw = np.log(wts)
         self._cumw = np.cumsum(wts)
-        self._work = (np.empty((0, self.dim)),)
+        self._scratch = _Scratch(2 + (self.K > 2))
 
     @classmethod
     def two_mode(
@@ -393,13 +387,6 @@ class GmmPixelModel(EpsilonModel):
         gamma = self._logw - 0.5 * (np.log(var_k) + root * self.means * beta)
         return slope, icpt, alpha[0] - alpha, beta[0] - beta, gamma[0] - gamma
 
-    def _scratch(self, n: int) -> tuple[np.ndarray, ...]:
-        """Work arrays of n rows (three for K >= 3, else two), kept for the
-        last row count only, as for the field."""
-        if self._work[0].shape[0] != n:
-            self._work = tuple(np.empty((n, self.dim)) for _ in range(2 + (self.K > 2)))
-        return self._work
-
     def _predict_rows(self, x: np.ndarray, terms, out: np.ndarray, work) -> None:
         slope, icpt, a, b, c = terms
         q, e, lse = (*work, None)[:3]  # lse: the running log-sum-exp, K >= 3 only
@@ -437,11 +424,10 @@ class GmmPixelModel(EpsilonModel):
         if out is None:
             out = np.empty(x.shape)
         rows = max(1, _BLOCK_VALUES // self.dim)
-        work = self._scratch(min(len(x), rows))
         for i in range(0, len(x), rows):
             block = out[i : i + rows]
-            n = len(block)
-            self._predict_rows(x[i : i + rows], terms, block, [w[:n] for w in work])
+            work = self._scratch.rows(block.shape, 0, 3)  # all its rows, two or three
+            self._predict_rows(x[i : i + rows], terms, block, work)
         return out
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:

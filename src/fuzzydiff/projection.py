@@ -39,6 +39,10 @@ SCORE_MAX = 6.0
 SIGMA_FLOOR_SCALE = 1e-6
 
 _MANIFEST_NAME = "manifest.json"
+# The largest stats manifest read. The one ValidationStats.save writes lists
+# its depths, distinct steps in [0, 10**6] (config.MAX_T), one per indented
+# line, so it stays under 12 MB.
+MAX_STATS_MANIFEST_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,20 @@ class ValidationStats:
     @classmethod
     def load(cls, directory, shape=None) -> "ValidationStats":
         """Statistics saved by :meth:`save`; with ``shape`` given, a grid of
-        another (h, w, c) shape is refused after its header."""
+        another (h, w, c) shape is refused after its header. The manifest is
+        read up to its stat size, and refused unread if that is too large."""
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
         if not manifest_path.is_file():
             raise FileNotFoundError(f"no stats manifest at {manifest_path}")
+        size = manifest_path.stat().st_size
+        if size > MAX_STATS_MANIFEST_BYTES:
+            limit = MAX_STATS_MANIFEST_BYTES
+            raise ValidationError(f"stats manifest {manifest_path} has {size} bytes, over {limit}")
+        with open(manifest_path, "rb") as fh:
+            text = fh.read(size)
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(text)
             version = manifest.get("schema_version")
             if version != 1:
                 raise ValidationError(f"unsupported stats schema: {version!r}")
@@ -116,7 +127,7 @@ class ValidationStats:
                 model_fingerprint=str(manifest["model_fingerprint"]),
                 schedule_fingerprint=str(manifest["schedule_fingerprint"]),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValidationError(f"malformed stats manifest {manifest_path}: {exc}") from exc
         shapes = None if shape is None else {tuple(shape)}
         mu = {t: read_grid(directory / f"mu_{t:05d}.fdg", shapes) for t in depths}

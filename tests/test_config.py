@@ -340,7 +340,8 @@ class TestBuilders:
             },
         }
         path = write_cfg(tmp_path, payload)
-        with pytest.raises(ConfigError, match="covariance grid"):
+        # The shape is checked from the grid file's header, before its payload.
+        with pytest.raises(ConfigError, match=r"grid shape \(3, 3, 1\) is not \(4, 4, 1\)"):
             build_model(load_config(path), base_dir=path.parent)
 
     def test_invalid_model_parameters_become_config_errors(self, tmp_path):

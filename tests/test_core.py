@@ -285,16 +285,24 @@ class TestRowStreams:
     @settings(max_examples=40, deadline=None)
     @given(
         rows=st.sampled_from([1, 2, 16, 20, 33, 64, 130, 400, 513]),
-        sizes=st.lists(st.integers(0, 130), min_size=1, max_size=12),
+        per=st.integers(1, 130),
+        other=st.integers(1, 130),
+        draws=st.integers(1, 12),
     )
-    def test_read_ahead_keeps_every_rows_draws(self, rows, sizes):
-        # Per-row sizes 1..130 read up to 16384 draws ahead, down to 1; a
-        # size change mid-read-ahead must neither lose nor reuse a word.
+    def test_one_draw_size_per_object(self, rows, per, other, draws):
+        # Per-row sizes 1..130 read up to 16384 draws ahead, down to 1; each
+        # draw of the one size is the next per-stream draw, and another size
+        # is refused.
         batch = RowStreams(RngStream(41, 0).child(i) for i in range(rows))
         alone = [RngStream(41, 0).child(i) for i in range(rows)]
-        for per in sizes:
+        for _ in range(draws):
             expect = np.concatenate([s.normals(per) for s in alone])
             assert batch.normals(rows * per).tobytes() == expect.tobytes()
+        if other != per:
+            with pytest.raises(ValidationError, match="normals a row"):
+                batch.normals(rows * other)
+        expect = np.concatenate([s.normals(per) for s in alone])
+        assert batch.normals(rows * per).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_draws_wider_than_a_block(self, rows):

@@ -354,6 +354,18 @@ class TestPredictInto:
                 assert out.tobytes() == expect
             assert x.tobytes() == kept.tobytes()
 
+    @pytest.mark.parametrize("kind", ["field", "gmm"])
+    def test_bytes_do_not_depend_on_the_previous_row_count(self, kind, sched200):
+        # A model keeps its work arrays at the widest row count it has seen;
+        # 400 GMM rows end in a partial 144-row block (blocks of 256 rows).
+        build = {"field": GaussianFieldModel.exponential, "gmm": GmmPixelModel.two_mode}[kind]
+        model = build()
+        pool = 0.5 + 0.3 * RngStream(42, 0).normals(400 * model.dim).reshape(400, -1)
+        for n in (400, 20, 400):
+            for t in (1, 2, sched200.T):
+                fresh = build().predict_array(pool[:n], t, sched200)
+                assert model.predict_array(pool[:n], t, sched200).tobytes() == fresh.tobytes()
+
 
 class TestEigenThreads:
     def test_eigenvectors_do_not_depend_on_the_blas_thread_count(self):

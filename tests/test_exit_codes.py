@@ -22,6 +22,7 @@ import fuzzydiff
 from fuzzydiff import Grid, write_grid
 from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION, entrypoint
 from fuzzydiff.config import MAX_CONFIG_BYTES
+from fuzzydiff.projection import MAX_STATS_MANIFEST_BYTES
 
 CONTRACT = {0, 2, 3, 4}
 COMMANDS = ["sample", "fuzzy", "stats", "attend", "degrade", "eval"]
@@ -209,16 +210,22 @@ def test_bad_image_files_end_in_a_documented_exit_code(tmp_path, case):
     _assert_limited_cli_exits(code, "degrade", "--config", config, "--out", tmp_path / "out")
 
 
-def _stats_with_a_wide_grid(root: Path) -> list:
-    """attend argv on stats whose mu grid claims 2**24 values (a sparse 128 MiB file)."""
+def _attend_on_built_stats(root: Path) -> list:
+    """attend argv on statistics the CLI builds into root/built/stats."""
     config = root / "cfg.json"
     config.write_text(json.dumps({
         "schedule": {"T": 4}, "model": GMM, "stats": {"v_count": 3, "depths": [1]},
         "attend": {"image": str(root / "probe.fdg"), "stats_dir": str(root / "built" / "stats")},
     }))
     assert entrypoint(["stats", "--config", str(config), "--out", str(root / "built")]) == 0
-    _sparse(root / "built" / "stats" / "mu_00001.fdg", 2**12, 2**12)
     return ["attend", "--config", config, "--out", root / "out"]
+
+
+def _stats_with_a_wide_grid(root: Path) -> list:
+    """attend argv on stats whose mu grid claims 2**24 values (a sparse 128 MiB file)."""
+    argv = _attend_on_built_stats(root)
+    _sparse(root / "built" / "stats" / "mu_00001.fdg", 2**12, 2**12)
+    return argv
 
 
 def _wide_weight_map(root: Path) -> list:
@@ -241,6 +248,65 @@ def test_wrong_shape_inputs_exit_4_after_the_header(tmp_path, case):
     write_grid(tmp_path / "probe.fdg", Grid(np.full((2, 2, 1), 0.4)))
     stderr = _assert_limited_cli_exits(EXIT_VALIDATION, *WRONG_SHAPES[case](tmp_path))
     assert "grid shape (4096, 4096, 1) is not (2, 2, 1)" in stderr, stderr
+
+
+# JSON nested 10**5 deep: Python's json raises RecursionError on it.
+DEEP_JSON = "[" * 10**5 + "]" * 10**5
+
+
+def _deep_stats_manifest(root: Path) -> list:
+    argv = _attend_on_built_stats(root)
+    (root / "built" / "stats" / "manifest.json").write_text(DEEP_JSON)
+    return argv
+
+
+def _sparse_stats_manifest(root: Path) -> list:
+    # The valid manifest, padded with 3 GiB of zero bytes and no data blocks.
+    argv = _attend_on_built_stats(root)
+    os.truncate(root / "built" / "stats" / "manifest.json", 3 << 30)
+    return argv
+
+
+def _deep_previous_manifest(root: Path) -> list:
+    config = root / "cfg.json"
+    config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM}))
+    (root / "out").mkdir()
+    (root / "out" / "manifest.json").write_text(DEEP_JSON)
+    return ["sample", "--config", config, "--out", root / "out", "--force"]
+
+
+def _wide_covariance(root: Path) -> list:
+    # A 2x2 field needs a 4x4x1 covariance; this one claims 2**24 values.
+    _sparse(root / "cov.fdg", 2**12, 2**12)
+    config = root / "cfg.json"
+    model = dict(FIELD, covariance_file=str(root / "cov.fdg"))
+    config.write_text(json.dumps({"schedule": {"T": 4}, "model": model}))
+    return ["sample", "--config", config, "--out", root / "out"]
+
+
+# case: (argv builder, exit code, what stderr must say)
+BAD_READS = {
+    "deep stats manifest": (_deep_stats_manifest, EXIT_VALIDATION, "malformed stats manifest"),
+    "deep previous manifest": (
+        _deep_previous_manifest, EXIT_VALIDATION, "cannot read previous manifest"
+    ),
+    "sparse 3 GiB stats manifest": (
+        _sparse_stats_manifest, EXIT_VALIDATION, f"bytes, over {MAX_STATS_MANIFEST_BYTES}"
+    ),
+    "wide covariance": (
+        _wide_covariance, EXIT_CONFIG, "grid shape (4096, 4096, 1) is not (4, 4, 1)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_READS))
+def test_nested_oversized_and_wrong_shape_files_exit_cleanly(tmp_path, case):
+    # A covariance is checked from its header; manifests are neither parsed
+    # past Python's recursion limit nor read past a cap.
+    build, code, message = BAD_READS[case]
+    write_grid(tmp_path / "probe.fdg", Grid(np.full((2, 2, 1), 0.4)))
+    stderr = _assert_limited_cli_exits(code, *build(tmp_path))
+    assert message in stderr, stderr
 
 
 # The default eval.trials (20) and stats.v_count (1000) times 2**20 values per
