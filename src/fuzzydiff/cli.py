@@ -36,7 +36,7 @@ import numpy as np
 from .config import ConfigError, build_model, build_schedule, load_config
 from .config import section as config_section
 from .core import Grid, RngStream, RowStreams, ValidationError
-from .gridio import read_grid, write_grid, write_preview
+from .gridio import parse_json, read_grid, write_grid, write_preview
 from .harness import DegradeParams, degrade, run_correction_experiment
 from .projection import (
     ValidationStats,
@@ -120,7 +120,7 @@ def _previous_files(out: Path) -> list[Path]:
     if not manifest.is_file():  # a FIFO would block the read below
         raise OSError(f"{manifest}: not a regular file")
     try:
-        listed = json.loads(manifest.read_text())["files"].keys()
+        listed = parse_json(manifest.read_text())["files"].keys()
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
     root, stage = out.resolve(), (out / _STAGE).resolve()
@@ -148,17 +148,28 @@ def _prepare_out(out: Path, force: bool) -> Path:
 def _commit_out(out: Path) -> None:
     """Replace the previous run in --out with the staged one.
 
-    Deletes the files the previous manifest lists (only inside --out, so
-    unlisted files survive and two runs never mix), renames the staged files
-    into place, and renames the new manifest.json last.
+    Checks first that every staged file can be placed (no directory at a
+    target, no non-directory at an ancestor inside --out), raising OSError
+    while the previous run is whole. Then deletes the files the previous
+    manifest lists (only inside --out, so unlisted files survive and two runs
+    never mix), renames the staged files into place, and renames the new
+    manifest.json last.
     """
     stage = out / _STAGE
-    for path in _previous_files(out):
-        path.unlink()
     manifest = stage / "manifest.json"
     staged = [p for p in sorted(stage.rglob("*")) if p.is_file() and p != manifest]
-    for path in staged + [manifest]:
-        target = out / path.relative_to(stage)
+    moves = [(p, out / p.relative_to(stage)) for p in staged + [manifest]]
+    for _, target in moves:
+        if target.is_dir():
+            raise OSError(f"{target}: is a directory")
+    for parent in sorted({target.parent for _, target in moves}):
+        while parent != out:
+            if (parent.exists() or parent.is_symlink()) and not parent.is_dir():
+                raise OSError(f"{parent}: not a directory")
+            parent = parent.parent
+    for path in _previous_files(out):
+        path.unlink()
+    for path, target in moves:
         target.parent.mkdir(parents=True, exist_ok=True)
         path.replace(target)
 
@@ -246,7 +257,7 @@ def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> list[Pa
     stats = ValidationStats.load(section["stats_dir"], (h, w, 1))
     image = _read_image(section["image"], model)
     streams = RowStreams([root.child(0)])
-    [amap] = attention_map(image[None], stats, model, schedule, section["reps"], streams)
+    [amap] = attention_map(image[None], stats, model, schedule, streams)
     weights = weight_from_attention(amap)
     return _write_grids(out, (("attention", amap), ("weights", weights)))
 

@@ -8,7 +8,6 @@ instead of silently running a different experiment.
 
 from __future__ import annotations
 
-import json
 import math
 import stat
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from .core import ValidationError
 from .denoiser import EpsilonModel, GaussianFieldModel, GmmPixelModel
-from .gridio import read_grid
+from .gridio import parse_json, read_grid
 from .schedule import NoiseSchedule, linear_schedule
 
 __all__ = ["ConfigError", "load_config", "build_schedule", "build_model"]
@@ -210,7 +209,6 @@ _SECTION_FIELDS = {
     "attend": {
         "image": ("string", _MISSING),
         "stats_dir": ("string", _MISSING),
-        "reps": ("count", 1),
     },
     "degrade": dict(_DEGRADE_COMMON, image=("string", None)),
     "eval": dict(
@@ -221,20 +219,9 @@ _SECTION_FIELDS = {
         reps=("count", 1),
         v_count=("rows", 200),
         baseline_depth=("depth", None),
-        degrade_enabled=("bool", True),
         record_artifacts=("bool", False),
     ),
 }
-
-
-def _unique_keys(pairs: list) -> dict:
-    """json's object hook: a repeated key is an error, not a silent last-one-wins."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        seen: set = set()
-        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise ValueError(f"duplicate key {repeated!r}")
-    return obj
 
 
 def load_config(path) -> dict:
@@ -256,7 +243,7 @@ def load_config(path) -> dict:
                 f"config {path} has {info.st_size} bytes, more than {MAX_CONFIG_BYTES}"
             )
         with open(path, "rb") as fh:
-            raw = json.loads(fh.read(info.st_size), object_pairs_hook=_unique_keys)
+            raw = parse_json(fh.read(info.st_size))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting

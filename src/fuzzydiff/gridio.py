@@ -1,7 +1,8 @@
-"""Grid file I/O: the FDG1 binary format plus PGM/PPM previews."""
+"""Grid file I/O (the FDG1 format, PGM/PPM previews) and the strict JSON parse."""
 
 from __future__ import annotations
 
+import json
 import stat
 import struct
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 
 from .core import Grid, ValidationError
 
-__all__ = ["read_grid", "write_grid", "write_preview"]
+__all__ = ["parse_json", "read_grid", "write_grid", "write_preview"]
 
 _MAGIC = b"FDG1"
 _HEADER = struct.Struct("<III")
@@ -19,6 +20,21 @@ _HEAD_SIZE = len(_MAGIC) + _HEADER.size
 # The most values a grid file may hold (128 MiB of float64): the covariance
 # of the largest gaussian_field, 2**12 pixels squared, fits exactly.
 MAX_GRID_VALUES = 2**24
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json's object hook: a repeated key is an error, not a silent last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"duplicate key {repeated!r}")
+    return obj
+
+
+def parse_json(text):
+    """``json.loads`` that raises ``ValueError`` on a key repeated within one object."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def write_grid(path, grid: Grid) -> None:

@@ -198,8 +198,8 @@ def run_correction_experiment(
 
     ``section`` is a validated ``eval`` config section. Depths default to
     :func:`~fuzzydiff.projection.default_depths` and the baseline depth to
-    0.4T. Disabling degradation turns the run into a fixed-point check: the
-    map should stay near 1 and the output near the input. With
+    0.4T. Sides of 0 draw empty rectangles, which makes the run a fixed-point
+    check: the map should stay near 1 and the output near the input. With
     ``artifacts_dir`` set, every trial's grids are written there. Returns the
     JSON-able report: per-trial metrics plus aggregates, all recomputable
     from (config, seed).
@@ -215,19 +215,12 @@ def run_correction_experiment(
     baseline_t = section["baseline_depth"]
     if baseline_t is None:
         baseline_t = max(1, round(0.4 * s.T))
-    params = None
-    if section["degrade_enabled"]:
-        params = DegradeParams.for_model(
-            model,
-            section["sigma_low"],
-            section["sigma_high"],
-            section["side_min"],
-            section["side_max"],
-        )
-    reps = section["reps"]
+    params = DegradeParams.for_model(
+        model, section["sigma_low"], section["sigma_high"], section["side_min"], section["side_max"]
+    )
 
     v_rows = model.sample_x0(section["v_count"], rng.child(0))
-    stats = validation_stats(model, s, v_rows, list(depths), reps, rng.child(1))
+    stats = validation_stats(model, s, v_rows, list(depths), section["reps"], rng.child(1))
 
     art_dir: Path | None = None
     if artifacts_dir is not None:
@@ -241,17 +234,13 @@ def run_correction_experiment(
     cleans, damaged, records = [], [], []
     for tr in streams.streams:
         clean = model.sample_x0(1, tr.child(0))[0].reshape(model.shape)
-        if params is not None:
-            degraded, record = degrade(clean, params, tr.child(1))
-        else:
-            degraded = clean
-            record = DegradationRecord((0, 0, 0, 0), 0.0, np.zeros((h, w, 1)))
+        degraded, record = degrade(clean, params, tr.child(1))
         cleans.append(clean)
         damaged.append(degraded)
         records.append(record)
 
     batch = np.stack(damaged)
-    amaps = attention_map(batch, stats, model, s, reps, streams.child(2))
+    amaps = attention_map(batch, stats, model, s, streams.child(2))
     weights = weight_from_attention(amaps)
     corrected = fuzzy_sample(model, s, batch, weights, section["J"], n, streams.child(3))
     baseline = projection.project_reconstruct_array(
@@ -260,12 +249,14 @@ def run_correction_experiment(
     corrected, baseline = corrected.reshape(batch.shape), baseline.reshape(batch.shape)
 
     trials: list[dict] = []
+    reductions: list[float] = []
+    baseline_wins = comparable = 0
     for i, (clean, degraded, record) in enumerate(zip(cleans, damaged, records)):
         # AUC needs both classes: a rectangle covering every pixel has no negatives.
         scored = 0 < record.area < h * w
         trial = {
             "trial": i,
-            "degradation": record.to_dict() if params is not None else None,
+            "degradation": record.to_dict(),
             "auc": pixel_auc(amaps[i], record.mask) if scored else None,
             "mse_in_degraded": masked_mse(degraded, clean, record.mask, inside=True),
             "mse_in_corrected": masked_mse(corrected[i], clean, record.mask, inside=True),
@@ -276,6 +267,13 @@ def run_correction_experiment(
             "mean_weight": float(weights[i].mean()),
         }
         trials.append(trial)
+        before, after = trial["mse_in_degraded"], trial["mse_in_corrected"]
+        if before is not None and after is not None and before > 0:
+            reductions.append(1.0 - after / before)
+        out_c, out_b = trial["mse_out_corrected"], trial["mse_out_baseline"]
+        if out_c is not None and out_b is not None:
+            comparable += 1
+            baseline_wins += out_c < out_b
 
         if art_dir is not None:
             for name, g in (
@@ -288,24 +286,9 @@ def run_correction_experiment(
             ):
                 write_grid(art_dir / f"trial_{i:03d}_{name}.fdg", Grid(g))
 
-    reductions = []
-    baseline_wins = 0
-    comparable = 0
-    for trial in trials:
-        before = trial["mse_in_degraded"]
-        after = trial["mse_in_corrected"]
-        if before is not None and after is not None and before > 0:
-            reductions.append(1.0 - after / before)
-        out_c = trial["mse_out_corrected"]
-        out_b = trial["mse_out_baseline"]
-        if out_c is not None and out_b is not None:
-            comparable += 1
-            if out_c < out_b:
-                baseline_wins += 1
-
     aggregates = {
         "median_auc": _median([t["auc"] for t in trials]),
-        "median_masked_reduction": _median(reductions) if reductions else None,
+        "median_masked_reduction": _median(reductions),
         "median_mse_in_corrected": _median([t["mse_in_corrected"] for t in trials]),
         "median_mse_in_degraded": _median([t["mse_in_degraded"] for t in trials]),
         "median_mse_out_corrected": _median([t["mse_out_corrected"] for t in trials]),

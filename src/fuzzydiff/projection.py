@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
-from .gridio import read_grid, write_grid
+from .gridio import parse_json, read_grid, write_grid
 from .sampler import _reverse_step_array
 from .schedule import NoiseSchedule
 
@@ -66,8 +66,10 @@ class ValidationStats:
     schedule_fingerprint: str
 
     def __post_init__(self) -> None:
-        if not self.depths:
-            raise ValidationError("stats need at least one depth")
+        if not self.depths or len(set(self.depths)) != len(self.depths):
+            raise ValidationError(f"stats need distinct depths, got {list(self.depths)}")
+        if self.reps < 1:
+            raise ValidationError(f"stats reps must be >= 1, got {self.reps}")
         shape = None
         for t in self.depths:
             if t not in self.mu or t not in self.sigma:
@@ -115,7 +117,7 @@ class ValidationStats:
         with open(manifest_path, "rb") as fh:
             text = fh.read(size)
         try:
-            manifest = json.loads(text)
+            manifest = parse_json(text)
             version = manifest.get("schema_version")
             if version != 1:
                 raise ValidationError(f"unsupported stats schema: {version!r}")
@@ -142,6 +144,8 @@ class ValidationStats:
         h, w, _ = model.shape
         if self.mu[self.depths[0]].shape != (h, w, 1):
             raise ValidationError(f"stats grids do not match the model's {h}x{w} pixels")
+        if not all(0 <= t <= s.T for t in self.depths):
+            raise ValidationError(f"stats depths {list(self.depths)} leave [0, {s.T}]")
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +246,7 @@ def validation_stats(
         raise ValidationError(f"validation set must be non-empty (n, D) rows, got {X.shape}")
     if X.shape[1] != model.dim:
         raise ValidationError(f"validation rows have width {X.shape[1]}, model has {model.dim}")
-    depths = [s.check_step(t, lowest=0) for t in PS]
-    if len(set(depths)) != len(depths):
-        raise ValidationError(f"duplicate depths in PS: {PS}")
+    depths = [s.check_step(t, lowest=0) for t in PS]  # ValidationStats refuses repeats
 
     n = X.shape[0]
     floor = SIGMA_FLOOR_SCALE * model.marginal_std()
@@ -298,16 +300,16 @@ def attention_map(
     stats: ValidationStats,
     model: EpsilonModel,
     s: NoiseSchedule,
-    reps: int,
     rng: RngStream | RowStreams,
 ) -> np.ndarray:
     """(n, h, w, 1) anomaly maps of the n (h, w, c) images in x over stats.depths.
 
     Refuses statistics whose fingerprints do not match the live model and
     schedule. Depth k uses draws from rng.child(k), the same stream layout
-    validation_stats uses, and averages ``reps`` reconstructions per depth
-    before normalizing. With ``RowStreams``, image i draws only from its own
-    stream, so its map is the one a batch of one on that stream gives.
+    validation_stats uses, and averages stats.reps reconstructions per depth,
+    as the statistics did, so the normalization is calibrated. With
+    ``RowStreams``, image i draws only from its own stream, so its map is the
+    one a batch of one on that stream gives.
     """
     stats.check_compatible(model, s)
     x = np.asarray(x, dtype=np.float64)
@@ -315,7 +317,7 @@ def attention_map(
         raise ValidationError(f"image shape {x.shape} is not (n, *{model.shape})")
 
     n, h, w, _ = x.shape
-    rows = _depth_discrepancies(model, s, x.reshape(n, -1), stats.depths, reps, rng)
+    rows = _depth_discrepancies(model, s, x.reshape(n, -1), stats.depths, stats.reps, rng)
     dmaps = {t: d.reshape(n, h, w, 1) for t, d in zip(stats.depths, rows)}
     return attention_from_discrepancies(dmaps, stats)
 

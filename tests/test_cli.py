@@ -17,7 +17,7 @@ from fuzzydiff import (
     read_grid,
     write_grid,
 )
-from fuzzydiff import gridio
+from fuzzydiff import gridio, projection
 from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, entrypoint
 from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample
 
@@ -49,6 +49,11 @@ def manifest_of(out):
 
 def fdg_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(Path(out).glob("*.fdg"))}
+
+
+def tree_bytes(out):
+    """Every file under ``out``, by relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in Path(out).rglob("*") if p.is_file()}
 
 
 class TestSample:
@@ -137,6 +142,32 @@ class TestSample:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_OK
         assert outside.read_bytes() == b"keep"
+
+    @pytest.mark.parametrize("blocker", ["file for a directory", "directory for a file"])
+    def test_force_that_cannot_place_its_files_keeps_previous_run(self, tmp_path, blocker):
+        # stats writes stats/manifest.json: a file named stats, or a directory
+        # named stats/manifest.json, stops the commit before anything is deleted.
+        out = tmp_path / "out"
+        cfg = make_config(tmp_path, {"stats": {"v_count": 2, "depths": [1]}})
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        if blocker == "file for a directory":
+            (out / "stats").write_text("in the way")
+        else:
+            (out / "stats" / "manifest.json").mkdir(parents=True)
+        before = tree_bytes(out)
+        assert run("stats", "--config", cfg, "--out", out, "--force") == EXIT_IO
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in out.glob("*.fdg")) == ["sample_0000.fdg"]
+
+    def test_previous_manifest_with_a_repeated_key_exits_4(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = make_config(tmp_path)
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        text = (out / "manifest.json").read_text()
+        (out / "manifest.json").write_text(text.replace('"files": {', '"files": {},\n  "files": {'))
+        before = tree_bytes(out)
+        assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_VALIDATION
+        assert tree_bytes(out) == before
 
 
 class TestPerRowStreams:
@@ -343,6 +374,24 @@ class TestStatsAttend:
         assert a.values.min() >= 1.0 and a.values.max() <= 6.0
         assert w.values.min() >= 0.0 and w.values.max() <= 1.0
 
+    def test_attend_averages_the_reconstructions_the_stats_did(self, tmp_path, monkeypatch):
+        sections = {"stats": {"v_count": 4, "depths": [2, 4], "reps": 2}}
+        stats_dir = self.build_stats(tmp_path, make_config(tmp_path, sections))
+        img = tmp_path / "probe.fdg"
+        write_grid(img, Grid(np.full((4, 4, 1), 0.3)))
+        attend = {"attend": {"image": str(img), "stats_dir": str(stats_dir)}}
+        depths = []
+        reconstruct = projection.project_reconstruct_array
+
+        def counted(model, s, x, t, rng):
+            depths.append(t)
+            return reconstruct(model, s, x, t, rng)
+
+        monkeypatch.setattr(projection, "project_reconstruct_array", counted)
+        cfg = make_config(tmp_path, attend, name="cfg_attend.json")
+        assert run("attend", "--config", cfg, "--out", tmp_path / "o") == EXIT_OK
+        assert depths == [2, 2, 4, 4]
+
     def test_failed_force_keeps_previous_run(self, tmp_path):
         sections = {"stats": {"v_count": 4, "depths": [2]}}
         stats_dir = self.build_stats(tmp_path, make_config(tmp_path, sections, T=4))
@@ -381,17 +430,33 @@ class TestStatsAttend:
         )
         assert run("attend", "--config", cfg2, "--out", tmp_path / "o") == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("corrupt", ["not json", "missing key", "shape mismatch", "resized"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["not json", "missing key", "shape mismatch", "resized", "depth beyond T",
+         "repeated depth", "reps 0", "repeated key"],
+    )
     def test_attend_malformed_stats_is_validation_error(self, tmp_path, corrupt):
         cfg_sections = {"stats": {"v_count": 4, "depths": [2]}}
         stats_dir = self.build_stats(tmp_path, make_config(tmp_path, cfg_sections))
         manifest = stats_dir / "manifest.json"
+        fields = json.loads(manifest.read_text())
         if corrupt == "not json":
             manifest.write_text("{oops")
         elif corrupt == "missing key":
             manifest.write_text(json.dumps({"schema_version": 1}))
         elif corrupt == "shape mismatch":
             write_grid(stats_dir / "mu_00002.fdg", Grid(np.zeros((4, 3, 1))))
+        elif corrupt == "depth beyond T":
+            # Grids and fingerprints intact, for a depth the T=6 schedule lacks.
+            for name in ("mu", "sigma"):
+                shutil.copy(stats_dir / f"{name}_00002.fdg", stats_dir / f"{name}_00009.fdg")
+            manifest.write_text(json.dumps(dict(fields, depths=[9])))
+        elif corrupt == "repeated depth":
+            manifest.write_text(json.dumps(dict(fields, depths=[2, 2])))
+        elif corrupt == "reps 0":
+            manifest.write_text(json.dumps(dict(fields, reps=0)))
+        elif corrupt == "repeated key":
+            manifest.write_text(manifest.read_text().replace('"reps": 1', '"reps": 1, "reps": 2'))
         else:
             write_grid(stats_dir / "mu_00002.fdg", Grid(np.zeros((4, 3, 1))))
             write_grid(stats_dir / "sigma_00002.fdg", Grid(np.ones((4, 3, 1))))
@@ -553,7 +618,7 @@ class TestErrors:
             ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.0, "count": 0}}),
             ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.0, "J": 0}}),
             ("stats", {"stats": {"reps": 0}}),
-            ("attend", {"attend": {"image": "x.fdg", "stats_dir": "s", "reps": 0}}),
+            ("attend", {"stats": {"reps": 0}, "attend": {"image": "x.fdg", "stats_dir": "s"}}),
             ("eval", {"eval": {"reps": 0}}),
             ("eval", {"eval": {"J": 0}}),
             ("eval", {"eval": {"v_count": 0}}),

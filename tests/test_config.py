@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,28 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown field 'schedule.Tee'"):
             load_config(write_cfg(tmp_path, payload))
 
+    @pytest.mark.parametrize(
+        "field,values",
+        [
+            # attend takes its reps from the statistics it scores against.
+            ("attend.reps", {"image": "x.fdg", "stats_dir": "s", "reps": 1}),
+            # A run without degradation sets side_min = side_max = 0.
+            ("eval.degrade_enabled", {"degrade_enabled": False}),
+        ],
+    )
+    def test_removed_fields_are_unknown(self, tmp_path, field, values):
+        payload = dict(MINIMAL, **{field.split(".")[0]: values})
+        with pytest.raises(ConfigError, match=f"^unknown field '{field}'$"):
+            load_config(write_cfg(tmp_path, payload))
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        [block] = re.findall(r"```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        cfg = load_config(path)
+        assert {"sample", "fuzzy", "stats", "attend", "eval"} <= set(cfg)
+
     def test_type_errors_name_the_path(self, tmp_path):
         payload = {"schedule": {"T": "ten"}, "model": MINIMAL["model"]}
         with pytest.raises(ConfigError, match="'schedule.T' must be an integer"):
@@ -134,7 +158,7 @@ class TestLoadConfig:
             ("stats", {"v_count": 0}, "'stats.v_count' must be >= 1"),
             ("model", dict(MINIMAL["model"], height=-2), "'model.height' must be >= 1"),
             ("stats", {"reps": 0}, "'stats.reps' must be >= 1"),
-            ("attend", {"image": "x", "stats_dir": "s", "reps": 0}, "'attend.reps' must be >= 1"),
+            ("eval", {"side_max": 5}, r"'eval.side_max' must lie in \[0, 4\], got 5"),
             ("eval", {"reps": 0}, "'eval.reps' must be >= 1"),
             ("fuzzy", {"image": "x.fdg", "map": 0.5, "J": 0}, "'fuzzy.J' must be >= 1"),
             ("eval", {"J": 0}, "'eval.J' must be >= 1"),

@@ -74,7 +74,6 @@ def scenarios(draw):
         "attend": {
             "image": draw(st.sampled_from(IMAGES)),
             "stats_dir": draw(st.sampled_from(STATS_DIRS)),
-            "reps": draw(small),
         },
         "degrade": {
             "image": draw(st.none() | st.sampled_from(IMAGES)),
@@ -87,7 +86,7 @@ def scenarios(draw):
             "v_count": draw(st.integers(-1, 4)),
             "depths": draw(depths),
             "baseline_depth": draw(st.none() | depth),
-            "degrade_enabled": draw(st.booleans()),
+            "side_min": draw(sides),
             "side_max": draw(sides),
             "record_artifacts": draw(st.booleans()),
         },

@@ -3,8 +3,9 @@
 The set covers all six commands on a K=3 6x6 ``gmm_pixel``, a 2-channel
 ``gmm_pixel``, and ``gaussian_field`` at 6x6 and 16x16 (the 16x16 field takes
 the one-thread eigensolver path). ``sample`` and ``fuzzy`` run at counts 1, 18
-and 19, and ``stats``, ``attend`` and ``eval`` with reps 2. The test reruns the
-set and compares every hash with ``tests/golden.json``.
+and 19, and ``stats`` and ``eval`` with reps 2 (``attend`` takes its reps
+from the statistics). The test reruns the set and compares every hash with
+``tests/golden.json``.
 
 A change that moves artifact bytes on purpose regenerates the file, from the
 root of a checkout, and names the moved runs and the reason in CHANGES.md:
@@ -57,7 +58,7 @@ def _runs(name: str) -> list[tuple[str, str, dict]]:
              for n in (1, 18, 19)]
     runs += [
         ("stats", "stats", {"v_count": 6, "reps": 2}),
-        ("attend", "attend", {"image": image, "stats_dir": f"{name}/stats/stats", "reps": 2}),
+        ("attend", "attend", {"image": image, "stats_dir": f"{name}/stats/stats"}),
         ("degrade", "degrade", {"image": None}),
         ("eval", "eval", {"trials": 2, "v_count": 6, "reps": 2, "record_artifacts": True}),
     ]

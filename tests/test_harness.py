@@ -275,10 +275,11 @@ class TestRunExperiment:
         assert agg["median_auc"] is not None
 
     def test_degradation_disabled_fixed_point(self, field_model, sched50):
-        cfg = self.small_config(degrade_enabled=False)
+        # Sides of 0 draw empty rectangles, so nothing is degraded.
+        cfg = self.small_config(side_min=0, side_max=0)
         report = run_correction_experiment(field_model, sched50, cfg, RngStream(100, 0), None)
         for t in report["trials"]:
-            assert t["degradation"] is None
+            assert t["degradation"]["area"] == 0
             assert t["auc"] is None
             assert t["mse_in_degraded"] is None
             assert t["mse_out_corrected"] == t["mse_total_corrected"]

@@ -248,7 +248,7 @@ class TestAttention:
         V = gmm_model.sample_x0(30, RngStream(85, 0))
         stats = validation_stats(gmm_model, sched50, V, [10, 20], reps=1, rng=RngStream(86, 0))
         probe = draw_image(gmm_model, RngStream(87, 0))
-        base = attention_map(probe[None], stats, gmm_model, sched50, reps=1, rng=RngStream(88, 0))
+        base = attention_map(probe[None], stats, gmm_model, sched50, rng=RngStream(88, 0))
 
         perm = np.argsort(RngStream(89, 0).uniforms(64))
 
@@ -270,7 +270,6 @@ class TestAttention:
             permuted_stats,
             gmm_model,
             sched50,
-            reps=1,
             rng=PixelPermutedStream(RngStream(88, 0), perm),
         )
         assert np.array_equal(out.reshape(-1), base.reshape(-1)[perm])
@@ -281,7 +280,7 @@ class TestAttention:
         V = field_model.sample_x0(4, RngStream(65, 0))
         stats = validation_stats(field_model, sched50, V, [0], reps=1, rng=RngStream(66, 0))
         probe = np.full((8, 8, 1), 9.5)
-        [a] = attention_map(probe[None], stats, field_model, sched50, reps=1, rng=RngStream(67, 0))
+        [a] = attention_map(probe[None], stats, field_model, sched50, rng=RngStream(67, 0))
         assert np.all(a == 1.0)
         assert np.all(weight_from_attention(a) == 1.0)
 
@@ -289,7 +288,7 @@ class TestAttention:
         V = field_model.sample_x0(80, RngStream(68, 0))
         stats = validation_stats(field_model, sched50, V, [10, 20], reps=1, rng=RngStream(69, 0))
         probe = draw_image(field_model, RngStream(70, 0))
-        a = attention_map(probe[None], stats, field_model, sched50, reps=1, rng=RngStream(71, 0))
+        a = attention_map(probe[None], stats, field_model, sched50, rng=RngStream(71, 0))
         assert a.mean() < 3.0
 
     def test_fingerprint_mismatch_rejected(self, field_model, sched50, sched200):
@@ -297,20 +296,20 @@ class TestAttention:
         stats = validation_stats(field_model, sched50, V, [5], reps=1, rng=RngStream(73, 0))
         probe = mean_image(field_model)
         with pytest.raises(ValidationError, match="stale"):
-            attention_map(probe[None], stats, field_model, sched200, reps=1, rng=RngStream(74, 0))
+            attention_map(probe[None], stats, field_model, sched200, rng=RngStream(74, 0))
         other = GaussianFieldModel.exponential(mean=0.4)
         with pytest.raises(ValidationError, match="stale"):
-            attention_map(probe[None], stats, other, sched50, reps=1, rng=RngStream(74, 0))
+            attention_map(probe[None], stats, other, sched50, rng=RngStream(74, 0))
 
     def test_deterministic(self, field_model, sched50):
         V = field_model.sample_x0(10, RngStream(75, 0))
         stats = validation_stats(field_model, sched50, V, [10], reps=1, rng=RngStream(76, 0))
         probe = draw_image(field_model, RngStream(77, 0))
-        a = attention_map(probe[None], stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
-        b = attention_map(probe[None], stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
+        a = attention_map(probe[None], stats, field_model, sched50, rng=RngStream(78, 0))
+        b = attention_map(probe[None], stats, field_model, sched50, rng=RngStream(78, 0))
         assert np.array_equal(a, b)
         with pytest.raises(ValidationError, match="image shape"):
-            attention_map(probe[None, :4], stats, field_model, sched50, reps=1, rng=RngStream(78, 0))
+            attention_map(probe[None, :4], stats, field_model, sched50, rng=RngStream(78, 0))
 
 
 class TestAttentionMapType:
