@@ -32,7 +32,7 @@ from .projection import (
     validation_stats,
     weight_from_attention,
 )
-from .sampler import fuzzy_fuse, fuzzy_sample
+from .sampler import fuzzy_sample
 from .schedule import NoiseSchedule, linear_schedule
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "EpsilonModel",
     "GaussianFieldModel",
     "GmmPixelModel",
-    "fuzzy_fuse",
     "fuzzy_sample",
     "ValidationStats",
     "project_reconstruct_array",

@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--force", action="store_true", help="overwrite an existing manifest"
         )
-        p.add_argument("-v", "--verbose", action="count", default=0)
+        p.add_argument("-v", "--verbose", action="store_true", help="log the files written")
     return parser
 
 
@@ -229,8 +229,7 @@ def _load_weight_map(section: dict, shape: tuple[int, int, int]):
     m_spec = section["map"]
     if isinstance(m_spec, str):
         h, w, c = shape
-        m = read_grid(m_spec, {(h, w, 1), (h, w, c)}).values
-        return np.clip(m, 0.0, 1.0) if section["clamp_map"] else m
+        return read_grid(m_spec, {(h, w, 1), (h, w, c)}).values
     return float(m_spec)
 
 
@@ -299,12 +298,9 @@ _HANDLERS = {
 
 def entrypoint(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = logging.WARNING
-    if args.verbose == 1:
-        level = logging.INFO
-    elif args.verbose >= 2:
-        level = logging.DEBUG
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig is a no-op once root has a handler: set the level on every call.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
 
     try:
         cfg = load_config(args.config)

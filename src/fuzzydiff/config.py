@@ -8,7 +8,6 @@ instead of silently running a different experiment.
 
 from __future__ import annotations
 
-import math
 import stat
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .core import ValidationError
 from .denoiser import EpsilonModel, GaussianFieldModel, GmmPixelModel
-from .gridio import parse_json, read_grid
+from .gridio import _is_int, _is_number, parse_json, read_grid
 from .schedule import NoiseSchedule, linear_schedule
 
 __all__ = ["ConfigError", "load_config", "build_schedule", "build_model"]
@@ -38,21 +37,6 @@ _MISSING = object()
 
 class ConfigError(Exception):
     """Configuration file problem; the message names the offending path."""
-
-
-def _is_number(v) -> bool:
-    """A finite int or float; Python's json also parses NaN, Infinity and 1e400."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int literal too large for a float
-        return False
-
-
-def _is_int(v) -> bool:
-    """An int that numpy can hold as int64; larger ones would fail late, in numpy."""
-    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
 
 def _dim(model: dict) -> int:
@@ -199,7 +183,6 @@ _SECTION_FIELDS = {
         "map": ("map", _MISSING),
         "count": ("rows", 1),
         "J": ("count", 5),
-        "clamp_map": ("bool", False),
     },
     "stats": {
         "v_count": ("rows", 1000),
@@ -257,7 +240,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"unknown field '{sorted(unknown)[0]}'")
 
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
 
     for required in ("schedule", "model"):

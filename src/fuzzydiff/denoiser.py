@@ -117,7 +117,9 @@ class EpsilonModel(abc.ABC):
 
     ``shape`` is the (h, w, c) grid shape the model is defined over and
     D = h*w*c its flattened dimension. ``predict_array`` is the batched core
-    that samplers drive, taking and returning arrays of shape (n, D).
+    that samplers drive, taking and returning arrays of shape (n, D). The
+    contract holds only what chains and commands call; the oracles' own
+    ``log_marginal_array`` and ``moments`` are the tests' closed-form references.
     """
 
     shape: tuple[int, int, int]
@@ -137,14 +139,6 @@ class EpsilonModel(abc.ABC):
         C-contiguous (n, D) float64 array that does not overlap x), otherwise
         into a new array; either way that array is returned.
         """
-
-    @abc.abstractmethod
-    def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-        """log q(x_t) per batch row at step t (t=0 gives the data density)."""
-
-    @abc.abstractmethod
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(mean (D,), covariance (D, D)) of q(x_0)."""
 
     @abc.abstractmethod
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
@@ -211,13 +205,8 @@ class GaussianFieldModel(EpsilonModel):
 
     @classmethod
     def exponential(
-        cls,
-        height: int = 8,
-        width: int = 8,
-        channels: int = 1,
-        mean: float = 0.5,
-        marginal_variance: float = 0.04,
-        correlation_length: float = 2.0,
+        cls, height: int, width: int, channels: int,
+        mean: float, marginal_variance: float, correlation_length: float,
     ) -> "GaussianFieldModel":
         """Stationary field: cov(p, q) = var * exp(-dist(p, q) / length).
 
@@ -270,6 +259,7 @@ class GaussianFieldModel(EpsilonModel):
         return out
 
     def log_marginal_array(self, x: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
+        """log q(x_t) per row at step t (t=0 gives the data density)."""
         t = s.check_step(t, lowest=0)
         abar = s.alpha_bar[t]
         y = _rows_matmul(x - np.sqrt(abar) * self.mu, self.cov_eigvecs)
@@ -346,13 +336,6 @@ class GmmPixelModel(EpsilonModel):
         self._logw = np.log(wts)
         self._cumw = np.cumsum(wts)
         self._scratch = _Scratch(2 + (self.K > 2))
-
-    @classmethod
-    def two_mode(
-        cls, height: int = 8, width: int = 8, channels: int = 1
-    ) -> "GmmPixelModel":
-        """The pinned bimodal test distribution: modes 0.25/0.75, var 0.005."""
-        return cls((height, width, channels), [0.5, 0.5], [0.25, 0.75], [0.005, 0.005])
 
     @property
     def K(self) -> int:

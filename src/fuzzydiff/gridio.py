@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import stat
 import struct
 from pathlib import Path
@@ -35,6 +36,21 @@ def _unique_keys(pairs: list) -> dict:
 def parse_json(text):
     """``json.loads`` that raises ``ValueError`` on a key repeated within one object."""
     return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _is_number(v) -> bool:
+    """A finite int or float; Python's json also parses NaN, Infinity and 1e400."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int literal too large for a float
+        return False
+
+
+def _is_int(v) -> bool:
+    """An int that numpy can hold as int64; larger ones would fail late, in numpy."""
+    return isinstance(v, int) and not isinstance(v, bool) and -(2**63) <= v < 2**63
 
 
 def write_grid(path, grid: Grid) -> None:

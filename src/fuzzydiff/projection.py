@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
-from .gridio import parse_json, read_grid, write_grid
+from .gridio import _is_int, _is_number, parse_json, read_grid, write_grid
 from .sampler import _reverse_step_array
 from .schedule import NoiseSchedule
 
@@ -43,6 +43,13 @@ _MANIFEST_NAME = "manifest.json"
 # its depths, distinct steps in [0, 10**6] (config.MAX_T), one per indented
 # line, so it stays under 12 MB.
 MAX_STATS_MANIFEST_BYTES = 2**24
+# The manifest's numbers, each checked as the JSON type ``save`` writes.
+_MANIFEST_NUMBERS = {
+    "depths": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "an array of integers"),
+    "v_count": (_is_int, "an integer"),
+    "reps": (_is_int, "an integer"),
+    "sigma_floor": (_is_number, "a finite number"),
+}
 
 
 @dataclass(frozen=True)
@@ -119,12 +126,15 @@ class ValidationStats:
         try:
             manifest = parse_json(text)
             version = manifest.get("schema_version")
-            if version != 1:
+            if not _is_int(version) or version != 1:
                 raise ValidationError(f"unsupported stats schema: {version!r}")
-            depths = tuple(int(t) for t in manifest["depths"])
+            for key, (ok, want) in _MANIFEST_NUMBERS.items():
+                if not ok(manifest[key]):
+                    raise TypeError(f"'{key}' must be {want}")
+            depths = tuple(manifest["depths"])
             meta = dict(
-                v_count=int(manifest["v_count"]),
-                reps=int(manifest["reps"]),
+                v_count=manifest["v_count"],
+                reps=manifest["reps"],
                 sigma_floor=float(manifest["sigma_floor"]),
                 model_fingerprint=str(manifest["model_fingerprint"]),
                 schedule_fingerprint=str(manifest["schedule_fingerprint"]),

@@ -25,7 +25,6 @@ from .schedule import NoiseSchedule
 
 __all__ = [
     "ancestral_sample_array",
-    "fuzzy_fuse",
     "fuzzy_sample",
 ]
 
@@ -84,7 +83,18 @@ def _fusion_weights(m) -> tuple:
 
 
 def _fuse(x_synth, x_reproj, base, m, weights, out, work) -> np.ndarray:
-    """Write the fusion into ``out`` (``work`` is scratch of its shape) and return it."""
+    """Blend the synthetic and reprojected branches at per-pixel strength m.
+
+    Writes, per pixel,
+
+        base + (m * x_reproj + (1 - m) * x_synth - base) / sqrt(1 - 2m + 2m^2)
+
+    into ``out`` and returns it, with base = sqrt(alpha_bar[t-1]) * x_cond at
+    step t, ``weights`` = ``_fusion_weights(m)`` and ``work`` scratch of
+    ``out``'s shape. The divisor restores the variance both branches carry at
+    level t-1, so the fused pixel stays on the diffusion marginal. m=0 gives
+    x_synth and m=1 gives x_reproj, bit-exact.
+    """
     one_minus_m, divisor, is_zero, is_one = weights
     np.multiply(m, x_reproj, out=out)
     np.multiply(one_minus_m, x_synth, out=work)
@@ -97,30 +107,6 @@ def _fuse(x_synth, x_reproj, base, m, weights, out, work) -> np.ndarray:
     np.copyto(out, x_synth, where=is_zero)
     np.copyto(out, x_reproj, where=is_one)
     return out
-
-
-def fuzzy_fuse(
-    x_synth: np.ndarray,
-    x_reproj: np.ndarray,
-    x_cond: np.ndarray,
-    m,
-    t: int,
-    s: NoiseSchedule,
-) -> np.ndarray:
-    """Blend the synthetic and reprojected branches at per-pixel strength m.
-
-    Computes, per pixel,
-
-        base + (m * x_reproj + (1 - m) * x_synth - base) / sqrt(1 - 2m + 2m^2)
-
-    with base = sqrt(alpha_bar[t-1]) * x_cond, for 1 <= t <= T and arrays that
-    broadcast against each other. The divisor restores the variance both
-    branches carry at level t-1, so the fused pixel stays on the diffusion
-    marginal. m=0 returns x_synth and m=1 returns x_reproj, bit-exact.
-    """
-    base = s.sqrt_alpha_bar[t - 1] * x_cond
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (x_synth, x_reproj, base, m)))
-    return _fuse(x_synth, x_reproj, base, m, _fusion_weights(m), np.empty(shape), np.empty(shape))
 
 
 def fuzzy_sample(

@@ -116,12 +116,12 @@ class NoiseSchedule:
         return digest.hexdigest()
 
 
-def linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with beta interpolated linearly from beta_start (t=1) to beta_end (t=T).
 
-    The defaults follow the common convention of 1e-4 to 0.02 over T=1000
-    steps. When running at reduced T, scale the endpoints accordingly or
-    alpha_bar[T] will not come close to 0.
+    The config's schedule defaults, 1e-4 to 0.02, are the common convention
+    for T=1000 steps. When running at reduced T, scale the endpoints
+    accordingly or alpha_bar[T] will not come close to 0.
     """
     T = int(T)
     if T < 1:

@@ -17,6 +17,21 @@ from fuzzydiff import (
 SCHED_50 = (50, 1.2e-3, 0.24)
 SCHED_200 = (200, 3.0e-4, 0.06)
 SCHED_400 = (400, 1.25e-4, 0.025)
+# DDPM's 1000-step beta range (Ho et al., 2020), the config's schedule default.
+DDPM_BETAS = (1e-4, 0.02)
+
+# The pinned bimodal pixel distribution: weights 0.5/0.5, modes 0.25/0.75,
+# variance 0.005 each.
+TWO_MODE = ([0.5, 0.5], [0.25, 0.75], [0.005, 0.005])
+
+
+def two_mode(height=8, width=8, channels=1) -> GmmPixelModel:
+    return GmmPixelModel((height, width, channels), *TWO_MODE)
+
+
+def exp_field(height=8, width=8, channels=1, mean=0.5, marginal_variance=0.04):
+    """An exponential field of correlation length 2; with no arguments, the config's default."""
+    return GaussianFieldModel.exponential(height, width, channels, mean, marginal_variance, 2.0)
 
 
 @pytest.fixture(scope="session")
@@ -36,12 +51,12 @@ def sched400():
 
 @pytest.fixture(scope="session")
 def field_model():
-    return GaussianFieldModel.exponential()
+    return exp_field()
 
 
 @pytest.fixture(scope="session")
 def gmm_model():
-    return GmmPixelModel.two_mode()
+    return two_mode()
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Reference statistics the tests compare sampled rows and schedules with.
 
 None of these is needed to run the package: the KS statistic and its
-critical value, the gap between sample moments and an oracle's moments, and
-the DDPM posterior-mean coefficients.
+critical value, the gap between sample moments and an oracle's moments, the
+DDPM posterior-mean coefficients, and one fusion step on arrays of any shape.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from fuzzydiff import EpsilonModel, NoiseSchedule, ValidationError
+from fuzzydiff.sampler import _fuse, _fusion_weights
 
 
 def ks_two_sample(a, b) -> float:
@@ -69,3 +70,13 @@ def posterior_mean_coeffs(s: NoiseSchedule, t: int) -> tuple[float, float]:
     c0 = s.sqrt_alpha_bar[t - 1] * s.beta[t] / denom
     ct = s.sqrt_alpha[t] * (1.0 - s.alpha_bar[t - 1]) / denom
     return float(c0), float(ct)
+
+
+def fuse(x_synth, x_reproj, x_cond, m, t: int, s: NoiseSchedule) -> np.ndarray:
+    """The fusion step of ``fuzzy_sample`` at step t, on operands that broadcast.
+
+    base = sqrt(alpha_bar[t-1]) * x_cond; ``sampler._fuse`` holds the formula.
+    """
+    base = s.sqrt_alpha_bar[t - 1] * x_cond
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (x_synth, x_reproj, base, m)))
+    return _fuse(x_synth, x_reproj, base, m, _fusion_weights(m), np.empty(shape), np.empty(shape))

@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 import subprocess
 import sys
@@ -260,6 +261,7 @@ class TestFuzzy:
         assert run("fuzzy", "--config", cfg, "--out", tmp_path / "out") == EXIT_OK
 
     def test_out_of_range_map_needs_clamp(self, tmp_path):
+        # A map grid outside [0, 1] is refused; no option clips it.
         img = self.write_image(tmp_path)
         map_path = tmp_path / "map.fdg"
         write_grid(map_path, Grid(np.full((4, 4, 1), 1.5)))
@@ -267,7 +269,7 @@ class TestFuzzy:
         cfg = make_config(tmp_path, {"fuzzy": dict(base)})
         assert run("fuzzy", "--config", cfg, "--out", tmp_path / "o1") == EXIT_VALIDATION
         cfg = make_config(tmp_path, {"fuzzy": dict(base, clamp_map=True)}, name="cfg2.json")
-        assert run("fuzzy", "--config", cfg, "--out", tmp_path / "o2") == EXIT_OK
+        assert run("fuzzy", "--config", cfg, "--out", tmp_path / "o2") == EXIT_CONFIG
 
     def test_scalar_map_out_of_range(self, tmp_path):
         img = self.write_image(tmp_path)
@@ -433,14 +435,32 @@ class TestStatsAttend:
     @pytest.mark.parametrize(
         "corrupt",
         ["not json", "missing key", "shape mismatch", "resized", "depth beyond T",
-         "repeated depth", "reps 0", "repeated key"],
+         "repeated depth", "reps 0", "repeated key", "reps 2.9", "reps true", "v_count string",
+         "depths floats", "depths strings", "sigma_floor string", "sigma_floor 10**400",
+         "schema_version true", "schema_version 1.0"],
     )
     def test_attend_malformed_stats_is_validation_error(self, tmp_path, corrupt):
         cfg_sections = {"stats": {"v_count": 4, "depths": [2]}}
         stats_dir = self.build_stats(tmp_path, make_config(tmp_path, cfg_sections))
         manifest = stats_dir / "manifest.json"
         fields = json.loads(manifest.read_text())
-        if corrupt == "not json":
+        # Values of another JSON type, which Python's int(), float() or == 1
+        # would take, and a number no float holds: a manifest must hold the
+        # JSON types that save writes.
+        retyped = {
+            "reps 2.9": {"reps": 2.9},
+            "reps true": {"reps": True},
+            "v_count string": {"v_count": str(fields["v_count"])},
+            "depths floats": {"depths": [2.0]},
+            "depths strings": {"depths": ["2"]},
+            "sigma_floor string": {"sigma_floor": str(fields["sigma_floor"])},
+            "sigma_floor 10**400": {"sigma_floor": 10**400},
+            "schema_version true": {"schema_version": True},
+            "schema_version 1.0": {"schema_version": 1.0},
+        }
+        if corrupt in retyped:
+            manifest.write_text(json.dumps(dict(fields, **retyped[corrupt])))
+        elif corrupt == "not json":
             manifest.write_text("{oops")
         elif corrupt == "missing key":
             manifest.write_text(json.dumps({"schema_version": 1}))
@@ -685,6 +705,19 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run("unknown-command")
         assert exc.value.code == 2
+
+
+class TestVerbose:
+    def test_v_logs_on_every_in_process_call(self, tmp_path, caplog):
+        # -v logs the files written at INFO on the call that passes it, also
+        # after another call in the same process; a call without it does not.
+        cfg = make_config(tmp_path)
+        for i, flags in enumerate([(), ("-v",), ()]):
+            caplog.clear()
+            assert run("sample", "--config", cfg, "--out", tmp_path / f"o{i}", *flags) == EXIT_OK
+            infos = [r.getMessage() for r in caplog.records
+                     if r.name == "fuzzydiff" and r.levelno == logging.INFO]
+            assert [m.startswith("sample: wrote") for m in infos] == [True] * len(flags)
 
 
 class TestConsoleScript:

@@ -7,7 +7,6 @@ import pytest
 
 from fuzzydiff import (
     GaussianFieldModel,
-    GmmPixelModel,
     Grid,
     build_model,
     build_schedule,
@@ -15,6 +14,8 @@ from fuzzydiff import (
     write_grid,
 )
 from fuzzydiff.config import ConfigError, section
+
+from conftest import two_mode
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -66,6 +67,13 @@ class TestLoadConfig:
 
     def test_schema_version_enforced(self, tmp_path):
         payload = dict(MINIMAL, schema_version=2)
+        with pytest.raises(ConfigError, match="schema_version"):
+            load_config(write_cfg(tmp_path, payload))
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_the_integer_1(self, tmp_path, version):
+        # Both compare equal to 1 in Python; neither is the integer 1.
+        payload = dict(MINIMAL, schema_version=version)
         with pytest.raises(ConfigError, match="schema_version"):
             load_config(write_cfg(tmp_path, payload))
 
@@ -135,7 +143,6 @@ class TestLoadConfig:
         cfg = load_config(write_cfg(tmp_path, payload))
         assert cfg["fuzzy"]["J"] == 5
         assert cfg["fuzzy"]["count"] == 1
-        assert cfg["fuzzy"]["clamp_map"] is False
 
     def test_require_section(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
@@ -281,7 +288,7 @@ class TestLoadConfig:
             ("sample", {"count": None}, "count", INT),
             ("fuzzy", {"image": None, "map": 0.5}, "image", "a string"),
             ("fuzzy", {"image": "x", "map": None}, "map", "a finite number or a string"),
-            ("fuzzy", {"image": "x", "map": 0.5, "clamp_map": None}, "clamp_map", "a boolean"),
+            ("fuzzy", {"image": "x", "map": 0.5, "J": None}, "J", INT),
             ("stats", {"v_count": None}, "v_count", INT),
             ("degrade", {"sigma_low": None}, "sigma_low", "a finite number"),
             ("eval", {"sigma_high": None}, "sigma_high", "a finite number"),
@@ -317,7 +324,8 @@ class TestBuilders:
             "model": {"type": "gaussian_field", "height": 8, "width": 8},
         }
         model = build_model(load_config(write_cfg(tmp_path, payload)))
-        assert model.fingerprint() == GaussianFieldModel.exponential().fingerprint()
+        direct = GaussianFieldModel.exponential(8, 8, 1, 0.5, 0.04, 2.0)
+        assert model.fingerprint() == direct.fingerprint()
 
     def test_gmm_model_matches_direct_construction(self, tmp_path):
         payload = {
@@ -332,7 +340,7 @@ class TestBuilders:
             },
         }
         model = build_model(load_config(write_cfg(tmp_path, payload)))
-        assert model.fingerprint() == GmmPixelModel.two_mode().fingerprint()
+        assert model.fingerprint() == two_mode().fingerprint()
 
     def test_covariance_file_resolves_relative_to_config(self, tmp_path):
         cov = 0.01 * np.eye(4)

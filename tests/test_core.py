@@ -1,24 +1,14 @@
 import hashlib
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats as sps
 
-from fuzzydiff import Grid, RngStream, RowStreams, ValidationError, write_grid
-from fuzzydiff.cli import _load_weight_map
+from fuzzydiff import Grid, RngStream, RowStreams, ValidationError
 from fuzzydiff.core import _ANGLE_TABLE, _BLOCK_VALUES, _rotate, _Scratch
 from fuzzydiff.projection import project_reconstruct_array
-
-finite_grids = arrays(
-    np.float64,
-    array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
-    elements=st.floats(-1e6, 1e6),
-)
 
 
 class TestGrid:
@@ -380,29 +370,3 @@ class TestGridStats:
         flat = randn_grid((100, 1000, 1), RngStream(3, 0)).values.reshape(-1)
         assert abs(flat.mean()) < 0.02
         assert abs(flat.var() - 1.0) < 0.05
-
-
-def clamped_map(values):
-    """The weight map the CLI loads from a grid file of ``values`` with clamp_map set."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "map.fdg"
-        write_grid(path, Grid(values))
-        return _load_weight_map({"map": str(path), "clamp_map": True}, np.shape(values))
-
-
-class TestClampUnit:
-    """Clamping a weight-map file into [0, 1] (the `fuzzy.clamp_map` option)."""
-
-    @pytest.mark.parametrize("value,expected", [(-0.2, 0.0), (0.7, 0.7), (1.3, 1.0)])
-    def test_hand_cases(self, value, expected):
-        m = clamped_map(np.full((1, 1, 1), value))
-        assert m[0, 0, 0] == expected
-
-    @given(finite_grids)
-    @settings(max_examples=40, deadline=None)
-    def test_idempotent_and_in_range(self, vals):
-        once = clamped_map(vals)
-        assert once.shape == vals.shape
-        assert once.min() >= 0.0
-        assert once.max() <= 1.0
-        assert np.array_equal(clamped_map(once), once)

@@ -21,6 +21,8 @@ from fuzzydiff import (
 )
 from fuzzydiff.denoiser import _openblas_thread_setters, _rows_matmul
 
+from conftest import exp_field, two_mode
+
 
 def scalar_schedule(abar: float):
     """One-step schedule whose alpha_bar[1] equals abar exactly."""
@@ -87,7 +89,7 @@ class TestGaussianField:
         assert field_model.marginal_std() == pytest.approx(0.2)
 
     def test_scalar_marginals_match_the_moments(self, field_model):
-        two = GaussianFieldModel.exponential(3, 5, 2, mean=0.3, marginal_variance=0.07)
+        two = exp_field(3, 5, 2, mean=0.3, marginal_variance=0.07)
         for model in (field_model, two):
             mean, cov = model.moments()
             assert model.marginal_mean() == float(np.mean(mean))
@@ -358,7 +360,7 @@ class TestPredictInto:
     def test_bytes_do_not_depend_on_the_previous_row_count(self, kind, sched200):
         # A model keeps its work arrays at the widest row count it has seen;
         # 400 GMM rows end in a partial 144-row block (blocks of 256 rows).
-        build = {"field": GaussianFieldModel.exponential, "gmm": GmmPixelModel.two_mode}[kind]
+        build = {"field": exp_field, "gmm": two_mode}[kind]
         model = build()
         pool = 0.5 + 0.3 * RngStream(42, 0).normals(400 * model.dim).reshape(400, -1)
         for n in (400, 20, 400):
@@ -377,7 +379,7 @@ class TestEigenThreads:
             pytest.skip("numpy's BLAS offers no thread control here")
         build = (
             "import hashlib; from fuzzydiff import GaussianFieldModel; "
-            "m = GaussianFieldModel.exponential(16, 16); "
+            "m = GaussianFieldModel.exponential(16, 16, 1, 0.5, 0.04, 2.0); "
             "print(hashlib.sha256(m.cov_eigvecs.tobytes() + m.cov_eigvals.tobytes()).hexdigest())"
         )
         runs = [(None, build), ("1", build)]
@@ -398,7 +400,7 @@ class TestEigenThreads:
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
             )
             digests.add(proc.stdout)
-        model = GaussianFieldModel.exponential(16, 16)
+        model = GaussianFieldModel.exponential(16, 16, 1, 0.5, 0.04, 2.0)
         here = hashlib.sha256(model.cov_eigvecs.tobytes() + model.cov_eigvals.tobytes())
         assert digests == {here.hexdigest() + "\n"}
 
@@ -496,10 +498,10 @@ class TestMseOptimality:
 
 class TestFingerprints:
     def test_stable_and_distinct(self, field_model, gmm_model):
-        assert field_model.fingerprint() == GaussianFieldModel.exponential().fingerprint()
-        assert gmm_model.fingerprint() == GmmPixelModel.two_mode().fingerprint()
+        assert field_model.fingerprint() == exp_field().fingerprint()
+        assert gmm_model.fingerprint() == two_mode().fingerprint()
         assert field_model.fingerprint() != gmm_model.fingerprint()
-        other = GaussianFieldModel.exponential(marginal_variance=0.05)
+        other = exp_field(marginal_variance=0.05)
         assert other.fingerprint() != field_model.fingerprint()
 
 
@@ -510,8 +512,8 @@ class TestFingerprints:
 @settings(max_examples=30, deadline=None)
 def test_predictions_finite_and_shaped(vals, t):
     s = linear_schedule(50, 1.2e-3, 0.24)
-    gmm = GmmPixelModel.two_mode(2, 2, 1)
-    field = GaussianFieldModel.exponential(2, 2, 1)
+    gmm = two_mode(2, 2, 1)
+    field = exp_field(2, 2, 1)
     x = vals.reshape(1, 4)
     for model in (gmm, field):
         out = model.predict_array(x, t, s)

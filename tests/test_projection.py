@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from fuzzydiff import (
-    GaussianFieldModel,
     Grid,
     RngStream,
     ValidationError,
     ValidationStats,
     attention_from_discrepancies,
     attention_map,
-    linear_schedule,
     project_reconstruct_array,
     validation_stats,
     weight_from_attention,
 )
 from fuzzydiff.projection import SIGMA_FLOOR_SCALE, _discrepancy_rows
+
+from conftest import exp_field
 
 
 def mean_image(model):
@@ -297,7 +297,7 @@ class TestAttention:
         probe = mean_image(field_model)
         with pytest.raises(ValidationError, match="stale"):
             attention_map(probe[None], stats, field_model, sched200, rng=RngStream(74, 0))
-        other = GaussianFieldModel.exponential(mean=0.4)
+        other = exp_field(mean=0.4)
         with pytest.raises(ValidationError, match="stale"):
             attention_map(probe[None], stats, other, sched50, rng=RngStream(74, 0))
 

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzydiff import NoiseSchedule, ValidationError, linear_schedule
+from fuzzydiff import NoiseSchedule, ValidationError, build_schedule, linear_schedule, load_config
 
+from conftest import DDPM_BETAS
 from oracle_helpers import posterior_mean_coeffs
 
 
@@ -17,8 +19,13 @@ def test_single_step_schedule():
     assert s.beta_tilde[1] == 0.0
 
 
-def test_default_thousand_step_convention():
-    s = linear_schedule(1000)
+def test_default_thousand_step_convention(tmp_path):
+    # A config that names only T gets DDPM's 1000-step betas.
+    path = tmp_path / "cfg.json"
+    model = {"type": "gaussian_field", "height": 1, "width": 1}
+    path.write_text(json.dumps({"schedule": {"T": 1000}, "model": model}))
+    s = build_schedule(load_config(path))
+    assert s.fingerprint() == linear_schedule(1000, *DDPM_BETAS).fingerprint()
     assert abs(s.alpha_bar[1] - 0.9999) < 1e-15
     assert 0.0 < s.alpha_bar[1000] < 0.001
 
@@ -32,7 +39,7 @@ def test_alpha_bar_zero_slot_is_one():
 
 @pytest.mark.parametrize("T", [1, 50, 200, 1000])
 def test_table_self_consistency(T):
-    s = linear_schedule(T)
+    s = linear_schedule(T, *DDPM_BETAS)
     recomputed = s.alpha_bar[:-1] * s.alpha[1:]
     assert np.all(np.abs(s.alpha_bar[1:] - recomputed) < 1e-15)
 
@@ -58,7 +65,7 @@ def test_step_tables_equal_their_scalar_expressions(T, start, end):
 def test_posterior_collapse_identity(T):
     # Substituting the zero-noise forward point x_t = sqrt(abar_t)*x0 into the
     # posterior mean gives sqrt(abar_{t-1})*x0; only at t=1 is that x0 itself.
-    s = linear_schedule(T)
+    s = linear_schedule(T, *DDPM_BETAS)
     steps = sorted({1, max(1, T // 4), max(1, T // 2), max(1, 3 * T // 4), T})
     for t in steps:
         c0, ct = posterior_mean_coeffs(s, t)
