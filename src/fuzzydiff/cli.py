@@ -24,6 +24,7 @@ run in one order for every command: the config first (exit 2), then the
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -33,7 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, build_model, build_schedule, load_config
+from .config import (
+    MAX_CONFIG_BYTES,
+    MAX_ROW_STREAMS,
+    MAX_T,
+    ConfigError,
+    build_model,
+    build_schedule,
+    load_config,
+)
 from .config import section as config_section
 from .core import Grid, RngStream, RowStreams, ValidationError
 from .gridio import parse_json, read_grid, write_grid, write_preview
@@ -55,6 +64,13 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 _STAGE = ".staging"
+# The largest previous manifest read. A run lists at most 2 * (MAX_T + 1) + 1
+# files (stats at every depth; eval lists up to 6 * MAX_ROW_STREAMS + 1, sample
+# and fuzzy 2 * MAX_ROW_STREAMS), each on a line of under 128 bytes, after an
+# echo of the config that is at most a few times MAX_CONFIG_BYTES.
+MAX_MANIFEST_BYTES = (
+    128 * max(2 * (MAX_T + 1) + 1, 6 * MAX_ROW_STREAMS + 1) + 16 * MAX_CONFIG_BYTES
+)
 
 
 def _u64(text: str) -> int:
@@ -71,6 +87,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Built once: a parser is a web of reference cycles, and one built per call
+# stays as garbage until the cyclic collector runs, so the peak memory of a
+# process that runs many commands would follow the collector's timing.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzydiff",
@@ -113,14 +133,24 @@ def _sha256(path: Path) -> str:
 
 
 def _previous_files(out: Path) -> list[Path]:
-    """The files inside --out (outside staging) that the previous run's manifest lists."""
+    """The files inside --out (outside staging) that the previous run's manifest lists.
+
+    The manifest is read up to its stat size, and refused unread if that is
+    over ``MAX_MANIFEST_BYTES``.
+    """
     manifest = out / "manifest.json"
     if not manifest.exists():
         return []
     if not manifest.is_file():  # a FIFO would block the read below
         raise OSError(f"{manifest}: not a regular file")
+    size = manifest.stat().st_size
+    if size > MAX_MANIFEST_BYTES:
+        raise ValidationError(
+            f"previous manifest {manifest} has {size} bytes, over {MAX_MANIFEST_BYTES}"
+        )
     try:
-        listed = parse_json(manifest.read_text())["files"].keys()
+        with open(manifest, "rb") as fh:
+            listed = parse_json(fh.read(size))["files"].keys()
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
     root, stage = out.resolve(), (out / _STAGE).resolve()

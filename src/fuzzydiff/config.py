@@ -24,10 +24,14 @@ SCHEMA_VERSION = 1
 
 # Size caps: the longest schedule, the most float64 values one (n, D) row
 # array may hold (2**24 values are 128 MiB; no model may have more values per
-# row), and the largest gaussian_field, whose D x D covariance and eigenbasis
-# grow as D**2 (a 2**12-pixel field needs 128 MiB per D x D array).
+# row), the most rows of a command that gives every row its own RNG stream
+# (a stream and its Philox state take ~0.6 KiB of RSS, so 2**17 of them take
+# ~75 MiB, within the 128 MiB of one row array), and the largest
+# gaussian_field, whose D x D covariance and eigenbasis grow as D**2 (a
+# 2**12-pixel field needs 128 MiB per D x D array).
 MAX_T = 10**6
 MAX_ROW_VALUES = 2**24
+MAX_ROW_STREAMS = 2**17
 MAX_FIELD_DIM = 2**12
 # The largest config file read; a config is a few hundred bytes.
 MAX_CONFIG_BYTES = 2**20
@@ -57,6 +61,7 @@ _KINDS = {
     "steps": (_is_int, _INT),
     "count": (_is_int, _INT),
     "rows": (_is_int, _INT),
+    "streams": (_is_int, _INT),
     "depth": (_is_int, _INT),
     "depths": (
         lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
@@ -71,20 +76,23 @@ def _check_range(kind: str, path: str, v, cfg: dict) -> None:
     """Apply ``kind``'s range rule to the non-null value ``v`` of field ``path``.
 
     steps: at most MAX_T. count: >= 1. rows: a count whose (n, D) array fits
-    MAX_ROW_VALUES. depth: in [0, T]. depths: non-empty, distinct, each in
+    MAX_ROW_VALUES. streams: rows, one RNG stream each, at most
+    MAX_ROW_STREAMS. depth: in [0, T]. depths: non-empty, distinct, each in
     [0, T]. side: in [0, min(height, width)]. map: a scalar in [0, 1] or a
     path. ``cfg`` holds the checked 'schedule' and 'model' for every rule
     that needs them.
     """
     if kind == "steps" and v > MAX_T:
         raise ConfigError(f"'{path}' must be <= {MAX_T}, got {v}")
-    if kind in ("count", "rows") and v < 1:
+    if kind in ("count", "rows", "streams") and v < 1:
         raise ConfigError(f"'{path}' must be >= 1")
-    if kind == "rows" and v * _dim(cfg["model"]) > MAX_ROW_VALUES:
+    if kind in ("rows", "streams") and v * _dim(cfg["model"]) > MAX_ROW_VALUES:
         raise ConfigError(
             f"'{path}' times height*width*channels must be <= {MAX_ROW_VALUES}, "
             f"got {v} * {_dim(cfg['model'])}"
         )
+    if kind == "streams" and v > MAX_ROW_STREAMS:
+        raise ConfigError(f"'{path}' must be <= {MAX_ROW_STREAMS} (one RNG stream a row), got {v}")
     if kind in ("depth", "depths"):
         T = cfg["schedule"]["T"]
         for t in v if kind == "depths" else [v]:
@@ -177,11 +185,11 @@ _DEGRADE_COMMON = {
 }
 
 _SECTION_FIELDS = {
-    "sample": {"count": ("rows", 1)},
+    "sample": {"count": ("streams", 1)},
     "fuzzy": {
         "image": ("string", _MISSING),
         "map": ("map", _MISSING),
-        "count": ("rows", 1),
+        "count": ("streams", 1),
         "J": ("count", 5),
     },
     "stats": {
@@ -196,7 +204,7 @@ _SECTION_FIELDS = {
     "degrade": dict(_DEGRADE_COMMON, image=("string", None)),
     "eval": dict(
         _DEGRADE_COMMON,
-        trials=("rows", 20),
+        trials=("streams", 20),
         J=("count", 2),
         depths=("depths", None),
         reps=("count", 1),

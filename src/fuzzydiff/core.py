@@ -74,8 +74,15 @@ class Grid:
 
 
 def _uniforms(bits: np.ndarray) -> np.ndarray:
-    """The pinned map of raw 64-bit words onto uniforms in (0, 1]."""
-    return ((bits >> np.uint64(11)) + np.uint64(1)) * (2.0 ** -53)
+    """The pinned map of raw 64-bit words onto uniforms in (0, 1].
+
+    It spends ``bits``: the words are shifted, incremented and scaled in
+    place, and the uniforms come back in their buffer, so it makes no
+    temporaries.
+    """
+    bits >>= np.uint64(11)
+    bits += np.uint64(1)
+    return np.multiply(bits, 2.0**-53, out=bits.view(np.float64))
 
 
 def _radii(bits: np.ndarray, out: np.ndarray, scratch: "_Scratch") -> None:
@@ -117,13 +124,17 @@ class _Scratch:
     seen and never shrink; each owner holds its own. The owners:
 
     - :class:`RngStream`, five rows: :func:`_rotate` works in rows 0-4 and
-      :func:`_radii` in rows 0-1, before it;
+      :func:`_radii` in rows 0-1, before it. A stream makes them on its first
+      ``normals`` call: the streams a :class:`RowStreams` owns only give it
+      raw words and never draw normals themselves, so they hold none;
     - :class:`RowStreams`, seven rows: those five, and :func:`_box_muller`
       keeps a block's normals in rows 5-6. (Seven rows on every bulk stream
       measured ~7 % slower per ``stats-gmm-batch`` op in fresh processes,
       though the two extra rows are never touched.)
-    - ``GaussianFieldModel``, two rows, and ``GmmPixelModel``, two, or three
-      for K > 2: the ``(n, D)`` work arrays of ``predict_array``.
+    - ``GaussianFieldModel``, one row: the ``(n, D)`` eigenbasis product of
+      ``predict_array``, whose other work array is the caller's ``out``;
+    - ``GmmPixelModel``, two rows, or three for K > 2: the row-block work
+      arrays of ``predict_array``.
 
     ``rows`` keeps its last request and the views it gave, so an oracle that
     asks for the same rows on every step builds no views.
@@ -274,7 +285,7 @@ class RngStream:
         self.seed = seed
         self.stream_id = stream_id
         self._bits = np.random.Philox(key=(stream_id << 64) | seed)
-        self._scratch = _Scratch(5)
+        self._scratch: _Scratch | None = None  # made by the first normals call
 
     def child(self, index: int) -> "RngStream":
         """Derive the stream for subtask ``index`` (same seed, mixed stream id)."""
@@ -300,6 +311,8 @@ class RngStream:
         # word or temporary array: all radius words first, then the angles.
         pairs = (n + 1) // 2
         out = np.empty((pairs, 2))
+        if self._scratch is None:
+            self._scratch = _Scratch(5)
         for i in range(0, pairs, _BLOCK_VALUES):
             bits = self.raw(min(_BLOCK_VALUES, pairs - i))
             _radii(bits, out[i : i + _BLOCK_VALUES, 0], self._scratch)

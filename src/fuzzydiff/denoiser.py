@@ -200,7 +200,7 @@ class GaussianFieldModel(EpsilonModel):
         self.cov_eigvecs = vecs
         self._cov = cov
         self._sqrt_lam = np.sqrt(lam)
-        self._scratch = _Scratch(2)
+        self._scratch = _Scratch(1)
         self._terms = (None, 0, None)  # (schedule, t, terms) of the last step predicted
 
     @classmethod
@@ -245,16 +245,18 @@ class GaussianFieldModel(EpsilonModel):
         self, x: np.ndarray, t: int, s: NoiseSchedule, out: np.ndarray | None = None
     ) -> np.ndarray:
         root, root_mu, gain, scale = self._step_terms(s.check_step(t), s)
-        a, b = self._scratch.rows(x.shape, 0, 2)
-        np.subtract(x, root_mu, out=a)
-        _rows_matmul(a, self.cov_eigvecs, out=b)
+        if out is None:
+            out = np.empty(x.shape)
+        (b,) = self._scratch.rows(x.shape, 0, 1)  # out is the other work array
+        np.subtract(x, root_mu, out=out)
+        _rows_matmul(out, self.cov_eigvecs, out=b)
         b *= gain
-        _rows_matmul(b, self.cov_eigvecs.T, out=a)
-        # root * (mu + root * a), in the operation order of the spelled-out formula
-        a *= root
-        a += self.mu
-        a *= root
-        out = np.subtract(x, a, out=out)
+        _rows_matmul(b, self.cov_eigvecs.T, out=out)
+        # root * (mu + root * out), in the operation order of the spelled-out formula
+        out *= root
+        out += self.mu
+        out *= root
+        np.subtract(x, out, out=out)
         out /= scale
         return out
 
@@ -279,8 +281,13 @@ class GaussianFieldModel(EpsilonModel):
         return float(np.sqrt(np.mean(np.diag(self._cov))))
 
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
+        # mu + (z * sqrt(lam)) V^T, with the scaling in the draw and mu added
+        # to the product in place: two (n, D) arrays live at once.
         z = rng.normals(n * self.dim).reshape(n, self.dim)
-        return self.mu + _rows_matmul(z * self._sqrt_lam, self.cov_eigvecs.T)
+        z *= self._sqrt_lam
+        x = _rows_matmul(z, self.cov_eigvecs.T)
+        x += self.mu
+        return x
 
     def fingerprint(self) -> str:
         return _hash_parts(
@@ -451,11 +458,16 @@ class GmmPixelModel(EpsilonModel):
     def sample_x0(self, n: int, rng: RngStream) -> np.ndarray:
         D = self.dim
         # Draw order is pinned: component picks first, then the normals.
-        u = rng.uniforms(n * D)
-        comp = np.searchsorted(self._cumw, u, side="left")
-        comp = np.minimum(comp, self.K - 1)
+        comp = np.searchsorted(self._cumw, rng.uniforms(n * D), side="left")
+        np.minimum(comp, self.K - 1, out=comp)
         z = rng.normals(n * D)
-        x = self.means[comp] + np.sqrt(self.variances[comp]) * z
+        # means[comp] + sqrt(variances[comp]) * z, built in one array, with
+        # the means gathered into the spent draw: three (n, D) arrays at most.
+        x = np.take(self.variances, comp)
+        np.sqrt(x, out=x)
+        x *= z
+        np.take(self.means, comp, out=z, mode="clip")  # mode="raise" buffers out
+        x += z
         return x.reshape(n, D)
 
     def fingerprint(self) -> str:

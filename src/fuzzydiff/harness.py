@@ -221,6 +221,7 @@ def run_correction_experiment(
 
     v_rows = model.sample_x0(section["v_count"], rng.child(0))
     stats = validation_stats(model, s, v_rows, list(depths), section["reps"], rng.child(1))
+    del v_rows  # the trials need only the statistics
 
     art_dir: Path | None = None
     if artifacts_dir is not None:

@@ -168,28 +168,34 @@ def project_reconstruct_array(
     """Noise (n, D) rows to level t, then run the reverse chain back down to 0; t=0 is exact.
 
     x is never written. The chain owns two (n, D) buffers that swap roles
-    every step, so its steps allocate no (n, D) arrays of their own.
+    every step, so its steps allocate no (n, D) arrays of their own. The
+    first is its first draw, noised to level t in place; the second first
+    holds sqrt(abar_t) * x.
     """
     t = s.check_step(t, lowest=0)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValidationError(f"rows of shape {x.shape} do not fit model dim {model.dim}")
     if t == 0:
         return np.array(x, dtype=np.float64, copy=True)
-    eps = rng.normals(x.size).reshape(x.shape)
-    eps *= s.sqrt_one_minus_alpha_bar[t]
-    xt = s.sqrt_alpha_bar[t] * x
-    xt += eps
-    spare = np.empty_like(xt)
+    xt = rng.normals(x.size).reshape(x.shape)
+    xt *= s.sqrt_one_minus_alpha_bar[t]
+    spare = np.multiply(s.sqrt_alpha_bar[t], x)
+    xt += spare
     for step in range(t, 0, -1):
         xt, spare = _reverse_step_array(model, xt, step, s, rng, out=spare), xt
     return xt
 
 
 def _discrepancy_rows(a: np.ndarray, b: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Per-pixel Euclidean distance across channels; rows (n, D) -> (n, h*w)."""
+    """Per-pixel Euclidean distance across channels; rows (n, D) -> (n, h*w).
+
+    It spends b: the difference and its square are formed in b's buffer.
+    """
     h, w, c = shape
-    diff = (a - b).reshape(-1, h * w, c)
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    diff = np.subtract(a, b, out=b).reshape(-1, h * w, c)
+    diff *= diff
+    d = np.sum(diff, axis=2)
+    return np.sqrt(d, out=d)
 
 
 def _depth_discrepancies(
@@ -204,19 +210,23 @@ def _depth_discrepancies(
 
     Depth k draws only from rng.child(k), so validation statistics and the
     attention map of a probe are computed by the same code on the same
-    stream layout. Yields one depth at a time, so only one is held.
+    stream layout. Yields one depth at a time and drops it before the next
+    depth's chain runs, so a caller that drops it too holds only one.
     """
     reps = int(reps)
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    h, w, _ = model.shape
+    shape = model.shape
     for k, t in enumerate(depths):
         stream = rng.child(k)
-        acc = np.zeros((X.shape[0], h * w))
-        for _ in range(reps):
-            xhat = project_reconstruct_array(model, s, X, t, stream)
-            acc += _discrepancy_rows(X, xhat, model.shape)
-        yield acc / reps
+        # The sum starts from the first reconstruction: no discrepancy is
+        # -0.0, so this gives the bytes of a sum started from zeros.
+        acc = _discrepancy_rows(X, project_reconstruct_array(model, s, X, t, stream), shape)
+        for _ in range(reps - 1):
+            acc += _discrepancy_rows(X, project_reconstruct_array(model, s, X, t, stream), shape)
+        acc /= reps
+        yield acc
+        del acc
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +274,15 @@ def validation_stats(
     h, w, _ = model.shape
     mu: dict[int, Grid] = {}
     sigma: dict[int, Grid] = {}
-    for t, d in zip(depths, _depth_discrepancies(model, s, X, depths, reps, rng)):
+    rows = _depth_discrepancies(model, s, X, depths, reps, rng)
+    for t in depths:
+        # Not zip: its reused result tuple would keep depth k's rows alive
+        # while the chain of depth k + 1 runs.
+        d = next(rows)
         mu[t] = Grid(d.mean(axis=0).reshape(h, w, 1))
         sig = np.maximum(d.std(axis=0), floor)
         sigma[t] = Grid(sig.reshape(h, w, 1))
+        del d
 
     return ValidationStats(
         depths=tuple(depths),

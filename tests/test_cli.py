@@ -30,6 +30,7 @@ GMM_MODEL = {
     "means": [0.3, 0.7],
     "variances": [0.01, 0.01],
 }
+ONE_PIXEL = {"type": "gaussian_field", "height": 1, "width": 1}
 
 
 def make_config(tmp_path, sections=None, model=None, T=6, name="cfg.json"):
@@ -659,6 +660,11 @@ class TestErrors:
             ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 1.5}}),
             ("sample", {"schedule": {"T": 2**62}}),
             ("sample", {"model": {"type": "gaussian_field", "height": 100, "width": 100}}),
+            # One RNG stream a row: a 1x1 model fits 2**24 rows, but not their streams.
+            ("sample", {"sample": {"count": 2**20}, "model": ONE_PIXEL}),
+            ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": 0.5, "count": 2**17 + 1},
+                       "model": ONE_PIXEL}),
+            ("eval", {"eval": {"trials": 2**17 + 1}, "model": ONE_PIXEL}),
         ],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, monkeypatch, command, sections):

@@ -13,7 +13,7 @@ from fuzzydiff import (
     load_config,
     write_grid,
 )
-from fuzzydiff.config import ConfigError, section
+from fuzzydiff.config import MAX_ROW_STREAMS, ConfigError, section
 
 from conftest import two_mode
 
@@ -221,10 +221,27 @@ class TestLoadConfig:
         degrade = {"side_min": 4, "side_max": 4, "sigma_low": 5.0, "sigma_high": 5.0}
         payload = dict(MINIMAL, degrade=degrade, eval=dict(degrade, side_min=0))
         payload["schedule"] = {"T": 10**6}
-        payload["sample"] = {"count": 2**20}
+        # MINIMAL's model has 16 values per row, so 2**20 rows fill the 2**24 cap.
+        payload["stats"] = {"v_count": 2**20}
         cfg = load_config(write_cfg(tmp_path, payload))
         assert cfg["degrade"]["side_max"] == 4 and cfg["eval"]["side_min"] == 0
-        assert cfg["schedule"]["T"] == 10**6 and cfg["sample"]["count"] == 2**20
+        assert cfg["schedule"]["T"] == 10**6 and cfg["stats"]["v_count"] == 2**20
+
+    def test_row_stream_cap_is_inclusive(self, tmp_path):
+        # A 1x1 model fits 2**24 rows; the commands that give each row its own
+        # RNG stream take at most MAX_ROW_STREAMS of them.
+        one_pixel = dict(MINIMAL["model"], height=1, width=1)
+        counts = {"sample": {"count": MAX_ROW_STREAMS},
+                  "fuzzy": {"image": "x.fdg", "map": 0.5, "count": MAX_ROW_STREAMS},
+                  "eval": {"trials": MAX_ROW_STREAMS}}
+        cfg = load_config(write_cfg(tmp_path, dict(MINIMAL, model=one_pixel, **counts)))
+        assert cfg["sample"]["count"] == cfg["fuzzy"]["count"] == MAX_ROW_STREAMS
+        assert cfg["eval"]["trials"] == MAX_ROW_STREAMS
+        for name, key in [("sample", "count"), ("fuzzy", "count"), ("eval", "trials")]:
+            over = dict(MINIMAL, model=one_pixel, **{name: dict(counts[name], **{key: 2**20})})
+            message = f"'{name}.{key}' must be <= {MAX_ROW_STREAMS}"
+            with pytest.raises(ConfigError, match=message):
+                load_config(write_cfg(tmp_path, over))
 
     def test_field_size_cap_is_inclusive_and_field_only(self, tmp_path):
         field = dict(MINIMAL["model"], height=64, width=64)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import fuzzydiff
 from fuzzydiff import Grid, write_grid
-from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION, entrypoint
+from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_VALIDATION, MAX_MANIFEST_BYTES, entrypoint
 from fuzzydiff.config import MAX_CONFIG_BYTES
 from fuzzydiff.projection import MAX_STATS_MANIFEST_BYTES
 
@@ -353,6 +353,24 @@ def test_config_files_that_cannot_be_read_or_parsed_exit_2(tmp_path, case):
 def test_an_endless_config_exits_2(tmp_path):
     _assert_limited_cli_exits(EXIT_CONFIG, "sample", "--config", "/dev/zero",
                               "--out", tmp_path / "out")
+
+
+def test_an_oversized_previous_manifest_exits_4_unread(tmp_path):
+    # The previous run's manifest, padded with 3 GiB of zero bytes and no data
+    # blocks: refused from its stat size, with --out left as it was.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schedule": {"T": 4}, "model": GMM}))
+    out = tmp_path / "out"
+    assert entrypoint(["sample", "--config", str(config), "--out", str(out)]) == 0
+    os.truncate(out / "manifest.json", 3 << 30)
+    before = {p.name: p.stat().st_size for p in out.iterdir()}
+    sample = (out / "sample_0000.fdg").read_bytes()
+    stderr = _assert_limited_cli_exits(
+        EXIT_VALIDATION, "sample", "--config", config, "--out", out, "--force"
+    )
+    assert f"bytes, over {MAX_MANIFEST_BYTES}" in stderr, stderr
+    assert {p.name: p.stat().st_size for p in out.iterdir()} == before
+    assert (out / "sample_0000.fdg").read_bytes() == sample
 
 
 def test_a_previous_manifest_that_is_not_a_regular_file_exits_3(tmp_path):
