@@ -10,9 +10,11 @@ trials as one batch in which trial i draws only from child stream 2 + i.
 --workers is still accepted but has no effect.
 
 :func:`entrypoint` owns every run's lifecycle: it loads the config, looks
-up the command's section, builds the model and schedule, prepares --out,
-calls the command's handler with a fresh ``RngStream(--seed, 0)`` and a
-staging directory, writes the manifest and commits the staged files.
+up the command's section, builds the model and schedule, prepares --out
+(parsing the previous manifest once), calls the command's handler with a
+fresh ``RngStream(--seed, 0)`` and a staging directory, writes the manifest
+and commits the staged files. JSON files go through ``gridio.read_json``
+(under a size cap) and ``gridio.write_json``.
 
 Exit codes: 0 success, 2 configuration problem, 3 file I/O problem,
 4 data validation failure (shapes, ranges, stale fingerprints). The checks
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import logging
 import shutil
 import sys
@@ -45,7 +46,7 @@ from .config import (
 )
 from .config import section as config_section
 from .core import Grid, RngStream, RowStreams, ValidationError
-from .gridio import parse_json, read_grid, write_grid, write_preview
+from .gridio import read_grid, read_json, write_grid, write_json, write_preview
 from .harness import DegradeParams, degrade, run_correction_experiment
 from .projection import (
     ValidationStats,
@@ -133,24 +134,13 @@ def _sha256(path: Path) -> str:
 
 
 def _previous_files(out: Path) -> list[Path]:
-    """The files inside --out (outside staging) that the previous run's manifest lists.
-
-    The manifest is read up to its stat size, and refused unread if that is
-    over ``MAX_MANIFEST_BYTES``.
-    """
+    """The files inside --out (outside staging) that the previous run's manifest
+    lists; a manifest over ``MAX_MANIFEST_BYTES`` is refused unread."""
     manifest = out / "manifest.json"
     if not manifest.exists():
         return []
-    if not manifest.is_file():  # a FIFO would block the read below
-        raise OSError(f"{manifest}: not a regular file")
-    size = manifest.stat().st_size
-    if size > MAX_MANIFEST_BYTES:
-        raise ValidationError(
-            f"previous manifest {manifest} has {size} bytes, over {MAX_MANIFEST_BYTES}"
-        )
     try:
-        with open(manifest, "rb") as fh:
-            listed = parse_json(fh.read(size))["files"].keys()
+        listed = read_json(manifest, MAX_MANIFEST_BYTES)["files"].keys()
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
     root, stage = out.resolve(), (out / _STAGE).resolve()
@@ -158,32 +148,32 @@ def _previous_files(out: Path) -> list[Path]:
     return [p for p in paths if root in p.parents and stage not in p.parents and p.is_file()]
 
 
-def _prepare_out(out: Path, force: bool) -> Path:
-    """Check --out and return an empty staging directory inside it for the handler.
+def _prepare_out(out: Path, force: bool) -> tuple[Path, list[Path]]:
+    """Check --out; return an empty staging directory inside it for the handler
+    and the previous run's files, read from its manifest here, before any work.
 
-    A staging directory left behind by a killed run is cleared first. The
-    previous run stays untouched until :func:`_commit_out` runs, after the
-    handler has succeeded.
+    A staging directory left by a killed run is cleared first. The previous
+    run stays untouched until :func:`_commit_out`, after the handler succeeded.
     """
     manifest = out / "manifest.json"
     if manifest.exists() and not force:
         raise FileExistsError(f"{manifest} exists; pass --force to overwrite")
-    _previous_files(out)  # an unreadable previous manifest fails before any work
+    previous = _previous_files(out)
     stage = out / _STAGE
     shutil.rmtree(stage, ignore_errors=True)
     stage.mkdir(parents=True)
-    return stage
+    return stage, previous
 
 
-def _commit_out(out: Path) -> None:
+def _commit_out(out: Path, previous: list[Path]) -> None:
     """Replace the previous run in --out with the staged one.
 
     Checks first that every staged file can be placed (no directory at a
     target, no non-directory at an ancestor inside --out), raising OSError
-    while the previous run is whole. Then deletes the files the previous
-    manifest lists (only inside --out, so unlisted files survive and two runs
-    never mix), renames the staged files into place, and renames the new
-    manifest.json last.
+    while the previous run is whole. Then deletes the ``previous`` files
+    (those the previous manifest lists inside --out, so unlisted files
+    survive and two runs never mix), renames the staged files into place,
+    and renames the new manifest.json last.
     """
     stage = out / _STAGE
     manifest = stage / "manifest.json"
@@ -197,7 +187,7 @@ def _commit_out(out: Path) -> None:
             if (parent.exists() or parent.is_symlink()) and not parent.is_dir():
                 raise OSError(f"{parent}: not a directory")
             parent = parent.parent
-    for path in _previous_files(out):
+    for path in previous:
         path.unlink()
     for path, target in moves:
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -223,7 +213,7 @@ def _write_manifest(
         "schedule_fingerprint": schedule.fingerprint(),
         "files": dict(sorted(entries.items())),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(out_dir / "manifest.json", payload)
 
 
 def _write_grids(out: Path, named) -> list[Path]:
@@ -282,8 +272,7 @@ def _cmd_stats(section, model, schedule, root: RngStream, out: Path) -> list[Pat
 
 
 def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
-    h, w, _ = model.shape
-    stats = ValidationStats.load(section["stats_dir"], (h, w, 1))
+    stats = ValidationStats.load(section["stats_dir"], model, schedule)
     image = _read_image(section["image"], model)
     streams = RowStreams([root.child(0)])
     [amap] = attention_map(image[None], stats, model, schedule, streams)
@@ -304,7 +293,7 @@ def _cmd_degrade(section, model, schedule, root: RngStream, out: Path) -> list[P
     degraded, record = degrade(image, params, root.child(1))
     files += _write_grids(out, (("degraded", degraded), ("mask", record.mask)))
     record_path = out / "record.json"
-    record_path.write_text(json.dumps(record.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(record_path, record.to_dict())
     return files + [record_path]
 
 
@@ -312,7 +301,7 @@ def _cmd_eval(section, model, schedule, root: RngStream, out: Path) -> list[Path
     art_dir = out / "artifacts" if section["record_artifacts"] else None
     report = run_correction_experiment(model, schedule, section, root, art_dir)
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_json(report_path, report)
     return [report_path] + (sorted(art_dir.iterdir()) if art_dir is not None else [])
 
 
@@ -339,11 +328,11 @@ def entrypoint(argv=None) -> int:
         schedule = build_schedule(cfg)
         out = Path(args.out)
         try:
-            stage = _prepare_out(out, args.force)
+            stage, previous = _prepare_out(out, args.force)
             root = RngStream(args.seed, 0)
             files = _HANDLERS[args.command](section, model, schedule, root, stage)
             _write_manifest(stage, args.command, args.seed, cfg, model, schedule, files)
-            _commit_out(out)
+            _commit_out(out, previous)
         finally:
             shutil.rmtree(out / _STAGE, ignore_errors=True)
         log.info("%s: wrote %d files to %s", args.command, len(files), out)

@@ -8,14 +8,13 @@ instead of silently running a different experiment.
 
 from __future__ import annotations
 
-import stat
 from pathlib import Path
 
 import numpy as np
 
 from .core import ValidationError
 from .denoiser import EpsilonModel, GaussianFieldModel, GmmPixelModel
-from .gridio import _is_int, _is_number, parse_json, read_grid
+from .gridio import _is_int, _is_number, read_grid, read_json
 from .schedule import NoiseSchedule, linear_schedule
 
 __all__ = ["ConfigError", "load_config", "build_schedule", "build_model"]
@@ -220,22 +219,11 @@ def load_config(path) -> dict:
 
     The result always carries 'schedule' and 'model' plus whichever command
     sections the file defined (with defaults filled in). The path must be a
-    regular file of at most ``MAX_CONFIG_BYTES``. It is stat'ed before it is
-    opened and read only up to its stat size, so a FIFO, a device or a file
-    that grows fails instead of blocking or filling memory.
+    regular file of at most ``MAX_CONFIG_BYTES``, read by ``gridio.read_json``.
     """
-    path = Path(path)
     try:
-        info = path.stat()
-        if not stat.S_ISREG(info.st_mode):
-            raise ConfigError(f"cannot read config {path}: not a regular file")
-        if info.st_size > MAX_CONFIG_BYTES:
-            raise ConfigError(
-                f"config {path} has {info.st_size} bytes, more than {MAX_CONFIG_BYTES}"
-            )
-        with open(path, "rb") as fh:
-            raw = parse_json(fh.read(info.st_size))
-    except OSError as exc:
+        raw = read_json(path, MAX_CONFIG_BYTES)
+    except (OSError, ValidationError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

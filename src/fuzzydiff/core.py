@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,6 +32,17 @@ _BLOCK_VALUES = 16384
 
 class ValidationError(ValueError):
     """Raised when data violates a structural invariant (shape, range, finiteness)."""
+
+
+def _hash_parts(*parts: bytes) -> str:
+    digest = hashlib.sha256()
+    for p in parts:
+        digest.update(p)
+    return digest.hexdigest()
+
+
+def _f8(arr) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 class Grid:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import abc
 import ctypes
 import functools
-import hashlib
 import math
 import struct
 
 import numpy as np
 
-from .core import _BLOCK_VALUES, RngStream, ValidationError, _Scratch
+from .core import _BLOCK_VALUES, RngStream, ValidationError, _Scratch, _f8, _hash_parts
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -32,17 +31,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _hash_parts(*parts: bytes) -> str:
-    digest = hashlib.sha256()
-    for p in parts:
-        digest.update(p)
-    return digest.hexdigest()
-
-
-def _f8(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def _rows_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Grid file I/O (the FDG1 format, PGM/PPM previews) and the strict JSON parse."""
+"""Grid file I/O (the FDG1 format, PGM/PPM previews) and the strict JSON reader and writer."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import Grid, ValidationError
 
-__all__ = ["parse_json", "read_grid", "write_grid", "write_preview"]
+__all__ = ["parse_json", "read_json", "write_json", "read_grid", "write_grid", "write_preview"]
 
 _MAGIC = b"FDG1"
 _HEADER = struct.Struct("<III")
@@ -36,6 +36,31 @@ def _unique_keys(pairs: list) -> dict:
 def parse_json(text):
     """``json.loads`` that raises ``ValueError`` on a key repeated within one object."""
     return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+def _regular_size(path: Path) -> int:
+    """The stat size of ``path``; ``OSError``, before any open (a FIFO's would
+    block), unless it is a regular file. A reader reads no more than this."""
+    info = path.stat()
+    if not stat.S_ISREG(info.st_mode):
+        raise OSError(f"{path}: not a regular file")
+    return info.st_size
+
+
+def read_json(path, max_bytes: int):
+    """:func:`parse_json` of the regular file ``path``, read up to its stat size;
+    one over ``max_bytes`` is refused unread with ``ValidationError``."""
+    path = Path(path)
+    size = _regular_size(path)
+    if size > max_bytes:
+        raise ValidationError(f"{path} has {size} bytes, over {max_bytes}")
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(size))
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as every JSON artifact is written: sorted keys, indent 2, final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _is_number(v) -> bool:
@@ -66,17 +91,14 @@ def write_grid(path, grid: Grid) -> None:
 def read_grid(path, shapes=None) -> Grid:
     """Read a grid written by :func:`write_grid`, checking it before reading it.
 
-    The path is stat'ed, not opened, until it is known to be a regular file
-    (opening a FIFO would block); anything else raises ``OSError``. Then the
-    16-byte header is read and checked (magic, dimensions >= 1, at most
+    A path that is not a regular file raises ``OSError``. Then the 16-byte
+    header is read and checked (magic, dimensions >= 1, at most
     ``MAX_GRID_VALUES`` values, one of ``shapes`` when that collection of
     accepted (h, w, c) shapes is given, a file size that matches), and only
     then exactly the payload. A malformed file raises ``ValidationError``.
     """
     path = Path(path)
-    info = path.stat()
-    if not stat.S_ISREG(info.st_mode):
-        raise OSError(f"{path}: not a regular file")
+    size = _regular_size(path)
     with open(path, "rb") as fh:
         head = fh.read(_HEAD_SIZE)
         if len(head) < _HEAD_SIZE:
@@ -94,8 +116,8 @@ def read_grid(path, shapes=None) -> Grid:
             accepted = " or ".join(str(tuple(shape)) for shape in sorted(shapes))
             raise ValidationError(f"{path}: grid shape {(h, w, c)} is not {accepted}")
         expect = _HEAD_SIZE + h * w * c * 8
-        if info.st_size != expect:
-            raise ValidationError(f"{path}: file size {info.st_size} != expected {expect}")
+        if size != expect:
+            raise ValidationError(f"{path}: file size {size} != expected {expect}")
         payload = fh.read(expect - _HEAD_SIZE)
     if len(payload) != expect - _HEAD_SIZE:  # the file shrank after the stat
         raise ValidationError(f"{path}: truncated grid file")

@@ -11,7 +11,6 @@ weight 0.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
-from .gridio import _is_int, _is_number, parse_json, read_grid, write_grid
+from .gridio import _is_int, _is_number, read_grid, read_json, write_grid, write_json
 from .sampler import _reverse_step_array
 from .schedule import NoiseSchedule
 
@@ -43,12 +42,14 @@ _MANIFEST_NAME = "manifest.json"
 # its depths, distinct steps in [0, 10**6] (config.MAX_T), one per indented
 # line, so it stays under 12 MB.
 MAX_STATS_MANIFEST_BYTES = 2**24
-# The manifest's numbers, each checked as the JSON type ``save`` writes.
-_MANIFEST_NUMBERS = {
+# The manifest's fields, each checked as the JSON type ``save`` writes.
+_MANIFEST_FIELDS = {
     "depths": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "an array of integers"),
     "v_count": (_is_int, "an integer"),
     "reps": (_is_int, "an integer"),
     "sigma_floor": (_is_number, "a finite number"),
+    "model_fingerprint": (lambda v: isinstance(v, str), "a string"),
+    "schedule_fingerprint": (lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -77,6 +78,8 @@ class ValidationStats:
             raise ValidationError(f"stats need distinct depths, got {list(self.depths)}")
         if self.reps < 1:
             raise ValidationError(f"stats reps must be >= 1, got {self.reps}")
+        if not self.sigma_floor > 0.0:
+            raise ValidationError(f"stats sigma_floor must be > 0, got {self.sigma_floor}")
         shape = None
         for t in self.depths:
             if t not in self.mu or t not in self.sigma:
@@ -101,61 +104,55 @@ class ValidationStats:
             "model_fingerprint": self.model_fingerprint,
             "schedule_fingerprint": self.schedule_fingerprint,
         }
-        (directory / _MANIFEST_NAME).write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        write_json(directory / _MANIFEST_NAME, manifest)
         for t in self.depths:
             write_grid(directory / f"mu_{t:05d}.fdg", self.mu[t])
             write_grid(directory / f"sigma_{t:05d}.fdg", self.sigma[t])
 
     @classmethod
-    def load(cls, directory, shape=None) -> "ValidationStats":
-        """Statistics saved by :meth:`save`; with ``shape`` given, a grid of
-        another (h, w, c) shape is refused after its header. The manifest is
-        read up to its stat size, and refused unread if that is too large."""
+    def load(cls, directory, model=None, s=None) -> "ValidationStats":
+        """Statistics saved by :meth:`save`, whose manifest fields hold the JSON types
+        it writes. Given the live ``model`` and schedule ``s``, the fingerprints and
+        depths are checked before any grid is opened, and each grid's shape after
+        its header."""
         directory = Path(directory)
         manifest_path = directory / _MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise FileNotFoundError(f"no stats manifest at {manifest_path}")
-        size = manifest_path.stat().st_size
-        if size > MAX_STATS_MANIFEST_BYTES:
-            limit = MAX_STATS_MANIFEST_BYTES
-            raise ValidationError(f"stats manifest {manifest_path} has {size} bytes, over {limit}")
-        with open(manifest_path, "rb") as fh:
-            text = fh.read(size)
         try:
-            manifest = parse_json(text)
+            manifest = read_json(manifest_path, MAX_STATS_MANIFEST_BYTES)
             version = manifest.get("schema_version")
             if not _is_int(version) or version != 1:
                 raise ValidationError(f"unsupported stats schema: {version!r}")
-            for key, (ok, want) in _MANIFEST_NUMBERS.items():
+            fields = {}
+            for key, (ok, want) in _MANIFEST_FIELDS.items():
                 if not ok(manifest[key]):
                     raise TypeError(f"'{key}' must be {want}")
-            depths = tuple(manifest["depths"])
-            meta = dict(
-                v_count=manifest["v_count"],
-                reps=manifest["reps"],
-                sigma_floor=float(manifest["sigma_floor"]),
-                model_fingerprint=str(manifest["model_fingerprint"]),
-                schedule_fingerprint=str(manifest["schedule_fingerprint"]),
-            )
+                fields[key] = manifest[key]
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValidationError(f"malformed stats manifest {manifest_path}: {exc}") from exc
-        shapes = None if shape is None else {tuple(shape)}
+        fields["depths"] = depths = tuple(fields["depths"])
+        fields["sigma_floor"] = float(fields["sigma_floor"])
+        if model is not None:
+            _check_source(fields, model, s)
+        shapes = None if model is None else {(*model.shape[:2], 1)}
         mu = {t: read_grid(directory / f"mu_{t:05d}.fdg", shapes) for t in depths}
         sigma = {t: read_grid(directory / f"sigma_{t:05d}.fdg", shapes) for t in depths}
-        return cls(depths=depths, mu=mu, sigma=sigma, **meta)
+        return cls(mu=mu, sigma=sigma, **fields)
 
     def check_compatible(self, model: EpsilonModel, s: NoiseSchedule) -> None:
-        if self.model_fingerprint != model.fingerprint():
-            raise ValidationError("stats were computed under a different model (stale cache?)")
-        if self.schedule_fingerprint != s.fingerprint():
-            raise ValidationError("stats were computed under a different schedule (stale cache?)")
+        _check_source(vars(self), model, s)
         h, w, _ = model.shape
         if self.mu[self.depths[0]].shape != (h, w, 1):
             raise ValidationError(f"stats grids do not match the model's {h}x{w} pixels")
-        if not all(0 <= t <= s.T for t in self.depths):
-            raise ValidationError(f"stats depths {list(self.depths)} leave [0, {s.T}]")
+
+
+def _check_source(fields: dict, model: EpsilonModel, s: NoiseSchedule) -> None:
+    """Refuse stats ``fields`` from another model or schedule, or with depths off [0, T]."""
+    if fields["model_fingerprint"] != model.fingerprint():
+        raise ValidationError("stats were computed under a different model (stale cache?)")
+    if fields["schedule_fingerprint"] != s.fingerprint():
+        raise ValidationError("stats were computed under a different schedule (stale cache?)")
+    if not all(0 <= t <= s.T for t in fields["depths"]):
+        raise ValidationError(f"stats depths {list(fields['depths'])} leave [0, {s.T}]")
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ read by samplers.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _f8, _hash_parts
 
 __all__ = ["NoiseSchedule", "linear_schedule"]
 
@@ -109,11 +108,7 @@ class NoiseSchedule:
 
     def fingerprint(self) -> str:
         """Content hash used to detect stale cached statistics."""
-        digest = hashlib.sha256()
-        digest.update(b"schedule/v1")
-        digest.update(struct.pack("<Q", self.T))
-        digest.update(np.ascontiguousarray(self.beta[1:], dtype="<f8").tobytes())
-        return digest.hexdigest()
+        return _hash_parts(b"schedule/v1", struct.pack("<Q", self.T), _f8(self.beta[1:]))
 
 
 def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:

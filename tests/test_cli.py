@@ -171,6 +171,22 @@ class TestSample:
         assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_VALIDATION
         assert tree_bytes(out) == before
 
+    def test_force_parses_the_previous_manifest_once(self, tmp_path, monkeypatch):
+        # Counted at json.loads, under every name the package reads JSON by.
+        out = tmp_path / "out"
+        cfg = make_config(tmp_path)
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        previous = (out / "manifest.json").read_bytes()
+        loads, parses = json.loads, []
+
+        def counting(text, **kwargs):
+            parses.append(text == previous)
+            return loads(text, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_OK
+        assert sum(parses) == 1
+
 
 class TestPerRowStreams:
     """Sample i of a batch draws only from child stream i of RngStream(seed, 0)."""
@@ -436,9 +452,10 @@ class TestStatsAttend:
     @pytest.mark.parametrize(
         "corrupt",
         ["not json", "missing key", "shape mismatch", "resized", "depth beyond T",
+         "depth beyond T without grids", "negative depth without grids", "sigma_floor 0",
          "repeated depth", "reps 0", "repeated key", "reps 2.9", "reps true", "v_count string",
          "depths floats", "depths strings", "sigma_floor string", "sigma_floor 10**400",
-         "schema_version true", "schema_version 1.0"],
+         "schema_version true", "schema_version 1.0", "fingerprint number"],
     )
     def test_attend_malformed_stats_is_validation_error(self, tmp_path, corrupt):
         cfg_sections = {"stats": {"v_count": 4, "depths": [2]}}
@@ -458,7 +475,11 @@ class TestStatsAttend:
             "sigma_floor 10**400": {"sigma_floor": 10**400},
             "schema_version true": {"schema_version": True},
             "schema_version 1.0": {"schema_version": 1.0},
+            "fingerprint number": {"schedule_fingerprint": 1},
         }
+        # Depths the T=6 schedule lacks, with no grid files: refused as depths
+        # before any grid is opened, not as missing files (exit 3).
+        missing_grids = {"depth beyond T without grids": 9, "negative depth without grids": -1}
         if corrupt in retyped:
             manifest.write_text(json.dumps(dict(fields, **retyped[corrupt])))
         elif corrupt == "not json":
@@ -472,6 +493,12 @@ class TestStatsAttend:
             for name in ("mu", "sigma"):
                 shutil.copy(stats_dir / f"{name}_00002.fdg", stats_dir / f"{name}_00009.fdg")
             manifest.write_text(json.dumps(dict(fields, depths=[9])))
+        elif corrupt in missing_grids:
+            manifest.write_text(json.dumps(dict(fields, depths=[missing_grids[corrupt]])))
+        elif corrupt == "sigma_floor 0":
+            # A floor of 0 would let a zero sigma divide by zero.
+            write_grid(stats_dir / "sigma_00002.fdg", Grid(np.zeros((4, 4, 1))))
+            manifest.write_text(json.dumps(dict(fields, sigma_floor=0.0)))
         elif corrupt == "repeated depth":
             manifest.write_text(json.dumps(dict(fields, depths=[2, 2])))
         elif corrupt == "reps 0":
@@ -489,6 +516,15 @@ class TestStatsAttend:
             name="cfg_attend.json",
         )
         assert run("attend", "--config", cfg, "--out", tmp_path / "o") == EXIT_VALIDATION
+
+    def test_stats_of_a_zero_covariance_field_exit_4(self, tmp_path):
+        # A zero covariance gives a sigma floor of 0, which statistics may not hold.
+        cov = tmp_path / "cov.fdg"
+        write_grid(cov, Grid(np.zeros((4, 4, 1))))
+        model = {"type": "gaussian_field", "height": 2, "width": 2, "covariance_file": str(cov)}
+        cfg = make_config(tmp_path, {"stats": {"v_count": 4, "depths": [2]}}, model=model)
+        assert run("stats", "--config", cfg, "--out", tmp_path / "o") == EXIT_VALIDATION
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_attend_missing_stats_dir(self, tmp_path):
         img = tmp_path / "probe.fdg"

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from fuzzydiff import Grid, RngStream, ValidationError, read_grid, write_grid
-from fuzzydiff.gridio import MAX_GRID_VALUES, write_preview
+from fuzzydiff import gridio
+from fuzzydiff.gridio import MAX_GRID_VALUES, read_json, write_json, write_preview
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -90,6 +92,31 @@ def test_value_cap_is_checked_before_the_payload(tmp_path, dims, match):
 def test_rejects_what_is_not_a_regular_file(tmp_path):
     with pytest.raises(OSError, match="not a regular file"):
         read_grid(tmp_path)
+
+
+def _refuse_open(*args, **kwargs):
+    raise AssertionError("opened")
+
+
+def test_read_json_bound_is_inclusive_and_checked_before_open(tmp_path, monkeypatch):
+    path = tmp_path / "a.json"
+    write_json(path, {"b": [1, 2], "a": 0.5})
+    assert path.read_text() == '{\n  "a": 0.5,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    size = path.stat().st_size
+    assert read_json(path, size) == {"a": 0.5, "b": [1, 2]}
+    monkeypatch.setattr(gridio, "open", _refuse_open, raising=False)
+    with pytest.raises(ValidationError, match=f"{size} bytes, over {size - 1}"):
+        read_json(path, size - 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_read_json_refuses_a_fifo_unopened(tmp_path, monkeypatch):
+    # Opening a FIFO with no writer would block; the stat refuses it first.
+    path = tmp_path / "fifo.json"
+    os.mkfifo(path)
+    monkeypatch.setattr(gridio, "open", _refuse_open, raising=False)
+    with pytest.raises(OSError, match="not a regular file"):
+        read_json(path, 2**20)
 
 
 def test_missing_file(tmp_path):
