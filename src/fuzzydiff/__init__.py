@@ -27,7 +27,6 @@ from .projection import (
     ValidationStats,
     attention_from_discrepancies,
     attention_map,
-    default_depths,
     project_reconstruct_array,
     validation_stats,
     weight_from_attention,
@@ -57,7 +56,6 @@ __all__ = [
     "fuzzy_sample",
     "ValidationStats",
     "project_reconstruct_array",
-    "default_depths",
     "validation_stats",
     "attention_map",
     "attention_from_discrepancies",

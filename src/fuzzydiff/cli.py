@@ -12,9 +12,11 @@ trials as one batch in which trial i draws only from child stream 2 + i.
 :func:`entrypoint` owns every run's lifecycle: it loads the config, looks
 up the command's section, builds the model and schedule, prepares --out
 (parsing the previous manifest once), calls the command's handler with a
-fresh ``RngStream(--seed, 0)`` and a staging directory, writes the manifest
-and commits the staged files. JSON files go through ``gridio.read_json``
-(under a size cap) and ``gridio.write_json``.
+fresh ``RngStream(--seed, 0)`` and a staging directory, lists the staged
+files once, hashes that list into the manifest and commits that list, the
+manifest last. A handler only writes into the staging directory, so --out
+never holds a file its manifest does not list. JSON files go through
+``gridio.read_json`` (under a size cap) and ``gridio.write_json``.
 
 Exit codes: 0 success, 2 configuration problem, 3 file I/O problem,
 4 data validation failure (shapes, ranges, stale fingerprints). The checks
@@ -51,7 +53,6 @@ from .harness import DegradeParams, degrade, run_correction_experiment
 from .projection import (
     ValidationStats,
     attention_map,
-    default_depths,
     validation_stats,
     weight_from_attention,
 )
@@ -165,8 +166,8 @@ def _prepare_out(out: Path, force: bool) -> tuple[Path, list[Path]]:
     return stage, previous
 
 
-def _commit_out(out: Path, previous: list[Path]) -> None:
-    """Replace the previous run in --out with the staged one.
+def _commit_out(out: Path, previous: list[Path], files: list[Path]) -> None:
+    """Replace the previous run in --out with the staged ``files`` and manifest.
 
     Checks first that every staged file can be placed (no directory at a
     target, no non-directory at an ancestor inside --out), raising OSError
@@ -176,9 +177,7 @@ def _commit_out(out: Path, previous: list[Path]) -> None:
     and renames the new manifest.json last.
     """
     stage = out / _STAGE
-    manifest = stage / "manifest.json"
-    staged = [p for p in sorted(stage.rglob("*")) if p.is_file() and p != manifest]
-    moves = [(p, out / p.relative_to(stage)) for p in staged + [manifest]]
+    moves = [(p, out / p.relative_to(stage)) for p in files + [stage / "manifest.json"]]
     for _, target in moves:
         if target.is_dir():
             raise OSError(f"{target}: is a directory")
@@ -216,15 +215,12 @@ def _write_manifest(
     write_json(out_dir / "manifest.json", payload)
 
 
-def _write_grids(out: Path, named) -> list[Path]:
-    """Write each (name, (h, w, c) array) as name.fdg plus its preview; returns the paths."""
-    files: list[Path] = []
+def _write_grids(out: Path, named) -> None:
+    """Write each (name, (h, w, c) array) as name.fdg plus its preview."""
     for name, values in named:
         g = Grid(values)
-        path = out / f"{name}.fdg"
-        write_grid(path, g)
-        files += [path, write_preview(out / name, g)]
-    return files
+        write_grid(out / f"{name}.fdg", g)
+        write_preview(out / name, g)
 
 
 def _read_image(path_text: str, model) -> np.ndarray:
@@ -232,15 +228,15 @@ def _read_image(path_text: str, model) -> np.ndarray:
 
 
 # A handler does one command's work: it reads the command's inputs, draws only
-# from ``root``, writes its artifacts into ``out`` and returns their paths.
+# from ``root`` and writes its artifacts into the staging directory ``out``.
+# It returns None; entrypoint lists what it staged.
 
 
-def _cmd_sample(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
+def _cmd_sample(section, model, schedule, root: RngStream, out: Path) -> None:
     count = section["count"]
     streams = RowStreams(root.child(i) for i in range(count))
     rows = ancestral_sample_array(model, schedule, count, streams)
-    named = ((f"sample_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))
-    return _write_grids(out, named)
+    _write_grids(out, ((f"sample_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows)))
 
 
 def _load_weight_map(section: dict, shape: tuple[int, int, int]):
@@ -253,56 +249,47 @@ def _load_weight_map(section: dict, shape: tuple[int, int, int]):
     return float(m_spec)
 
 
-def _cmd_fuzzy(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
+def _cmd_fuzzy(section, model, schedule, root: RngStream, out: Path) -> None:
     count = section["count"]
     image = _read_image(section["image"], model)
     weights = _load_weight_map(section, model.shape)
     streams = RowStreams(root.child(i) for i in range(count))
     rows = fuzzy_sample(model, schedule, image, weights, section["J"], count, streams)
-    named = ((f"fuzzy_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows))
-    return _write_grids(out, named)
+    _write_grids(out, ((f"fuzzy_{i:04d}", r.reshape(model.shape)) for i, r in enumerate(rows)))
 
 
-def _cmd_stats(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
-    depths = section["depths"] if section["depths"] is not None else default_depths(schedule.T)
+def _cmd_stats(section, model, schedule, root: RngStream, out: Path) -> None:
+    depths, reps = section["depths"], section["reps"]
     rows = model.sample_x0(section["v_count"], root.child(0))
-    stats = validation_stats(model, schedule, rows, depths, section["reps"], root.child(1))
-    stats.save(out / "stats")
-    return sorted((out / "stats").iterdir())
+    validation_stats(model, schedule, rows, depths, reps, root.child(1)).save(out / "stats")
 
 
-def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
+def _cmd_attend(section, model, schedule, root: RngStream, out: Path) -> None:
     stats = ValidationStats.load(section["stats_dir"], model, schedule)
     image = _read_image(section["image"], model)
     streams = RowStreams([root.child(0)])
     [amap] = attention_map(image[None], stats, model, schedule, streams)
-    weights = weight_from_attention(amap)
-    return _write_grids(out, (("attention", amap), ("weights", weights)))
+    _write_grids(out, (("attention", amap), ("weights", weight_from_attention(amap))))
 
 
-def _cmd_degrade(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
-    files: list[Path] = []
+def _cmd_degrade(section, model, schedule, root: RngStream, out: Path) -> None:
     if section["image"] is None:
         image = model.sample_x0(1, root.child(0))[0].reshape(model.shape)
-        files = _write_grids(out, [("clean", image)])
+        _write_grids(out, [("clean", image)])
     else:
         image = _read_image(section["image"], model)
     params = DegradeParams.for_model(
         model, section["sigma_low"], section["sigma_high"], section["side_min"], section["side_max"]
     )
     degraded, record = degrade(image, params, root.child(1))
-    files += _write_grids(out, (("degraded", degraded), ("mask", record.mask)))
-    record_path = out / "record.json"
-    write_json(record_path, record.to_dict())
-    return files + [record_path]
+    _write_grids(out, (("degraded", degraded), ("mask", record.mask)))
+    write_json(out / "record.json", record.to_dict())
 
 
-def _cmd_eval(section, model, schedule, root: RngStream, out: Path) -> list[Path]:
+def _cmd_eval(section, model, schedule, root: RngStream, out: Path) -> None:
     art_dir = out / "artifacts" if section["record_artifacts"] else None
     report = run_correction_experiment(model, schedule, section, root, art_dir)
-    report_path = out / "report.json"
-    write_json(report_path, report)
-    return [report_path] + (sorted(art_dir.iterdir()) if art_dir is not None else [])
+    write_json(out / "report.json", report)
 
 
 _HANDLERS = {
@@ -329,10 +316,10 @@ def entrypoint(argv=None) -> int:
         out = Path(args.out)
         try:
             stage, previous = _prepare_out(out, args.force)
-            root = RngStream(args.seed, 0)
-            files = _HANDLERS[args.command](section, model, schedule, root, stage)
+            _HANDLERS[args.command](section, model, schedule, RngStream(args.seed, 0), stage)
+            files = sorted(p for p in stage.rglob("*") if p.is_file())
             _write_manifest(stage, args.command, args.seed, cfg, model, schedule, files)
-            _commit_out(out, previous)
+            _commit_out(out, previous, files)
         finally:
             shutil.rmtree(out / _STAGE, ignore_errors=True)
         log.info("%s: wrote %d files to %s", args.command, len(files), out)

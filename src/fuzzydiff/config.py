@@ -74,7 +74,7 @@ _KINDS = {
 def _check_range(kind: str, path: str, v, cfg: dict) -> None:
     """Apply ``kind``'s range rule to the non-null value ``v`` of field ``path``.
 
-    steps: at most MAX_T. count: >= 1. rows: a count whose (n, D) array fits
+    steps: in [1, MAX_T]. count: >= 1. rows: a count whose (n, D) array fits
     MAX_ROW_VALUES. streams: rows, one RNG stream each, at most
     MAX_ROW_STREAMS. depth: in [0, T]. depths: non-empty, distinct, each in
     [0, T]. side: in [0, min(height, width)]. map: a scalar in [0, 1] or a
@@ -83,7 +83,7 @@ def _check_range(kind: str, path: str, v, cfg: dict) -> None:
     """
     if kind == "steps" and v > MAX_T:
         raise ConfigError(f"'{path}' must be <= {MAX_T}, got {v}")
-    if kind in ("count", "rows", "streams") and v < 1:
+    if kind in ("steps", "count", "rows", "streams") and v < 1:
         raise ConfigError(f"'{path}' must be >= 1")
     if kind in ("rows", "streams") and v * _dim(cfg["model"]) > MAX_ROW_VALUES:
         raise ConfigError(
@@ -110,10 +110,11 @@ def _check_range(kind: str, path: str, v, cfg: dict) -> None:
 def _check_section(path: str, sec: dict, fields: dict, cfg: dict) -> dict:
     """Check one section and fill in its defaults; returns a copy.
 
-    Rejects unknown keys and missing required fields, then applies each
-    field's kind to its value, default or not. ``null`` passes only where the
-    default is ``None``. A section with the degradation fields also needs
-    ordered sigmas and sides.
+    Rejects unknown keys and missing required fields, resolves an absent or
+    ``null`` field whose default is a function of T from 'schedule.T', then
+    applies each field's kind to its value, default or not. ``null`` stays
+    only where the default is ``None``. A section with the degradation fields
+    also needs ordered sigmas and sides.
     """
     unknown = set(sec) - set(fields)
     if unknown:
@@ -124,10 +125,13 @@ def _check_section(path: str, sec: dict, fields: dict, cfg: dict) -> dict:
         value = sec.get(key, default)
         if value is _MISSING:
             raise ConfigError(f"missing required field '{path}.{key}'")
+        if callable(default) and (value is None or value is default):
+            value = default(cfg["schedule"]["T"])
         if value is not None or default is not None:
             ok, want = _KINDS[kind]
             if not ok(value):
-                null, got = " or null" if default is None else "", type(value).__name__
+                nullable = default is None or callable(default)
+                null, got = " or null" if nullable else "", type(value).__name__
                 raise ConfigError(f"'{path}.{key}' must be {want}{null}, got {got}")
             _check_range(kind, f"{path}.{key}", value, cfg)
         out[key] = value
@@ -140,7 +144,8 @@ def _check_section(path: str, sec: dict, fields: dict, cfg: dict) -> dict:
 
 
 # Each field is declared once, as name: (kind, default). A default of None
-# makes the field nullable; _MISSING makes it required.
+# makes the field nullable; _MISSING makes it required; a function of T
+# resolves an absent or null field from 'schedule.T'.
 _SCHEDULE_FIELDS = {
     "T": ("steps", _MISSING),
     "beta_start": ("number", 1e-4),
@@ -183,6 +188,18 @@ _DEGRADE_COMMON = {
     "sigma_high": ("number", 8.0),
 }
 
+
+def _default_depths(T: int) -> list[int]:
+    """The projection set PS = {0.3T, 0.4T, 0.5T, 0.6T}, rounded, each at least 1;
+    depths that collide for tiny T appear once."""
+    return list(dict.fromkeys(max(1, round(frac * T)) for frac in (0.3, 0.4, 0.5, 0.6)))
+
+
+def _default_baseline_depth(T: int) -> int:
+    """The plain projection baseline's depth, 0.4T rounded, at least 1."""
+    return max(1, round(0.4 * T))
+
+
 _SECTION_FIELDS = {
     "sample": {"count": ("streams", 1)},
     "fuzzy": {
@@ -193,7 +210,7 @@ _SECTION_FIELDS = {
     },
     "stats": {
         "v_count": ("rows", 1000),
-        "depths": ("depths", None),
+        "depths": ("depths", _default_depths),
         "reps": ("count", 1),
     },
     "attend": {
@@ -205,10 +222,10 @@ _SECTION_FIELDS = {
         _DEGRADE_COMMON,
         trials=("streams", 20),
         J=("count", 2),
-        depths=("depths", None),
+        depths=("depths", _default_depths),
         reps=("count", 1),
         v_count=("rows", 200),
-        baseline_depth=("depth", None),
+        baseline_depth=("depth", _default_baseline_depth),
         record_artifacts=("bool", False),
     ),
 }

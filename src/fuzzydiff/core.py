@@ -34,15 +34,17 @@ class ValidationError(ValueError):
     """Raised when data violates a structural invariant (shape, range, finiteness)."""
 
 
-def _hash_parts(*parts: bytes) -> str:
+def _hash_parts(*parts: bytes | np.ndarray) -> str:
     digest = hashlib.sha256()
     for p in parts:
         digest.update(p)
     return digest.hexdigest()
 
 
-def _f8(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _f8(arr) -> np.ndarray:
+    """``arr`` as a C-contiguous little-endian float64 array, which hashlib reads
+    through the buffer protocol; no copy when it already is one."""
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 class Grid:

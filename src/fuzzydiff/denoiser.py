@@ -190,6 +190,10 @@ class GaussianFieldModel(EpsilonModel):
         self._sqrt_lam = np.sqrt(lam)
         self._scratch = _Scratch(1)
         self._terms = (None, 0, None)  # (schedule, t, terms) of the last step predicted
+        # Hashed once: the model's arrays never change after construction.
+        self._fingerprint = _hash_parts(
+            b"gaussian_field/v1", struct.pack("<III", *self.shape), _f8(mu), _f8(cov)
+        )
 
     @classmethod
     def exponential(
@@ -278,12 +282,7 @@ class GaussianFieldModel(EpsilonModel):
         return x
 
     def fingerprint(self) -> str:
-        return _hash_parts(
-            b"gaussian_field/v1",
-            struct.pack("<III", *self.shape),
-            _f8(self.mu),
-            _f8(self._cov),
-        )
+        return self._fingerprint
 
 
 class GmmPixelModel(EpsilonModel):
@@ -331,6 +330,10 @@ class GmmPixelModel(EpsilonModel):
         self._logw = np.log(wts)
         self._cumw = np.cumsum(wts)
         self._scratch = _Scratch(2 + (self.K > 2))
+        # Hashed once: the model's arrays never change after construction.
+        self._fingerprint = _hash_parts(
+            b"gmm_pixel/v1", struct.pack("<III", *self.shape), _f8(wts), _f8(mus), _f8(sig2)
+        )
 
     @property
     def K(self) -> int:
@@ -459,11 +462,5 @@ class GmmPixelModel(EpsilonModel):
         return x.reshape(n, D)
 
     def fingerprint(self) -> str:
-        return _hash_parts(
-            b"gmm_pixel/v1",
-            struct.pack("<III", *self.shape),
-            _f8(self.weights),
-            _f8(self.means),
-            _f8(self.variances),
-        )
+        return self._fingerprint
 

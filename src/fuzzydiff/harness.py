@@ -14,7 +14,7 @@ from . import projection
 from .core import Grid, RngStream, RowStreams, ValidationError
 from .denoiser import EpsilonModel
 from .gridio import write_grid
-from .projection import attention_map, default_depths, validation_stats, weight_from_attention
+from .projection import attention_map, validation_stats, weight_from_attention
 from .sampler import fuzzy_sample
 from .schedule import NoiseSchedule
 
@@ -196,13 +196,12 @@ def run_correction_experiment(
 ) -> dict:
     """Draw clean oracle images, degrade, detect, and repair them.
 
-    ``section`` is a validated ``eval`` config section. Depths default to
-    :func:`~fuzzydiff.projection.default_depths` and the baseline depth to
-    0.4T. Sides of 0 draw empty rectangles, which makes the run a fixed-point
-    check: the map should stay near 1 and the output near the input. With
-    ``artifacts_dir`` set, every trial's grids are written there. Returns the
-    JSON-able report: per-trial metrics plus aggregates, all recomputable
-    from (config, seed).
+    ``section`` is a validated ``eval`` config section, with its depths and
+    baseline depth resolved by ``fuzzydiff.config``. Sides of 0 draw empty
+    rectangles, which makes the run a fixed-point check: the map should stay
+    near 1 and the output near the input. With ``artifacts_dir`` set, every
+    trial's grids are written there. Returns the JSON-able report: per-trial
+    metrics plus aggregates, all recomputable from (config, seed).
 
     Stream layout: child 0 draws the validation set, child 1 feeds
     validation_stats, and trial i uses child (2 + i) with sub-children for
@@ -211,16 +210,12 @@ def run_correction_experiment(
     clean draws and degradations run per trial, then attention, repair and
     baseline each run as one (trials, D) chain on per-trial row streams.
     """
-    depths = default_depths(s.T) if section["depths"] is None else tuple(section["depths"])
-    baseline_t = section["baseline_depth"]
-    if baseline_t is None:
-        baseline_t = max(1, round(0.4 * s.T))
     params = DegradeParams.for_model(
         model, section["sigma_low"], section["sigma_high"], section["side_min"], section["side_max"]
     )
 
     v_rows = model.sample_x0(section["v_count"], rng.child(0))
-    stats = validation_stats(model, s, v_rows, list(depths), section["reps"], rng.child(1))
+    stats = validation_stats(model, s, v_rows, section["depths"], section["reps"], rng.child(1))
     del v_rows  # the trials need only the statistics
 
     art_dir: Path | None = None
@@ -245,7 +240,7 @@ def run_correction_experiment(
     weights = weight_from_attention(amaps)
     corrected = fuzzy_sample(model, s, batch, weights, section["J"], n, streams.child(3))
     baseline = projection.project_reconstruct_array(
-        model, s, batch.reshape(n, -1), baseline_t, streams.child(4)
+        model, s, batch.reshape(n, -1), section["baseline_depth"], streams.child(4)
     )
     corrected, baseline = corrected.reshape(batch.shape), baseline.reshape(batch.shape)
 
@@ -301,8 +296,6 @@ def run_correction_experiment(
     }
     echo = {k: v for k, v in section.items() if k != "record_artifacts"}
     echo.update(
-        depths=list(depths),
-        baseline_depth=baseline_t,
         model_fingerprint=model.fingerprint(),
         schedule_fingerprint=s.fingerprint(),
         schedule_T=s.T,

@@ -26,7 +26,6 @@ from .schedule import NoiseSchedule
 __all__ = [
     "ValidationStats",
     "project_reconstruct_array",
-    "default_depths",
     "validation_stats",
     "attention_map",
     "attention_from_discrepancies",
@@ -76,6 +75,8 @@ class ValidationStats:
     def __post_init__(self) -> None:
         if not self.depths or len(set(self.depths)) != len(self.depths):
             raise ValidationError(f"stats need distinct depths, got {list(self.depths)}")
+        if self.v_count < 1:
+            raise ValidationError(f"stats v_count must be >= 1, got {self.v_count}")
         if self.reps < 1:
             raise ValidationError(f"stats reps must be >= 1, got {self.reps}")
         if not self.sigma_floor > 0.0:
@@ -228,14 +229,6 @@ def _depth_discrepancies(
 
 # ---------------------------------------------------------------------------
 # validation statistics
-
-
-def default_depths(T: int) -> tuple[int, ...]:
-    """The conventional projection set {0.3T, 0.4T, 0.5T, 0.6T}, rounded.
-
-    Depths that collide for tiny T appear once.
-    """
-    return tuple(dict.fromkeys(max(1, round(frac * T)) for frac in (0.3, 0.4, 0.5, 0.6)))
 
 
 def validation_stats(

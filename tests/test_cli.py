@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import shutil
@@ -18,7 +19,7 @@ from fuzzydiff import (
     read_grid,
     write_grid,
 )
-from fuzzydiff import gridio, projection
+from fuzzydiff import cli, denoiser, gridio, projection
 from fuzzydiff.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, entrypoint
 from fuzzydiff.sampler import ancestral_sample_array, fuzzy_sample
 
@@ -186,6 +187,27 @@ class TestSample:
         monkeypatch.setattr(json, "loads", counting)
         assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_OK
         assert sum(parses) == 1
+
+    def test_every_staged_file_is_listed(self, tmp_path, monkeypatch):
+        # A handler that stages a file of its own: the manifest lists it with
+        # its hash, so the next --force run removes it.
+        out = tmp_path / "out"
+        cfg = make_config(tmp_path)
+        sample = cli._HANDLERS["sample"]
+
+        def with_extra(section, model, schedule, root, stage):
+            (stage / "extra").mkdir()
+            (stage / "extra" / "notes.txt").write_text("staged by the handler")
+            return sample(section, model, schedule, root, stage)
+
+        monkeypatch.setitem(cli._HANDLERS, "sample", with_extra)
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        digest = hashlib.sha256(b"staged by the handler").hexdigest()
+        assert manifest_of(out)["files"]["extra/notes.txt"] == digest
+        monkeypatch.setitem(cli._HANDLERS, "sample", sample)
+        assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_OK
+        assert not (out / "extra" / "notes.txt").exists()
+        assert set(tree_bytes(out)) == {"manifest.json", *manifest_of(out)["files"]}
 
 
 class TestPerRowStreams:
@@ -453,7 +475,8 @@ class TestStatsAttend:
         "corrupt",
         ["not json", "missing key", "shape mismatch", "resized", "depth beyond T",
          "depth beyond T without grids", "negative depth without grids", "sigma_floor 0",
-         "repeated depth", "reps 0", "repeated key", "reps 2.9", "reps true", "v_count string",
+         "repeated depth", "reps 0", "v_count 0", "v_count -3", "repeated key", "reps 2.9",
+         "reps true", "v_count string",
          "depths floats", "depths strings", "sigma_floor string", "sigma_floor 10**400",
          "schema_version true", "schema_version 1.0", "fingerprint number"],
     )
@@ -501,8 +524,9 @@ class TestStatsAttend:
             manifest.write_text(json.dumps(dict(fields, sigma_floor=0.0)))
         elif corrupt == "repeated depth":
             manifest.write_text(json.dumps(dict(fields, depths=[2, 2])))
-        elif corrupt == "reps 0":
-            manifest.write_text(json.dumps(dict(fields, reps=0)))
+        elif corrupt in ("reps 0", "v_count 0", "v_count -3"):
+            key, value = corrupt.split()
+            manifest.write_text(json.dumps(dict(fields, **{key: int(value)})))
         elif corrupt == "repeated key":
             manifest.write_text(manifest.read_text().replace('"reps": 1', '"reps": 1, "reps": 2'))
         else:
@@ -516,6 +540,24 @@ class TestStatsAttend:
             name="cfg_attend.json",
         )
         assert run("attend", "--config", cfg, "--out", tmp_path / "o") == EXIT_VALIDATION
+
+    def test_attend_hashes_the_model_once(self, tmp_path, monkeypatch):
+        cfg = make_config(tmp_path, {"stats": {"v_count": 4, "depths": [2]}})
+        stats_dir = self.build_stats(tmp_path, cfg)
+        img = tmp_path / "probe.fdg"
+        write_grid(img, Grid(np.full((4, 4, 1), 0.3)))
+        cfg = make_config(
+            tmp_path, {"attend": {"image": str(img), "stats_dir": str(stats_dir)}}, name="a.json"
+        )
+        hash_parts, model_hashes = denoiser._hash_parts, []
+
+        def counted(*parts):
+            model_hashes.append(parts[0])
+            return hash_parts(*parts)
+
+        monkeypatch.setattr(denoiser, "_hash_parts", counted)
+        assert run("attend", "--config", cfg, "--out", tmp_path / "o") == EXIT_OK
+        assert model_hashes == [b"gmm_pixel/v1"]
 
     def test_stats_of_a_zero_covariance_field_exit_4(self, tmp_path):
         # A zero covariance gives a sigma floor of 0, which statistics may not hold.

@@ -13,6 +13,7 @@ from fuzzydiff import (
     load_config,
     write_grid,
 )
+from fuzzydiff.cli import entrypoint
 from fuzzydiff.config import MAX_ROW_STREAMS, ConfigError, section
 
 from conftest import two_mode
@@ -205,6 +206,8 @@ class TestLoadConfig:
             # A 100x100 field would need a 1.49 GiB distance array to build.
             ("model", dict(MINIMAL["model"], height=100, width=100), r"must be <= 4096 for gauss"),
             ("model", dict(MINIMAL["model"], height=32, width=32, channels=5), "got 5120"),
+            # Checked before any section, whose depth defaults resolve from T.
+            ("schedule", {"T": 0}, "'schedule.T' must be >= 1"),
         ],
     )
     def test_out_of_range_values_rejected(self, tmp_path, section, values, message):
@@ -293,8 +296,41 @@ class TestLoadConfig:
         ],
     )
     def test_null_accepted_where_the_default_is_null(self, tmp_path, section, key):
+        # The depth fields take null too, and resolve it from T = 10 as if absent.
+        resolved = {"depths": [3, 4, 5, 6], "baseline_depth": 4}
         payload = dict(MINIMAL, **{section: dict(MINIMAL.get(section, {}), **{key: None})})
-        assert load_config(write_cfg(tmp_path, payload))[section][key] is None
+        assert load_config(write_cfg(tmp_path, payload))[section][key] == resolved.get(key)
+
+    @pytest.mark.parametrize(
+        "T,depths,baseline",
+        [
+            (1, [1], 1),
+            (3, [1, 2], 1),
+            (50, [15, 20, 25, 30], 20),
+            (1000, [300, 400, 500, 600], 400),
+        ],
+    )
+    def test_depth_defaults_resolve_from_T(self, tmp_path, T, depths, baseline):
+        schedule = {"schedule": {"T": T}, "model": MINIMAL["model"]}
+        absent = load_config(write_cfg(tmp_path, dict(schedule, stats={}, eval={})))
+        nulls = {"stats": {"depths": None}, "eval": {"depths": None, "baseline_depth": None}}
+        null = load_config(write_cfg(tmp_path, dict(schedule, **nulls)))
+        no_sections = load_config(write_cfg(tmp_path, schedule))
+        for cfg in (absent, null):
+            assert cfg["stats"]["depths"] == cfg["eval"]["depths"] == depths
+            assert cfg["eval"]["baseline_depth"] == baseline
+        assert section(no_sections, "stats") == absent["stats"]
+        assert section(no_sections, "eval") == absent["eval"]
+
+    def test_stats_manifest_echoes_the_depths_it_used(self, tmp_path):
+        gmm = {"type": "gmm_pixel", "height": 2, "width": 2, "weights": [1.0],
+               "means": [0.5], "variances": [0.01]}
+        path = write_cfg(tmp_path, {"schedule": {"T": 10}, "model": gmm, "stats": {"v_count": 2}})
+        out = tmp_path / "out"
+        assert entrypoint(["stats", "--config", str(path), "--out", str(out)]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]["stats"]
+        inner = json.loads((out / "stats" / "manifest.json").read_text())
+        assert echo["depths"] == inner["depths"] == [3, 4, 5, 6]
 
     @pytest.mark.parametrize(
         "section,values,key,want",
@@ -331,7 +367,7 @@ class TestBuilders:
         assert s.beta[50] == pytest.approx(0.24)
 
     def test_bad_schedule_becomes_config_error(self, tmp_path):
-        payload = {"schedule": {"T": 0}, "model": MINIMAL["model"]}
+        payload = {"schedule": {"T": 4, "beta_end": 1.5}, "model": MINIMAL["model"]}
         with pytest.raises(ConfigError, match="schedule"):
             build_schedule(load_config(write_cfg(tmp_path, payload)))
 

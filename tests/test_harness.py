@@ -212,23 +212,23 @@ class TestMaskedMse:
 
 
 @functools.cache
-def _minimal_config() -> dict:
-    """A loaded config on the default 8x8 field, with no eval section."""
+def _minimal_config(T: int) -> dict:
+    """A loaded config on the default 8x8 field at T steps, with no eval section."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         model = {"type": "gaussian_field", "height": 8, "width": 8}
-        path.write_text(json.dumps({"schedule": {"T": 50}, "model": model}))
+        path.write_text(json.dumps({"schedule": {"T": T}, "model": model}))
         return load_config(path)
 
 
-def eval_section(**kw) -> dict:
-    """The eval config section: the config's defaults, overridden by kw."""
-    return dict(section(_minimal_config(), "eval"), **kw)
+def eval_section(T: int = 50, **kw) -> dict:
+    """The eval config section of a T-step config: its defaults, overridden by kw."""
+    return dict(section(_minimal_config(T), "eval"), **kw)
 
 
 class TestExperimentConfig:
     def run(self, model, s, trials=1, **kw):
-        cfg = eval_section(trials=trials, v_count=4, **kw)
+        cfg = eval_section(s.T, trials=trials, v_count=4, **kw)
         return run_correction_experiment(model, s, cfg, RngStream(98, 0), None)
 
     def test_default_depths_and_baseline(self, field_model, sched50):
