@@ -80,6 +80,15 @@ def _openblas_thread_setters() -> tuple:
     return tuple(setters)
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``. A model hashes its arrays once,
+    at construction, so neither the caller nor the model may write into them
+    afterwards."""
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh on one BLAS thread where the thread count can be set.
 
@@ -165,11 +174,11 @@ class GaussianFieldModel(EpsilonModel):
         mu = np.asarray(mean, dtype=np.float64)
         if mu.ndim == 0:
             mu = np.full(D, float(mu))
-        mu = mu.reshape(-1)
+        mu = _frozen(mu.reshape(-1))
         if mu.shape != (D,):
             raise ValidationError(f"mean has {mu.size} entries, model needs {D}")
 
-        cov = np.asarray(cov, dtype=np.float64)
+        cov = _frozen(cov)
         if cov.shape != (D, D):
             raise ValidationError(f"covariance must be ({D}, {D}), got {cov.shape}")
         if not np.allclose(cov, cov.T, atol=1e-12):
@@ -179,6 +188,8 @@ class GaussianFieldModel(EpsilonModel):
         if lam.min() < -1e-10:
             raise ValidationError(f"covariance not PSD (min eigenvalue {lam.min():.3e})")
         lam = np.clip(lam, 0.0, None)
+        lam.setflags(write=False)
+        vecs.setflags(write=False)
         ortho_err = np.abs(vecs.T @ vecs - np.eye(D)).max()
         if ortho_err > 1e-10:
             raise ValidationError(f"eigenvectors not orthonormal (err {ortho_err:.3e})")
@@ -190,7 +201,6 @@ class GaussianFieldModel(EpsilonModel):
         self._sqrt_lam = np.sqrt(lam)
         self._scratch = _Scratch(1)
         self._terms = (None, 0, None)  # (schedule, t, terms) of the last step predicted
-        # Hashed once: the model's arrays never change after construction.
         self._fingerprint = _hash_parts(
             b"gaussian_field/v1", struct.pack("<III", *self.shape), _f8(mu), _f8(cov)
         )
@@ -312,9 +322,9 @@ class GmmPixelModel(EpsilonModel):
             raise ValidationError(f"bad model shape {(h, w, c)}")
         self.shape = (h, w, c)
 
-        wts = np.asarray(weights, dtype=np.float64).reshape(-1)
-        mus = np.asarray(means, dtype=np.float64).reshape(-1)
-        sig2 = np.asarray(variances, dtype=np.float64).reshape(-1)
+        wts = _frozen(weights).reshape(-1)
+        mus = _frozen(means).reshape(-1)
+        sig2 = _frozen(variances).reshape(-1)
         if not (wts.size == mus.size == sig2.size) or wts.size < 1:
             raise ValidationError("weights, means, variances must have equal nonzero length")
         if np.any(wts <= 0.0):
@@ -330,7 +340,6 @@ class GmmPixelModel(EpsilonModel):
         self._logw = np.log(wts)
         self._cumw = np.cumsum(wts)
         self._scratch = _Scratch(2 + (self.K > 2))
-        # Hashed once: the model's arrays never change after construction.
         self._fingerprint = _hash_parts(
             b"gmm_pixel/v1", struct.pack("<III", *self.shape), _f8(wts), _f8(mus), _f8(sig2)
         )

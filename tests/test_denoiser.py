@@ -504,6 +504,25 @@ class TestFingerprints:
         other = exp_field(marginal_variance=0.05)
         assert other.fingerprint() != field_model.fingerprint()
 
+    def test_caller_arrays_are_copied_and_model_arrays_read_only(self):
+        # The fingerprint is taken once at construction, so a later write into
+        # the caller's arrays must not reach the model, and the model's own
+        # arrays refuse writes.
+        mean, cov = np.full(4, 0.5), 0.04 * np.eye(4)
+        field = GaussianFieldModel((2, 2, 1), mean, cov)
+        weights, means, variances = np.array([0.3, 0.7]), np.array([0.2, 0.8]), np.array([0.01, 0.02])
+        gmm = GmmPixelModel((2, 2, 1), weights, means, variances)
+        before = (field.fingerprint(), field.marginal_std(), gmm.fingerprint(), gmm.marginal_std())
+        mean += 1.0
+        cov *= 4.0
+        means += 1.0
+        variances *= 4.0
+        assert (field.fingerprint(), field.marginal_std(), gmm.fingerprint(), gmm.marginal_std()) == before
+        assert field.fingerprint() == GaussianFieldModel((2, 2, 1), 0.5, 0.04 * np.eye(4)).fingerprint()
+        for arr in (field.mu, field.cov_eigvals, field.cov_eigvecs, gmm.weights, gmm.means, gmm.variances):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 @given(
     arrays(np.float64, (2, 2, 1), elements=st.floats(-10, 10)),
