@@ -318,7 +318,8 @@ def entrypoint(argv=None) -> int:
             stage, previous = _prepare_out(out, args.force)
             _HANDLERS[args.command](section, model, schedule, RngStream(args.seed, 0), stage)
             files = sorted(p for p in stage.rglob("*") if p.is_file())
-            _write_manifest(stage, args.command, args.seed, cfg, model, schedule, files)
+            echo = {**cfg, args.command: section}  # the section as this run used it
+            _write_manifest(stage, args.command, args.seed, echo, model, schedule, files)
             _commit_out(out, previous, files)
         finally:
             shutil.rmtree(out / _STAGE, ignore_errors=True)

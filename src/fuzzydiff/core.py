@@ -390,6 +390,8 @@ class RowStreams:
         if size and size != per:
             raise ValidationError(f"these row streams draw {size} normals a row, not {per}")
         if self._next == ready:  # read the next k draws ahead
+            # Drop the spent block first, so a refill never holds two.
+            self._ready, self._next = np.empty((rows, 0, per)), 0
             words = 2 * ((per + 1) // 2)
             k = max(1, 4 * _BLOCK_VALUES // (rows * words))
             bits = np.empty((rows, k * words), dtype=np.uint64)
@@ -397,7 +399,6 @@ class RowStreams:
                 row[:] = stream.raw(k * words)
             z = _box_muller(bits.reshape(rows * k, words), per, self._scratch)
             self._ready = z.reshape(rows, k, per)
-            self._next = 0
         draw = self._ready[:, self._next]
         self._next += 1
         return draw.reshape(-1)

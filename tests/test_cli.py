@@ -397,6 +397,15 @@ class TestStatsAttend:
         inner = json.loads((stats_dir / "manifest.json").read_text())
         assert inner["v_count"] == 6
 
+    def test_manifest_echoes_the_defaulted_stats_section(self, tmp_path):
+        field = {"type": "gaussian_field", "height": 2, "width": 2}
+        cfg = make_config(tmp_path, model=field, T=10)  # no stats section
+        stats_dir = self.build_stats(tmp_path, cfg)
+        echo = manifest_of(stats_dir.parent)["config"]["stats"]
+        inner = json.loads((stats_dir / "manifest.json").read_text())
+        assert echo["depths"] == inner["depths"] == [3, 4, 5, 6]
+        assert echo["v_count"] == inner["v_count"] and echo["reps"] == inner["reps"]
+
     def test_attend_roundtrip(self, tmp_path):
         cfg_sections = {"stats": {"v_count": 6, "depths": [2, 4]}}
         cfg = make_config(tmp_path, cfg_sections)

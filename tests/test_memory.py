@@ -5,7 +5,8 @@ validation rows X, the chain's two buffers and one draw, a depth's summed
 discrepancies and the model's and stream's scratch: 4.9-6.4 row arrays
 here, X counted. ``sample_x0`` builds its rows in at most three. The sizes
 are small enough to run in about a second and large enough that the scratch
-of a block-wise pass is a fraction of a row array.
+of a block-wise pass is a fraction of a row array. A ``RowStreams`` refill
+holds one read-ahead block, never the spent one beside the next.
 """
 
 import tracemalloc
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from conftest import exp_field, two_mode
 
-from fuzzydiff import RngStream
+from fuzzydiff import RngStream, RowStreams
+from fuzzydiff.core import _BLOCK_VALUES
 from fuzzydiff.projection import validation_stats
 
 ROWS = 4096
@@ -58,3 +60,17 @@ def test_bulk_paths_stay_within_their_row_arrays(traced, sched50, oracle, reps):
         ("validation_stats", stats_peak, stats_bound),
     ] if peak > bound}
     assert not over, f"peaks over their bounds, in row arrays: {over}"
+
+
+def test_row_streams_refill_holds_one_block(traced):
+    rows, per = 16, 64
+    streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
+    per_fill = 4 * _BLOCK_VALUES // (rows * per)  # draws one read-ahead gives
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    streams.normals(rows * per)  # the first fill
+    first = _peak_since(base)
+    for _ in range(3 * per_fill):  # three refills; the caller keeps no draw
+        streams.normals(rows * per)
+    refills = _peak_since(base)
+    assert refills <= first + 64 * 1024, f"refill peak {refills} B against first fill {first} B"
