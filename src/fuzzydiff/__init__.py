@@ -7,8 +7,10 @@ and a per-pixel anomaly map derived from reconstruction discrepancies, which
 feeds back into the sampler as a conditioning weight map.
 
 An exported name is imported from its home module when it is first used
-(PEP 562), so ``import fuzzydiff`` loads no submodule, and a command that
-needs only the config loads no sampler, projection or harness code.
+(PEP 562). A library import pays only for what it names: ``import
+fuzzydiff`` loads no submodule, and ``import fuzzydiff.config`` loads no
+sampler, projection or harness code. The ``fuzzydiff`` command imports
+``fuzzydiff.cli``, which loads every module.
 """
 
 import importlib

@@ -360,7 +360,8 @@ class RowStreams:
 
     A draw belongs to its caller: each pass writes a fresh array, so no later
     draw reuses or rewrites a draw's memory, and a chain may keep a draw as
-    its state and write into it.
+    its state and write into it. A draw is a copy, never a view into the
+    pass, so a kept draw does not keep a spent pass alive.
     """
 
     __slots__ = ("streams", "_ready", "_next", "_scratch")
@@ -390,7 +391,8 @@ class RowStreams:
         if size and size != per:
             raise ValidationError(f"these row streams draw {size} normals a row, not {per}")
         if self._next == ready:  # read the next k draws ahead
-            # Drop the spent block first, so a refill never holds two.
+            # Drop the spent block first; with the draws copied out, a
+            # refill never holds two.
             self._ready, self._next = np.empty((rows, 0, per)), 0
             words = 2 * ((per + 1) // 2)
             k = max(1, 4 * _BLOCK_VALUES // (rows * words))
@@ -399,6 +401,6 @@ class RowStreams:
                 row[:] = stream.raw(k * words)
             z = _box_muller(bits.reshape(rows * k, words), per, self._scratch)
             self._ready = z.reshape(rows, k, per)
-        draw = self._ready[:, self._next]
+        draw = self._ready[:, self._next].reshape(-1)  # a copy for rows > 1
         self._next += 1
-        return draw.reshape(-1)
+        return draw if rows > 1 else draw.copy()  # one row's reshape is a view

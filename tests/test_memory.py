@@ -6,7 +6,8 @@ discrepancies and the model's and stream's scratch: 4.9-6.4 row arrays
 here, X counted. ``sample_x0`` builds its rows in at most three. The sizes
 are small enough to run in about a second and large enough that the scratch
 of a block-wise pass is a fraction of a row array. A ``RowStreams`` refill
-holds one read-ahead block, never the spent one beside the next.
+holds one read-ahead block, never the spent one beside the next, also when
+the caller keeps a draw of a one-row stream (a view would pin its block).
 """
 
 import tracemalloc
@@ -62,15 +63,17 @@ def test_bulk_paths_stay_within_their_row_arrays(traced, sched50, oracle, reps):
     assert not over, f"peaks over their bounds, in row arrays: {over}"
 
 
-def test_row_streams_refill_holds_one_block(traced):
-    rows, per = 16, 64
+@pytest.mark.parametrize("rows", [16, 1])
+def test_row_streams_refill_holds_one_block(traced, rows):
+    per = 64
     streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
     per_fill = 4 * _BLOCK_VALUES // (rows * per)  # draws one read-ahead gives
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    streams.normals(rows * per)  # the first fill
+    kept = streams.normals(rows * per)  # the first fill; a chain keeps this draw
     first = _peak_since(base)
-    for _ in range(3 * per_fill):  # three refills; the caller keeps no draw
+    for _ in range(3 * per_fill):  # three refills
         streams.normals(rows * per)
     refills = _peak_since(base)
+    assert kept.shape == (rows * per,)
     assert refills <= first + 64 * 1024, f"refill peak {refills} B against first fill {first} B"
