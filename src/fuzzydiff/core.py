@@ -41,6 +41,15 @@ def _hash_parts(*parts: bytes | np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only C-contiguous float64 copy of ``values``. An owner that hashes
+    or validates its arrays once, at construction, keeps this copy, so no
+    write through the caller's memory can change them afterwards."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def _f8(arr) -> np.ndarray:
     """``arr`` as a C-contiguous little-endian float64 array, which hashlib reads
     through the buffer protocol; no copy when it already is one."""
@@ -58,14 +67,13 @@ class Grid:
     __slots__ = ("_values",)
 
     def __init__(self, values) -> None:
-        arr = np.array(values, dtype=np.float64, order="C", copy=True)
+        arr = _frozen(values)
         if arr.ndim != 3:
             raise ValidationError(f"grid must be 3-d (h, w, c), got shape {arr.shape}")
         if min(arr.shape) < 1:
             raise ValidationError(f"grid dimensions must be >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("grid contains non-finite values")
-        arr.flags.writeable = False
         self._values = arr
 
     @property
@@ -102,11 +110,11 @@ def _uniforms(bits: np.ndarray) -> np.ndarray:
 def _radii(bits: np.ndarray, out: np.ndarray, scratch: "_Scratch") -> None:
     """The radius half of the pinned transform: out = sqrt(-2 log u(bits)).
 
-    It runs in two of ``scratch``'s rows, which :func:`_rotate` reuses after
-    it, so a block makes no temporaries. Scaling by -2 is exact, so scaling
-    the log in place gives the bytes of ``-2.0 * log(u)``.
+    It runs in the first two of ``scratch``'s rows, which :func:`_rotate`
+    reuses after it, so a block makes no temporaries. Scaling by -2 is exact,
+    so scaling the log in place gives the bytes of ``-2.0 * log(u)``.
     """
-    q, u = scratch.rows(bits.shape, 0, 2)
+    q, u = scratch.rows(bits.shape)[:2]
     q = q.view(np.uint64)
     np.right_shift(bits, 11, out=q)
     q += 1
@@ -135,23 +143,21 @@ class _Scratch:
     the end and page-fault it in again on the next pass: ~58 700 minor faults
     per ``stats-gmm-batch`` benchmark op against ~1 900 with held scratch, and
     slower (2-vCPU Xeon, glibc malloc). The rows grow to the widest request
-    seen and never shrink; each owner holds its own. The owners:
+    seen and never shrink; each owner holds its own and uses all of them. The
+    owners:
 
-    - :class:`RngStream`, five rows: :func:`_rotate` works in rows 0-4 and
-      :func:`_radii` in rows 0-1, before it. A stream makes them on its first
-      ``normals`` call: the streams a :class:`RowStreams` owns only give it
-      raw words and never draw normals themselves, so they hold none;
-    - :class:`RowStreams`, seven rows: those five, and :func:`_box_muller`
-      keeps a block's normals in rows 5-6. (Seven rows on every bulk stream
-      measured ~7 % slower per ``stats-gmm-batch`` op in fresh processes,
-      though the two extra rows are never touched.)
+    - :class:`RngStream` and :class:`RowStreams`, five rows: :func:`_rotate`
+      works in all five and :func:`_radii` in the first two, before it. A
+      stream makes them on its first ``normals`` call: the streams a
+      :class:`RowStreams` owns only give it raw words and never draw normals
+      themselves, so they hold none;
     - ``GaussianFieldModel``, one row: the ``(n, D)`` eigenbasis product of
       ``predict_array``, whose other work array is the caller's ``out``;
     - ``GmmPixelModel``, two rows, or three for K > 2: the row-block work
       arrays of ``predict_array``.
 
-    ``rows`` keeps its last request and the views it gave, so an oracle that
-    asks for the same rows on every step builds no views.
+    ``rows`` keeps its last shape and the views it gave, so an owner that
+    asks for the same shape on every step builds no views.
     """
 
     __slots__ = ("_rows", "_last", "_views")
@@ -161,14 +167,14 @@ class _Scratch:
         self._last = None
         self._views: list[np.ndarray] = []
 
-    def rows(self, shape: tuple[int, ...], first: int, stop: int) -> list[np.ndarray]:
-        """Scratch rows ``first`` to ``stop - 1``, as contiguous arrays of ``shape``."""
-        if self._last != (shape, first, stop):
+    def rows(self, shape: tuple[int, ...]) -> list[np.ndarray]:
+        """Every scratch row, as a contiguous array of ``shape``."""
+        if self._last != shape:
             n = math.prod(shape)
             if self._rows.shape[1] < n:
                 self._rows = np.empty((len(self._rows), n))
-            self._views = [row[:n].reshape(shape) for row in self._rows[first:stop]]
-            self._last = (shape, first, stop)
+            self._views = [row[:n].reshape(shape) for row in self._rows]
+            self._last = shape
         return self._views
 
 
@@ -188,7 +194,7 @@ def _rotate(
     each then multiplied by r. The table term is added last, so the result is
     within about an ulp of the exact rotation.
     """
-    s, t, cm, sp, sin_t = scratch.rows(bits.shape, 0, 5)
+    s, t, cm, sp, sin_t = scratch.rows(bits.shape)
     q, j = s.view(np.uint64), t.view(np.uint64)
     np.right_shift(bits, 11, out=q)
     q += 1
@@ -234,12 +240,10 @@ def _box_muller(bits: np.ndarray, k: int, scratch: _Scratch) -> np.ndarray:
     the angles; the cosine and sine halves interleave, and k <= 2*pairs keeps
     the first k. Every step is elementwise, so a draw's normals do not depend
     on how many draws share the pass. The pass runs on blocks of about
-    ``_BLOCK_VALUES`` pairs, whole draws or one draw's columns. The first
-    operation of :func:`_radii` and of :func:`_rotate` reads a block's words
-    into contiguous scratch, the block's normals stay in contiguous scratch,
-    and one copy per half interleaves them into a fresh array, so no
-    operation runs on narrow strided columns and no later pass writes the
-    normals handed out.
+    ``_BLOCK_VALUES`` pairs, whole draws or one draw's columns. As in
+    :meth:`RngStream.normals`, :func:`_radii` writes a block's radii into the
+    cosine slots of a fresh interleaved array and :func:`_rotate` rotates
+    them there, so no later pass writes the normals handed out.
     """
     draws, pairs = bits.shape[0], bits.shape[1] // 2
     out = np.empty((draws, pairs, 2))
@@ -248,12 +252,9 @@ def _box_muller(bits: np.ndarray, k: int, scratch: _Scratch) -> np.ndarray:
     for i in range(0, draws, step):
         for j in range(0, pairs, width):
             end = min(j + width, pairs)
-            cos, sin = scratch.rows((min(step, draws - i), end - j), 5, 7)
+            cos, sin = out[i : i + step, j:end, 0], out[i : i + step, j:end, 1]
             _radii(bits[i : i + step, j:end], cos, scratch)
             _rotate(cos, sin, bits[i : i + step, pairs + j : pairs + end], scratch)
-            block = out[i : i + step, j:end]
-            block[..., 0] = cos
-            block[..., 1] = sin
     return out.reshape(draws, 2 * pairs)[:, :k]
 
 
@@ -311,7 +312,7 @@ class RngStream:
     def raw(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValidationError(f"draw count must be non-negative, got {n}")
-        return self._bits.random_raw(n) if n else np.empty(0, dtype=np.uint64)
+        return self._bits.random_raw(n)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` i.i.d. uniforms on (0, 1]."""
@@ -352,16 +353,17 @@ class RowStreams:
 
     A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per
     row gives the words of k draws, about ``4 * _BLOCK_VALUES`` normals in all
-    (at least one draw), and one shared Box-Muller pass turns them into
-    normals. The bytes are the ones per-stream draws give, since a Philox
+    (at least one draw), and one shared Box-Muller pass, in the same five
+    scratch rows as :meth:`RngStream.normals`, turns them straight into the
+    draws' array. The bytes are the ones per-stream draws give, since a Philox
     stream's words do not depend on how many are taken per call; but a stream
     handed to it must not be drawn from directly afterwards, and no stream may
     serve two rows.
 
     A draw belongs to its caller: each pass writes a fresh array, so no later
     draw reuses or rewrites a draw's memory, and a chain may keep a draw as
-    its state and write into it. A draw is a copy, never a view into the
-    pass, so a kept draw does not keep a spent pass alive.
+    its state and write into it. A draw is a ``flatten()`` copy, never a view
+    into the pass, so a kept draw does not keep a spent pass alive.
     """
 
     __slots__ = ("streams", "_ready", "_next", "_scratch")
@@ -374,7 +376,7 @@ class RowStreams:
             raise ValidationError("a stream object serves two rows; give each row its own")
         self._ready = np.empty((len(self.streams), 0, 0))  # (rows, draws, per) normals
         self._next = 0  # the first ready draw not yet handed out
-        self._scratch = _Scratch(7)
+        self._scratch = _Scratch(5)
 
     def child(self, index: int) -> "RowStreams":
         """Row i's stream becomes ``streams[i].child(index)``."""
@@ -401,6 +403,6 @@ class RowStreams:
                 row[:] = stream.raw(k * words)
             z = _box_muller(bits.reshape(rows * k, words), per, self._scratch)
             self._ready = z.reshape(rows, k, per)
-        draw = self._ready[:, self._next].reshape(-1)  # a copy for rows > 1
+        draw = self._ready[:, self._next].flatten()
         self._next += 1
-        return draw if rows > 1 else draw.copy()  # one row's reshape is a view
+        return draw

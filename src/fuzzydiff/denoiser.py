@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .core import _BLOCK_VALUES, RngStream, ValidationError, _Scratch, _f8, _hash_parts
+from .core import _BLOCK_VALUES, RngStream, ValidationError, _Scratch, _f8, _frozen, _hash_parts
 from .schedule import NoiseSchedule
 
 __all__ = [
@@ -78,15 +78,6 @@ def _openblas_thread_setters() -> tuple:
         set_threads.restype = ctypes.c_int
         setters.append(set_threads)
     return tuple(setters)
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float64 copy of ``values``. A model hashes its arrays once,
-    at construction, so neither the caller nor the model may write into them
-    afterwards."""
-    arr = np.array(values, dtype=np.float64)
-    arr.setflags(write=False)
-    return arr
 
 
 def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +240,7 @@ class GaussianFieldModel(EpsilonModel):
         root, root_mu, gain, scale = self._step_terms(s.check_step(t), s)
         if out is None:
             out = np.empty(x.shape)
-        (b,) = self._scratch.rows(x.shape, 0, 1)  # out is the other work array
+        (b,) = self._scratch.rows(x.shape)  # out is the other work array
         np.subtract(x, root_mu, out=out)
         _rows_matmul(out, self.cov_eigvecs, out=b)
         b *= gain
@@ -416,7 +407,7 @@ class GmmPixelModel(EpsilonModel):
         rows = max(1, _BLOCK_VALUES // self.dim)
         for i in range(0, len(x), rows):
             block = out[i : i + rows]
-            work = self._scratch.rows(block.shape, 0, 3)  # all its rows, two or three
+            work = self._scratch.rows(block.shape)  # two rows, or three for K > 2
             self._predict_rows(x[i : i + rows], terms, block, work)
         return out
 

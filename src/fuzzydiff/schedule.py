@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError, _f8, _hash_parts
+from .core import ValidationError, _f8, _frozen, _hash_parts
 
 __all__ = ["NoiseSchedule", "linear_schedule"]
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class NoiseSchedule:
         T = self.T
         if T < 1:
             raise ValidationError(f"T must be >= 1, got {T}")
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = _frozen(self.beta)  # a copy: no write by the caller can reach it
         if beta.shape != (T + 1,):
             raise ValidationError(f"beta must have shape ({T + 1},) with padding slot 0")
         if beta[0] != 0.0:
@@ -96,8 +90,9 @@ class NoiseSchedule:
             "sqrt_beta": np.sqrt(beta),
             "sqrt_beta_tilde": np.sqrt(beta_tilde),
         }
-        for name, table in tables.items():
-            object.__setattr__(self, name, _frozen(table))
+        for name, table in tables.items():  # beta's copy and fresh tables, frozen in place
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def check_step(self, t: int, lowest: int = 1) -> int:
         """Validate ``lowest <= t <= T`` and return t as int."""

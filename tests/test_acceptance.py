@@ -313,7 +313,8 @@ def test_criterion_9_cli_determinism(acceptance_lines, tmp_path):
         acceptance_lines,
         9,
         "every CLI subcommand writes byte-identical artifacts on rerun with "
-        "the same config and seed, for any --workers",
+        "the same config and seed, for any --workers; sample and fuzzy rows "
+        "do not depend on the count",
     ):
         cfg_path = tmp_path / "cfg.json"
         image = tmp_path / "image.fdg"
@@ -357,3 +358,15 @@ def test_criterion_9_cli_determinism(acceptance_lines, tmp_path):
                     == 0
                 )
                 assert _tree_bytes(alt) == first, f"{command} workers changed bytes"
+
+        # Count 1025 is above the GMM kernel's 1024-row block at D = 16 and
+        # cuts RowStreams' read-ahead to 3 draws (1365 and 2048 at counts 3
+        # and 2); the first rows keep the bytes of the config's own counts.
+        payload["sample"]["count"] = payload["fuzzy"]["count"] = 1025
+        cfg_path.write_text(json.dumps(payload))
+        for command, count in (("sample", 3), ("fuzzy", 2)):
+            out = tmp_path / f"{command}_1025"
+            assert _run_cli(command, "--config", cfg_path, "--out", out, "--seed", 11) == 0
+            many, few = _tree_bytes(out), _tree_bytes(tmp_path / f"{command}_run")
+            names = [f"{command}_{i:04d}.{ext}" for i in range(count) for ext in ("fdg", "pgm")]
+            assert [many[n] for n in names] == [few[n] for n in names], f"{command} count"

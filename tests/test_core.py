@@ -162,6 +162,27 @@ def exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
 
 
+class TestScratch:
+    def test_rows_are_every_row_as_contiguous_views(self):
+        scratch = _Scratch(3)
+        views = scratch.rows((2, 5))
+        assert len(views) == 3
+        assert all(v.shape == (2, 5) and v.flags.c_contiguous for v in views)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1:])
+        again = scratch.rows((2, 5))
+        assert len(again) == 3 and all(a is b for a, b in zip(views, again))
+
+    def test_rows_grow_to_the_widest_request_and_never_shrink(self):
+        scratch = _Scratch(2)
+        wide = scratch.rows((4, 4))
+        narrow = scratch.rows((3,))
+        assert all(np.shares_memory(w, n) for w, n in zip(wide, narrow))
+        wider = scratch.rows((5, 5))  # 25 values: new rows
+        assert not any(np.shares_memory(w, v) for w in wide for v in wider)
+        for shape in [(4, 4), (1,), (5, 5)]:
+            assert all(np.shares_memory(w, v) for w, v in zip(wider, scratch.rows(shape)))
+
+
 class TestPinnedTransform:
     # The sizes from 8191 on straddle block boundaries: 8192 values (an
     # earlier block size) and the pass's blocks of 16384 pairs (32768 normals).

@@ -5,7 +5,8 @@ validation rows X, the chain's two buffers and one draw, a depth's summed
 discrepancies and the model's and stream's scratch: 4.9-6.4 row arrays
 here, X counted. ``sample_x0`` builds its rows in at most three. The sizes
 are small enough to run in about a second and large enough that the scratch
-of a block-wise pass is a fraction of a row array. A ``RowStreams`` refill
+of a block-wise pass is a fraction of a row array. A ``RowStreams`` first
+fill holds its read-ahead words and draws and five scratch rows; a refill
 holds one read-ahead block, never the spent one beside the next, also when
 the caller keeps a draw of a one-row stream (a view would pin its block).
 """
@@ -61,6 +62,20 @@ def test_bulk_paths_stay_within_their_row_arrays(traced, sched50, oracle, reps):
         ("validation_stats", stats_peak, stats_bound),
     ] if peak > bound}
     assert not over, f"peaks over their bounds, in row arrays: {over}"
+
+
+def test_row_streams_first_fill_holds_five_scratch_rows(traced):
+    # A (16, 64) first fill reads 64 draws ahead: its words and its draws are
+    # 512 KiB each, and the Box-Muller pass runs in five 128 KiB scratch rows.
+    rows, per = 16, 64
+    streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
+    block, row = 4 * _BLOCK_VALUES * 8, _BLOCK_VALUES * 8
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    streams.normals(rows * per)
+    peak = _peak_since(base)
+    bound = 2 * block + 5 * row + row  # one row of slack
+    assert peak <= bound, f"first fill peak {peak // 1024} KiB over {bound // 1024} KiB"
 
 
 @pytest.mark.parametrize("rows", [16, 1])

@@ -130,6 +130,16 @@ def test_fingerprint_tracks_content():
     assert a.fingerprint() != d.fingerprint()
 
 
+def test_schedule_keeps_its_own_copy_of_beta():
+    b = np.array([0.0, 0.1, 0.2, 0.3])
+    alias = b[:]  # another view of b's buffer, writable whatever b becomes
+    s = NoiseSchedule(T=3, beta=b)
+    assert b.flags.writeable and not np.shares_memory(b, s.beta)
+    before = s.beta.tobytes(), s.alpha_bar.tobytes(), s.fingerprint()
+    alias[1] = 0.9
+    assert (s.beta.tobytes(), s.alpha_bar.tobytes(), s.fingerprint()) == before
+
+
 @given(
     T=st.integers(1, 300),
     start=st.floats(1e-6, 0.4),
