@@ -258,6 +258,18 @@ def _box_muller(bits: np.ndarray, k: int, scratch: _Scratch) -> np.ndarray:
     return out.reshape(draws, 2 * pairs)[:, :k]
 
 
+def _draw_buffer(n: int, out: np.ndarray | None) -> np.ndarray:
+    """A fresh array for a draw of ``n`` normals, or ``out`` once it is checked
+    to be a writeable C-contiguous float64 array of ``n`` values, any shape."""
+    if out is None:
+        return np.empty(n)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.size == n
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValidationError(f"a draw of {n} normals needs a writeable C-contiguous "
+                              f"float64 array of {n} values, got {np.shape(out)}")
+    return out
+
+
 def _mix64(z: int) -> int:
     """SplitMix64 finalizer; used to derive well-separated child stream ids."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
@@ -318,24 +330,33 @@ class RngStream:
         """``n`` i.i.d. uniforms on (0, 1]."""
         return _uniforms(self.raw(n))
 
-    def normals(self, n: int) -> np.ndarray:
-        """``n`` i.i.d. standard normals via pair-consuming Box-Muller."""
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``n`` i.i.d. standard normals via pair-consuming Box-Muller, in a fresh
+        array, or written into ``out`` and returned: a writeable C-contiguous
+        float64 array of ``n`` values, checked before any word is read, that
+        gets exactly the bytes of a fresh draw."""
         if n < 0:
             raise ValidationError(f"draw count must be non-negative, got {n}")
+        z = _draw_buffer(n, out)
         # The words are read in blocks, so a large draw makes no (n,)-sized
         # word or temporary array: all radius words first, then the angles.
-        pairs = (n + 1) // 2
-        out = np.empty((pairs, 2))
+        # Odd n has no slot for the last sine, which is dropped.
+        flat = z.reshape(-1)
+        cos, sin = flat[0::2], flat[1::2]
+        pairs = len(cos)
         if self._scratch is None:
             self._scratch = _Scratch(5)
         for i in range(0, pairs, _BLOCK_VALUES):
             bits = self.raw(min(_BLOCK_VALUES, pairs - i))
-            _radii(bits, out[i : i + _BLOCK_VALUES, 0], self._scratch)
+            _radii(bits, cos[i : i + _BLOCK_VALUES], self._scratch)
         for i in range(0, pairs, _BLOCK_VALUES):
-            block = out[i : i + _BLOCK_VALUES]
-            bits = self.raw(min(_BLOCK_VALUES, pairs - i))
-            _rotate(block[:, 0], block[:, 1], bits, self._scratch)
-        return out.reshape(-1)[:n]
+            c, s = cos[i : i + _BLOCK_VALUES], sin[i : i + _BLOCK_VALUES]
+            bits = self.raw(len(c))
+            if len(s) < len(c):  # elementwise, so the split gives the same bytes
+                _rotate(c[-1:], np.empty(1), bits[-1:], self._scratch)
+                c, bits = c[:-1], bits[:-1]
+            _rotate(c, s, bits, self._scratch)
+        return z
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id:#x})"
@@ -362,8 +383,8 @@ class RowStreams:
 
     A draw belongs to its caller: each pass writes a fresh array, so no later
     draw reuses or rewrites a draw's memory, and a chain may keep a draw as
-    its state and write into it. A draw is a ``flatten()`` copy, never a view
-    into the pass, so a kept draw does not keep a spent pass alive.
+    its state and write into it. A draw is copied out of the pass into ``out``
+    or a fresh array, so a kept draw does not keep a spent pass alive.
     """
 
     __slots__ = ("streams", "_ready", "_next", "_scratch")
@@ -382,13 +403,15 @@ class RowStreams:
         """Row i's stream becomes ``streams[i].child(index)``."""
         return RowStreams(s.child(index) for s in self.streams)
 
-    def normals(self, n: int) -> np.ndarray:
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next draw, in a fresh array or in ``out``, as :meth:`RngStream.normals`."""
         rows = len(self.streams)
         if n < 0 or n % rows:
             raise ValidationError(f"{n} draws do not split evenly over {rows} row streams")
         per = n // rows
+        draw = _draw_buffer(n, out)
         if per == 0:
-            return np.empty(0)
+            return draw
         _, ready, size = self._ready.shape
         if size and size != per:
             raise ValidationError(f"these row streams draw {size} normals a row, not {per}")
@@ -403,6 +426,6 @@ class RowStreams:
                 row[:] = stream.raw(k * words)
             z = _box_muller(bits.reshape(rows * k, words), per, self._scratch)
             self._ready = z.reshape(rows, k, per)
-        draw = self._ready[:, self._next].flatten()
+        draw.reshape(rows, per)[...] = self._ready[:, self._next]
         self._next += 1
         return draw

@@ -166,9 +166,9 @@ def project_reconstruct_array(
     """Noise (n, D) rows to level t, then run the reverse chain back down to 0; t=0 is exact.
 
     x is never written. The chain owns two (n, D) buffers that swap roles
-    every step, so its steps allocate no (n, D) arrays of their own. The
-    first is its first draw, noised to level t in place; the second first
-    holds sqrt(abar_t) * x.
+    every step, so its steps allocate no (n, D) arrays of their own: each
+    step draws its noise into the state it replaces. The first is its first
+    draw, noised to level t in place; the second first holds sqrt(abar_t) * x.
     """
     t = s.check_step(t, lowest=0)
     if x.ndim != 2 or x.shape[1] != model.dim:
@@ -180,7 +180,7 @@ def project_reconstruct_array(
     spare = np.multiply(s.sqrt_alpha_bar[t], x)
     xt += spare
     for step in range(t, 0, -1):
-        xt, spare = _reverse_step_array(model, xt, step, s, rng, out=spare), xt
+        xt, spare = _reverse_step_array(model, xt, step, s, rng, noise=xt, out=spare), xt
     return xt
 
 
@@ -303,11 +303,12 @@ def attention_from_discrepancies(
     for t in stats.depths:
         if t not in dmaps:
             raise ValidationError(f"missing discrepancy map for depth {t}")
-        score = (dmaps[t] - stats.mu[t].values) / stats.sigma[t].values
-        score = np.clip(score, SCORE_MIN, SCORE_MAX)
-        acc = score if acc is None else acc + score
+        score = np.subtract(dmaps[t], stats.mu[t].values)  # a depth's one new array
+        score /= stats.sigma[t].values
+        np.clip(score, SCORE_MIN, SCORE_MAX, out=score)
+        acc = score if acc is None else np.add(acc, score, out=acc)
     assert acc is not None
-    return acc / len(stats.depths)
+    return np.divide(acc, len(stats.depths), out=acc)
 
 
 def attention_map(

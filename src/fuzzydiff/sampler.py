@@ -39,12 +39,15 @@ def _reverse_step_array(
     t: int,
     s: NoiseSchedule,
     rng: RngStream | RowStreams,
-    out: np.ndarray | None = None,
+    noise: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """One ancestral step t -> t-1 on (n, D) rows; drawless at t=1 (beta_tilde[1] = 0).
 
-    The result is written into ``out`` when given (a C-contiguous (n, D)
-    array that must not overlap x, which is never written) and returned.
+    The result is written into ``out`` and returned, and the noise is drawn
+    into ``noise``: two distinct C-contiguous (n, D) arrays, ``out`` apart
+    from x, so the step allocates none. ``noise`` may be x, which the step
+    has read for the last time when it draws; otherwise x is never written.
     """
     mean = model.predict_array(x, t, s, out=out)
     mean *= s.reverse_scale[t]
@@ -52,7 +55,7 @@ def _reverse_step_array(
     mean /= s.sqrt_alpha[t]
     if t == 1:
         return mean
-    eps = rng.normals(x.size).reshape(x.shape)
+    eps = rng.normals(x.size, out=noise)
     eps *= s.sqrt_beta_tilde[t]
     mean += eps
     return mean
@@ -68,7 +71,7 @@ def ancestral_sample_array(
     x = rng.normals(n * D).reshape(n, D)
     spare = np.empty_like(x)  # the chain's two buffers swap roles every step
     for t in range(s.T, 0, -1):
-        x, spare = _reverse_step_array(model, x, t, s, rng, out=spare), x
+        x, spare = _reverse_step_array(model, x, t, s, rng, noise=x, out=spare), x
     return x
 
 
@@ -165,27 +168,28 @@ def fuzzy_sample(
     m = np.broadcast_to(m, m.shape[:-1] + (c,)).reshape(-1, D)
     m, *weights = (np.ascontiguousarray(np.broadcast_to(a, (n, D)))
                    for a in (m, *_fusion_weights(m)))
-    # The chain's state is its first draw; these four buffers serve every
-    # step, and the reprojection and the renoise run in place on their draws.
+    # The chain's state is its first draw; these five buffers serve every
+    # step. The state outlives the inner steps, so they draw their noise into
+    # ``work``, as the renoise does, and the reprojection goes into ``reproj``.
     x = rng.normals(n * D).reshape(n, D)
-    base, synth, fused, work = (np.empty((n, D)) for _ in range(4))
+    base, synth, fused, work, reproj = (np.empty((n, D)) for _ in range(5))
     for t in range(s.T, 0, -1):
         np.multiply(s.sqrt_alpha_bar[t - 1], x_cond, out=base)
         inner = J if t > 1 else 1
         x_t = x
         for j in range(1, inner + 1):
             if t > 1:
-                x_reproj = rng.normals(n * D).reshape(n, D)
+                x_reproj = rng.normals(n * D, out=reproj)
                 x_reproj *= s.sqrt_one_minus_alpha_bar[t - 1]
                 x_reproj += base
             else:
                 x_reproj = np.broadcast_to(x_cond, (n, D))
-            _reverse_step_array(model, x_t, t, s, rng, out=synth)
+            _reverse_step_array(model, x_t, t, s, rng, noise=work, out=synth)
             _fuse(synth, x_reproj, base, m, weights, fused, work)
             if j < inner:
                 # The renoised state is the next step's input; the step has
                 # read it before the next fusion overwrites it.
-                eps3 = rng.normals(n * D).reshape(n, D)
+                eps3 = rng.normals(n * D, out=work)
                 eps3 *= s.sqrt_beta[t]
                 fused *= s.sqrt_alpha[t]
                 fused += eps3

@@ -354,6 +354,69 @@ class TestRowStreams:
                 assert row.tobytes() == rows[i].tobytes()
 
 
+def bad_buffers(n):
+    """Buffers that cannot take a draw of n normals: size, dtype, layout, writeability."""
+    read_only = np.empty(n)
+    read_only.flags.writeable = False
+    return {
+        "size": np.empty(n + 1),
+        "dtype": np.empty(n, dtype=np.float32),
+        "byte order": np.empty(n, dtype=">f8"),
+        "strided": np.empty(2 * n)[::2],
+        "fortran": np.empty((2, n // 2), order="F"),
+        "read-only": read_only,
+        "list": [0.0] * n,
+    }
+
+
+class TestDrawInto:
+    """normals(n, out=buf) writes the bytes of normals(n) into buf and returns it."""
+
+    # Odd n drops the last pair's sine; 2 * 16384 + 1 spans the pass's blocks
+    # of 16384 pairs with a one-pair last block.
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 65, 1001, 2 * _BLOCK_VALUES + 1, 64000])
+    def test_rng_stream_out_gets_the_bytes_of_a_fresh_draw(self, n):
+        fresh, into = RngStream(61, 2), RngStream(61, 2)
+        for _ in range(3):
+            expect = fresh.normals(n)
+            buf = np.full(n, np.nan)
+            got = into.normals(n, out=buf)
+            assert got is buf and buf.tobytes() == expect.tobytes()
+        # Any C-contiguous shape of n values; a chain passes its (n, D) rows.
+        buf = np.full((n // 4, 4), np.nan)
+        assert into.normals(buf.size, out=buf) is buf
+        assert buf.tobytes() == fresh.normals(buf.size).tobytes()
+
+    @pytest.mark.parametrize("per", [1, 7, 64, 65])
+    @pytest.mark.parametrize("rows", [1, 16, 20])
+    def test_row_streams_out_gets_the_bytes_of_a_fresh_draw(self, rows, per):
+        fresh = RowStreams(RngStream(62, 0).child(i) for i in range(rows))
+        into = RowStreams(RngStream(62, 0).child(i) for i in range(rows))
+        words = 2 * ((per + 1) // 2)
+        ahead = max(1, 4 * _BLOCK_VALUES // (rows * words))  # draws a pass reads
+        buf = np.empty((rows, per))
+        for _ in range(ahead + 2):  # across a refill
+            expect = fresh.normals(rows * per)
+            buf[:] = np.nan
+            assert into.normals(rows * per, out=buf) is buf
+            assert buf.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", ["one", "rows"])
+    def test_a_bad_buffer_is_refused_before_the_stream_moves(self, kind):
+        n = 64
+
+        def stream():
+            root = RngStream(63, 0)
+            return root if kind == "one" else RowStreams(root.child(i) for i in range(2))
+
+        fresh, into = stream(), stream()
+        for draw in range(2):  # before and after the first pass
+            for name, buf in bad_buffers(n).items():
+                with pytest.raises(ValidationError, match="writeable C-contiguous"):
+                    into.normals(n, out=buf)
+            assert into.normals(n).tobytes() == fresh.normals(n).tobytes(), draw
+
+
 def randn_grid(shape, rng):
     h, w, c = shape
     return Grid(rng.normals(h * w * c).reshape(shape))

@@ -1,30 +1,51 @@
 """Working memory of the bulk paths, in row arrays traced by ``tracemalloc``.
 
-A row array is one (n, D) float64 array. ``validation_stats`` holds the
-validation rows X, the chain's two buffers and one draw, a depth's summed
-discrepancies and the model's and stream's scratch: 4.9-6.4 row arrays
-here, X counted. ``sample_x0`` builds its rows in at most three. The sizes
-are small enough to run in about a second and large enough that the scratch
-of a block-wise pass is a fraction of a row array. A ``RowStreams`` first
-fill holds its read-ahead words and draws and five scratch rows; a refill
-holds one read-ahead block, never the spent one beside the next, also when
-the caller keeps a draw of a one-row stream (a view would pin its block).
+A row array is one (n, D) float64 array. Every chain step draws its noise
+into a buffer the chain already holds, so a chain holds its buffers, the
+model's and the stream's scratch, and no draw. ``validation_stats`` holds
+the validation rows X, the chain's two buffers, a depth's summed
+discrepancies and that scratch: 3.6-5.4 row arrays here, X counted.
+``sample_x0`` builds its rows in at most three. The sizes are small enough
+to run in about a second and large enough that the scratch of a block-wise
+pass is a fraction of a row array. A ``RowStreams`` first fill holds its
+read-ahead words and draws and five scratch rows; a refill holds one
+read-ahead block, never the spent one beside the next, also when the caller
+keeps a draw of a one-row stream (a view would pin its block).
 """
 
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  RngStream's first use imports it; no bound counts that
 import pytest
 from conftest import exp_field, two_mode
 
-from fuzzydiff import RngStream, RowStreams
+from fuzzydiff import RngStream, RowStreams, fuzzy_sample, linear_schedule
 from fuzzydiff.core import _BLOCK_VALUES
-from fuzzydiff.projection import validation_stats
+from fuzzydiff.projection import attention_map, project_reconstruct_array, validation_stats
+from fuzzydiff.sampler import ancestral_sample_array
 
 ROWS = 4096
 DEPTHS = [8, 12]
-# oracle: (builder, sample_x0 bound, validation_stats bound), in row arrays
-BOUNDS = {"gmm_pixel": (two_mode, 5.0, 7.0), "gaussian_field": (exp_field, 3.0, 7.0)}
+# Every bound below is the peak measured on numpy 2.4 plus 0.25 row arrays
+# of slack (512 KiB here); a chain step that allocated its own noise, as
+# each once did, adds one row array and fails it.
+# oracle: (builder, sample_x0 bound, validation_stats bound per reps), in row arrays
+BOUNDS = {
+    "gmm_pixel": (two_mode, 5.0, {1: 3.82, 3: 4.82}),  # measured 3.57, 4.57
+    "gaussian_field": (exp_field, 3.0, {1: 4.69, 3: 5.69}),  # measured 4.44, 5.44
+}
+# Chains on the 8x8 field, its scratch made beforehand; the input rows and the
+# streams exist before the trace starts. A chain's peak is reached within its
+# first two steps, so a four-step schedule measures it.
+CHAIN_BOUNDS = {
+    "ancestral_sample_array, RngStream": 2.69,  # measured 2.44
+    "ancestral_sample_array, RowStreams": 4.60,  # measured 4.35
+    "project_reconstruct_array": 2.69,  # measured 2.44
+    "fuzzy_sample J=2, RngStream": 9.94,  # measured 9.69
+    "fuzzy_sample J=2, RowStreams": 11.85,  # measured 11.60
+    "attention_map": 4.60,  # measured 4.35, two depths' maps and the scores
+}
 
 
 @pytest.fixture
@@ -45,7 +66,8 @@ def _peak_since(base: int) -> int:
 @pytest.mark.parametrize("reps", [1, 3])
 @pytest.mark.parametrize("oracle", sorted(BOUNDS))
 def test_bulk_paths_stay_within_their_row_arrays(traced, sched50, oracle, reps):
-    build, sample_bound, stats_bound = BOUNDS[oracle]
+    build, sample_bound, stats_bounds = BOUNDS[oracle]
+    stats_bound = stats_bounds[reps]
     model = build()  # fresh, so its scratch is made, and counted, under the trace
     row = ROWS * model.dim * 8
     base = tracemalloc.get_traced_memory()[0]
@@ -62,6 +84,31 @@ def test_bulk_paths_stay_within_their_row_arrays(traced, sched50, oracle, reps):
         ("validation_stats", stats_peak, stats_bound),
     ] if peak > bound}
     assert not over, f"peaks over their bounds, in row arrays: {over}"
+
+
+@pytest.mark.parametrize("path", sorted(CHAIN_BOUNDS))
+def test_chains_draw_into_buffers_they_hold(traced, path):
+    model, s = exp_field(), linear_schedule(4, 1e-2, 0.2)
+    D = model.dim
+    model.predict_array(np.zeros((ROWS, D)), 1, s, out=np.empty((ROWS, D)))  # its scratch
+    X = model.sample_x0(ROWS, RngStream(6, 0))
+    image, m = X[0].reshape(model.shape), RngStream(6, 1).uniforms(D).reshape(model.shape)
+    stats = validation_stats(model, s, X[:64], [2, 3], 1, RngStream(6, 2))
+    rng = RngStream(7, 0)
+    if path.endswith("RowStreams"):
+        rng = RowStreams(rng.child(i) for i in range(ROWS))
+    run = {
+        "ancestral_sample_array": lambda: ancestral_sample_array(model, s, ROWS, rng),
+        "project_reconstruct_array": lambda: project_reconstruct_array(model, s, X, 4, rng),
+        "fuzzy_sample J=2": lambda: fuzzy_sample(model, s, image, m, 2, ROWS, rng),
+        "attention_map": lambda: attention_map(X.reshape(ROWS, *model.shape), stats, model, s, rng),
+    }[path.split(",")[0]]
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = run()
+    peak = _peak_since(base) / (ROWS * D * 8)
+    assert out.shape[0] == ROWS and np.isfinite(out).all()
+    assert peak <= CHAIN_BOUNDS[path], f"{path} peaks at {peak:.2f} row arrays"
 
 
 def test_row_streams_first_fill_holds_five_scratch_rows(traced):

@@ -238,9 +238,13 @@ class TestAttention:
                 self._base = base
                 self._perm = perm
 
-            def normals(self, n):
+            def normals(self, n, out=None):
                 vals = self._base.normals(n)
-                return vals.reshape(-1, self._perm.size)[:, self._perm].reshape(-1)
+                vals = vals.reshape(-1, self._perm.size)[:, self._perm].reshape(-1)
+                if out is None:
+                    return vals
+                out.reshape(-1)[:] = vals
+                return out
 
             def child(self, index):
                 return PixelPermutedStream(self._base.child(index), self._perm)

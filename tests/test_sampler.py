@@ -35,6 +35,11 @@ def reverse_variance(s, t: int, v: float) -> float:
     return s.alpha[t] * v + s.beta_tilde[t]
 
 
+def step_apart(model, x, t, s, rng):
+    """_reverse_step_array with noise and result buffers of its own."""
+    return _reverse_step_array(model, x, t, s, rng, noise=np.empty_like(x), out=np.empty_like(x))
+
+
 def spelled_out_reverse_step(model, x, t, s, rng):
     """The reverse step out of place, with its per-step scalars computed inline."""
     eps_hat = model.predict_array(x, t, s)
@@ -146,8 +151,8 @@ class TestReverseStep:
     def test_final_step_deterministic(self, field_model, sched50):
         x = field_model.mu[None, :]
         rng = RngStream(1, 0)
-        a = _reverse_step_array(field_model, x, 1, sched50, rng)
-        b = _reverse_step_array(field_model, x, 1, sched50, RngStream(2, 0))
+        a = step_apart(field_model, x, 1, sched50, rng)
+        b = step_apart(field_model, x, 1, sched50, RngStream(2, 0))
         assert np.array_equal(a, b)
         assert np.array_equal(rng.normals(4), RngStream(1, 0).normals(4))
 
@@ -158,7 +163,7 @@ class TestReverseStep:
         model = GaussianFieldModel((2, 2, 1), 0.25, np.zeros((4, 4)))
         for t in (1, 10, 50):
             xt = sched50.sqrt_alpha_bar[t] * model.mu[None, :]
-            out = _reverse_step_array(model, xt, t, sched50, RngStream(5, t))
+            out = step_apart(model, xt, t, sched50, RngStream(5, t))
             noise = np.sqrt(sched50.beta_tilde[t]) * RngStream(5, t).normals(4)
             want = sched50.sqrt_alpha_bar[t - 1] * model.mu
             assert np.abs(out - noise - want).max() < 1e-10
@@ -172,19 +177,41 @@ class TestReverseStep:
             kept = x.copy()
             for t in (1, 2, sched200.T):
                 expect = spelled_out_reverse_step(model, x, t, sched200, RngStream(43, t))
-                got = _reverse_step_array(model, x, t, sched200, RngStream(43, t))
-                assert got.tobytes() == expect.tobytes()
-                out = np.full_like(x, np.nan)
-                got = _reverse_step_array(model, x, t, sched200, RngStream(43, t), out=out)
+                noise, out = np.full_like(x, np.nan), np.full_like(x, np.nan)
+                got = _reverse_step_array(
+                    model, x, t, sched200, RngStream(43, t), noise=noise, out=out
+                )
                 assert got is out and out.tobytes() == expect.tobytes()
             assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("streams", ["one", "rows"])
+    @pytest.mark.parametrize("kind", ["field", "gmm"])
+    def test_noise_may_be_the_rows_it_replaces(
+        self, kind, streams, field_model, gmm_model, sched200
+    ):
+        # A chain draws each step's noise into the state the step replaces:
+        # the step has read x for the last time when it draws.
+        model = field_model if kind == "field" else gmm_model
+        pool = 0.5 + 0.3 * RngStream(42, 0).normals(400 * 64).reshape(400, 64)
+
+        def rng(n, t):
+            root = RngStream(43, t)
+            return root if streams == "one" else RowStreams(root.child(i) for i in range(n))
+
+        for n in (1, 19, 400):
+            for t in (1, 2, sched200.T):
+                x = pool[-n:].copy()
+                apart = step_apart(model, x, t, sched200, rng(n, t))
+                out = np.full_like(x, np.nan)
+                got = _reverse_step_array(model, x, t, sched200, rng(n, t), noise=x, out=out)
+                assert got is out and out.tobytes() == apart.tobytes()
 
     def test_range_and_shape_checks(self, field_model, sched50):
         x = field_model.mu[None, :]
         with pytest.raises(IndexError):
-            _reverse_step_array(field_model, x, 0, sched50, RngStream(0, 0))
+            step_apart(field_model, x, 0, sched50, RngStream(0, 0))
         with pytest.raises(ValueError):
-            _reverse_step_array(field_model, np.zeros((1, 4)), 5, sched50, RngStream(0, 0))
+            step_apart(field_model, np.zeros((1, 4)), 5, sched50, RngStream(0, 0))
 
 
 class TestChainBuffers:
