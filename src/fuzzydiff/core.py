@@ -25,9 +25,14 @@ _MASK64 = (1 << 64) - 1
 # GmmPixelModel.predict_array (row blocks, in the model's _Scratch),
 # _box_muller (blocks of whole draws or of one draw's columns),
 # RngStream.normals (how many words a draw reads at a time), RowStreams (it
-# reads four blocks ahead) and the scratch those passes hold (_Scratch).
-# Values are independent, so the blocking never changes a byte.
+# reads one pass of that many pairs ahead) and the scratch those passes hold
+# (_Scratch). Values are independent, so the blocking never changes a byte.
 _BLOCK_VALUES = 16384
+
+# Normals a RowStreams refill reads ahead, always at least one draw: one
+# Box-Muller pass of _BLOCK_VALUES pairs, so a refill holds at most 256 KiB of
+# words beside the pass's scratch, or one draw's words when a draw is larger.
+_READ_AHEAD = 2 * _BLOCK_VALUES
 
 
 class ValidationError(ValueError):
@@ -147,10 +152,12 @@ class _Scratch:
     owners:
 
     - :class:`RngStream` and :class:`RowStreams`, five rows: :func:`_rotate`
-      works in all five and :func:`_radii` in the first two, before it. A
-      stream makes them on its first ``normals`` call: the streams a
-      :class:`RowStreams` owns only give it raw words and never draw normals
-      themselves, so they hold none;
+      works in all five and :func:`_radii` in the first two, before it.
+      :func:`_box_muller` keeps a block's angle words in the third, which
+      :func:`_radii` leaves alone and :func:`_rotate` reads before it
+      writes any row. A stream makes them on its first ``normals`` call: the
+      streams a :class:`RowStreams` owns only give it raw words and never
+      draw normals themselves, so they hold none;
     - ``GaussianFieldModel``, one row: the ``(n, D)`` eigenbasis product of
       ``predict_array``, whose other work array is the caller's ``out``;
     - ``GmmPixelModel``, two rows, or three for K > 2: the row-block work
@@ -183,6 +190,9 @@ def _rotate(
 ) -> None:
     """The angle half: with the radii in ``cos_slots``, write r*sin(theta) into
     ``sin_slots`` and r*cos(theta) over the radii, theta = 2 pi u(bits).
+    ``bits`` is read once, into the first scratch row, before any other row or
+    slot is written, so the words may sit in another scratch row or under the
+    slots.
 
     With q = (bits >> 11) + 1, theta = 2 pi j / 1024 + phi for the table index
     j = (q >> 43) & 1023 and phi = (q & (2**43 - 1)) * 2 pi * 2**-53, which is
@@ -233,29 +243,42 @@ def _rotate(
     cos_slots *= cm
 
 
-def _box_muller(bits: np.ndarray, k: int, scratch: _Scratch) -> np.ndarray:
-    """The pinned transform: (draws, 2*pairs) raw Philox words -> (draws, k) normals.
+def _box_muller(bits: np.ndarray, scratch: _Scratch) -> np.ndarray:
+    """The pinned transform in place: (draws, words) raw Philox words, C-contiguous,
+    become (draws, words) normals written over them, returned as a float64 view.
 
-    Per draw, the first ``pairs`` words give the radii and the last ``pairs``
-    the angles; the cosine and sine halves interleave, and k <= 2*pairs keeps
-    the first k. Every step is elementwise, so a draw's normals do not depend
-    on how many draws share the pass. The pass runs on blocks of about
-    ``_BLOCK_VALUES`` pairs, whole draws or one draw's columns. As in
-    :meth:`RngStream.normals`, :func:`_radii` writes a block's radii into the
-    cosine slots of a fresh interleaved array and :func:`_rotate` rotates
-    them there, so no later pass writes the normals handed out.
+    Per draw, the first ``pairs = words // 2`` words give the radii and the
+    last ``pairs`` the angles; the cosine and sine halves interleave, so pair
+    p of a draw lands on words 2p and 2p + 1. Every step is elementwise, so a
+    draw's normals do not depend on how many draws share the pass. The pass
+    runs on blocks of about ``_BLOCK_VALUES`` pairs, whole draws or one draw's
+    columns. A block of whole draws writes only its own words: its angle words
+    go to a scratch row first, :func:`_radii` reads the radius words before it
+    writes the cosine slots over them, and :func:`_rotate` then writes the sine
+    slots. A draw wider than one block would overwrite words a later column
+    block has not read, so its words are copied apart, one draw at a time.
     """
-    draws, pairs = bits.shape[0], bits.shape[1] // 2
-    out = np.empty((draws, pairs, 2))
-    step = max(1, _BLOCK_VALUES // pairs)  # draws per block
-    width = min(pairs, _BLOCK_VALUES)  # pair columns per block
+    draws, words = bits.shape
+    pairs = words // 2
+    z = bits.view(np.float64).reshape(draws, pairs, 2)
+    if pairs > _BLOCK_VALUES:
+        for d in range(draws):
+            src = bits[d].copy()
+            for j in range(0, pairs, _BLOCK_VALUES):
+                end = min(j + _BLOCK_VALUES, pairs)
+                cos, sin = z[d, j:end, 0], z[d, j:end, 1]
+                _radii(src[j:end], cos, scratch)
+                _rotate(cos, sin, src[pairs + j : pairs + end], scratch)
+        return z.reshape(draws, words)
+    step = _BLOCK_VALUES // pairs  # whole draws per block
     for i in range(0, draws, step):
-        for j in range(0, pairs, width):
-            end = min(j + width, pairs)
-            cos, sin = out[i : i + step, j:end, 0], out[i : i + step, j:end, 1]
-            _radii(bits[i : i + step, j:end], cos, scratch)
-            _rotate(cos, sin, bits[i : i + step, pairs + j : pairs + end], scratch)
-    return out.reshape(draws, 2 * pairs)[:, :k]
+        block = bits[i : i + step]
+        angles = scratch.rows((len(block), pairs))[2].view(np.uint64)
+        np.copyto(angles, block[:, pairs:])
+        cos, sin = z[i : i + step, :, 0], z[i : i + step, :, 1]
+        _radii(block[:, :pairs], cos, scratch)
+        _rotate(cos, sin, angles, scratch)
+    return z.reshape(draws, words)
 
 
 def _draw_buffer(n: int, out: np.ndarray | None) -> np.ndarray:
@@ -373,21 +396,25 @@ class RowStreams:
     that needs another size draws from a :meth:`child`.
 
     A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per
-    row gives the words of k draws, about ``4 * _BLOCK_VALUES`` normals in all
-    (at least one draw), and one shared Box-Muller pass, in the same five
-    scratch rows as :meth:`RngStream.normals`, turns them straight into the
-    draws' array. The bytes are the ones per-stream draws give, since a Philox
-    stream's words do not depend on how many are taken per call; but a stream
-    handed to it must not be drawn from directly afterwards, and no stream may
-    serve two rows.
+    row gives the words of k draws, about ``_READ_AHEAD`` normals in all (at
+    least one draw), and one shared Box-Muller pass, in the same five scratch
+    rows as :meth:`RngStream.normals`, writes the draws over those words
+    (:func:`_box_muller`). Each refill reads its words into the buffer of the
+    spent pass, so a ``RowStreams`` holds one ``(rows, k, words)`` buffer and
+    the scratch; with one row, the array ``raw`` returns replaces it, as a
+    copy of that array would double the refill. The bytes are the ones
+    per-stream draws give, since a Philox stream's words do not depend on how
+    many are taken per call or where they are written; but a stream handed
+    to it must not be drawn from directly afterwards, and no stream may serve
+    two rows.
 
-    A draw belongs to its caller: each pass writes a fresh array, so no later
-    draw reuses or rewrites a draw's memory, and a chain may keep a draw as
-    its state and write into it. A draw is copied out of the pass into ``out``
-    or a fresh array, so a kept draw does not keep a spent pass alive.
+    A draw belongs to its caller: it is copied out of the pass into ``out``
+    or a fresh array, so no later refill rewrites a draw's memory, a kept
+    draw does not keep a spent pass alive, and a chain may keep a draw as its
+    state and write into it.
     """
 
-    __slots__ = ("streams", "_ready", "_next", "_scratch")
+    __slots__ = ("streams", "_words", "_ready", "_next", "_scratch")
 
     def __init__(self, streams) -> None:
         self.streams = tuple(streams)
@@ -395,6 +422,7 @@ class RowStreams:
             raise ValidationError("row streams need at least one stream")
         if len({id(s) for s in self.streams}) != len(self.streams):
             raise ValidationError("a stream object serves two rows; give each row its own")
+        self._words = None  # the pass's (rows, k * words) buffer, made by the first refill
         self._ready = np.empty((len(self.streams), 0, 0))  # (rows, draws, per) normals
         self._next = 0  # the first ready draw not yet handed out
         self._scratch = _Scratch(5)
@@ -416,16 +444,18 @@ class RowStreams:
         if size and size != per:
             raise ValidationError(f"these row streams draw {size} normals a row, not {per}")
         if self._next == ready:  # read the next k draws ahead
-            # Drop the spent block first; with the draws copied out, a
-            # refill never holds two.
-            self._ready, self._next = np.empty((rows, 0, per)), 0
             words = 2 * ((per + 1) // 2)
-            k = max(1, 4 * _BLOCK_VALUES // (rows * words))
-            bits = np.empty((rows, k * words), dtype=np.uint64)
-            for row, stream in zip(bits, self.streams):
-                row[:] = stream.raw(k * words)
-            z = _box_muller(bits.reshape(rows * k, words), per, self._scratch)
-            self._ready = z.reshape(rows, k, per)
+            k = max(1, _READ_AHEAD // (rows * words))
+            if rows == 1:  # drop the spent pass before raw makes the next
+                self._ready, self._words = np.empty((rows, 0, per)), None
+                self._words = self.streams[0].raw(k * words)
+            else:  # with the draws copied out, the spent pass is free
+                if self._words is None:
+                    self._words = np.empty((rows, k * words), dtype=np.uint64)
+                for row, stream in zip(self._words, self.streams):
+                    row[:] = stream.raw(k * words)
+            z = _box_muller(self._words.reshape(rows * k, words), self._scratch)
+            self._ready, self._next = z.reshape(rows, k, words)[:, :, :per], 0
         draw.reshape(rows, per)[...] = self._ready[:, self._next]
         self._next += 1
         return draw

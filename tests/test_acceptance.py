@@ -360,7 +360,7 @@ def test_criterion_9_cli_determinism(acceptance_lines, tmp_path):
                 assert _tree_bytes(alt) == first, f"{command} workers changed bytes"
 
         # Count 1025 is above the GMM kernel's 1024-row block at D = 16 and
-        # cuts RowStreams' read-ahead to 3 draws (1365 and 2048 at counts 3
+        # cuts RowStreams' read-ahead to 1 draw (682 and 1024 at counts 3
         # and 2); the first rows keep the bytes of the config's own counts.
         payload["sample"]["count"] = payload["fuzzy"]["count"] = 1025
         cfg_path.write_text(json.dumps(payload))

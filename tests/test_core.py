@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from fuzzydiff import Grid, RngStream, RowStreams, ValidationError
-from fuzzydiff.core import _ANGLE_TABLE, _BLOCK_VALUES, _rotate, _Scratch
+from fuzzydiff.core import _ANGLE_TABLE, _BLOCK_VALUES, _READ_AHEAD, _rotate, _Scratch
 from fuzzydiff.projection import project_reconstruct_array
 
 
@@ -259,17 +259,37 @@ class TestRowStreams:
             RowStreams([RngStream(8, 0)]).normals(9), RngStream(8, 0).normals(9)
         )
 
-    # Rows and per-row sizes where the read-ahead depth (4 * _BLOCK_VALUES
-    # normals over rows * words) and the pass's blocks straddle their bounds:
-    # 400 rows read two 64-normal draws ahead, 513 rows one, 16 rows 64.
+    # Rows and per-row sizes where the read-ahead depth (_READ_AHEAD normals
+    # over rows * words) and the pass's blocks straddle their bounds: 256 rows
+    # read two 64-normal draws ahead, in one block, 400 rows one, 16 rows 32;
+    # 513 rows of 64 split one draw over two blocks.
     @pytest.mark.parametrize("per", [1, 7, 63, 64, 65, 130])
-    @pytest.mark.parametrize("rows", [1, 2, 16, 20, 33, 64, 400, 513])
+    @pytest.mark.parametrize("rows", [1, 2, 16, 20, 33, 64, 256, 400, 513])
     def test_shared_pass_equals_per_stream_normals(self, rows, per):
         batch = RowStreams(RngStream(31, 0).child(i) for i in range(rows))
         alone = [RngStream(31, 0).child(i) for i in range(rows)]
         for _ in range(2):  # successive draws continue each row's stream
             expect = np.concatenate([s.normals(per) for s in alone])
             assert batch.normals(rows * per).tobytes() == expect.tobytes()
+
+    # Odd sizes read one spare word a draw; 1025 rows of 63-65 read one draw
+    # ahead, so every draw refills. The draws on each side of a refill are
+    # checked, and the per-stream twins skip the words of the others.
+    @pytest.mark.parametrize("per", [1, 63, 64, 65])
+    @pytest.mark.parametrize("rows", [1, 16, 20, 1025])
+    def test_draws_across_refills_equal_per_stream_normals(self, rows, per):
+        batch = RowStreams(RngStream(32, 0).child(i) for i in range(rows))
+        alone = [RngStream(32, 0).child(i) for i in range(rows)]
+        words = 2 * ((per + 1) // 2)
+        ahead = max(1, _READ_AHEAD // (rows * words))  # draws a refill reads
+        for draw in range(2 * ahead + 1):  # the first fill and two refills
+            got = batch.normals(rows * per)
+            if draw % ahead in (0, ahead - 1):
+                expect = np.concatenate([s.normals(per) for s in alone])
+                assert got.tobytes() == expect.tobytes(), draw
+            else:
+                for s in alone:
+                    s.raw(words)
 
     def test_child_rows_are_the_streams_children(self):
         streams = [RngStream(4, i) for i in range(3)]
@@ -318,13 +338,16 @@ class TestRowStreams:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_draws_wider_than_a_block(self, rows):
         # 2 * _BLOCK_VALUES + 3 normals a row: the pass splits a draw's
-        # columns into blocks, the last one a single pair.
+        # columns into blocks, the last one a single pair. Every such draw
+        # refills; they alternate between fresh arrays and out=.
         per = 2 * _BLOCK_VALUES + 3
         batch = RowStreams(RngStream(37, 0).child(i) for i in range(rows))
         alone = [RngStream(37, 0).child(i) for i in range(rows)]
-        for _ in range(2):
+        buf = np.empty((rows, per))
+        for draw in range(4):
             expect = np.concatenate([s.normals(per) for s in alone])
-            assert batch.normals(rows * per).tobytes() == expect.tobytes()
+            got = batch.normals(rows * per, out=buf if draw % 2 else None)
+            assert got.tobytes() == expect.tobytes(), draw
 
     @pytest.mark.parametrize("rows", [1, 16])
     def test_a_draw_belongs_to_its_caller(self, rows):
@@ -336,7 +359,7 @@ class TestRowStreams:
         first = batch.normals(rows * per)
         kept = first.copy()
         assert first.tobytes() == twin.normals(rows * per).tobytes()
-        for _ in range(3 * 4 * _BLOCK_VALUES // (rows * per) + 1):
+        for _ in range(3 * _READ_AHEAD // (rows * per) + 1):
             later = batch.normals(rows * per)
             assert later.tobytes() == twin.normals(rows * per).tobytes()
             later[:] = np.nan
@@ -393,7 +416,7 @@ class TestDrawInto:
         fresh = RowStreams(RngStream(62, 0).child(i) for i in range(rows))
         into = RowStreams(RngStream(62, 0).child(i) for i in range(rows))
         words = 2 * ((per + 1) // 2)
-        ahead = max(1, 4 * _BLOCK_VALUES // (rows * words))  # draws a pass reads
+        ahead = max(1, _READ_AHEAD // (rows * words))  # draws a pass reads
         buf = np.empty((rows, per))
         for _ in range(ahead + 2):  # across a refill
             expect = fresh.normals(rows * per)

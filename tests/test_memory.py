@@ -7,10 +7,10 @@ the validation rows X, the chain's two buffers, a depth's summed
 discrepancies and that scratch: 3.6-5.4 row arrays here, X counted.
 ``sample_x0`` builds its rows in at most three. The sizes are small enough
 to run in about a second and large enough that the scratch of a block-wise
-pass is a fraction of a row array. A ``RowStreams`` first fill holds its
-read-ahead words and draws and five scratch rows; a refill holds one
-read-ahead block, never the spent one beside the next, also when the caller
-keeps a draw of a one-row stream (a view would pin its block).
+pass is a fraction of a row array. A ``RowStreams`` refill holds one
+read-ahead buffer, whose words its Box-Muller pass turns into draws in place,
+and five scratch rows; never the spent buffer beside the next, also when the
+caller keeps a draw of a one-row stream (a view would pin its buffer).
 """
 
 import tracemalloc
@@ -21,7 +21,7 @@ import pytest
 from conftest import exp_field, two_mode
 
 from fuzzydiff import RngStream, RowStreams, fuzzy_sample, linear_schedule
-from fuzzydiff.core import _BLOCK_VALUES
+from fuzzydiff.core import _BLOCK_VALUES, _READ_AHEAD
 from fuzzydiff.projection import attention_map, project_reconstruct_array, validation_stats
 from fuzzydiff.sampler import ancestral_sample_array
 
@@ -40,10 +40,10 @@ BOUNDS = {
 # first two steps, so a four-step schedule measures it.
 CHAIN_BOUNDS = {
     "ancestral_sample_array, RngStream": 2.69,  # measured 2.44
-    "ancestral_sample_array, RowStreams": 4.60,  # measured 4.35
+    "ancestral_sample_array, RowStreams": 3.60,  # measured 3.35
     "project_reconstruct_array": 2.69,  # measured 2.44
     "fuzzy_sample J=2, RngStream": 9.94,  # measured 9.69
-    "fuzzy_sample J=2, RowStreams": 11.85,  # measured 11.60
+    "fuzzy_sample J=2, RowStreams": 10.85,  # measured 10.60
     "attention_map": 4.60,  # measured 4.35, two depths' maps and the scores
 }
 
@@ -112,30 +112,50 @@ def test_chains_draw_into_buffers_they_hold(traced, path):
 
 
 def test_row_streams_first_fill_holds_five_scratch_rows(traced):
-    # A (16, 64) first fill reads 64 draws ahead: its words and its draws are
-    # 512 KiB each, and the Box-Muller pass runs in five 128 KiB scratch rows.
+    # A (16, 64) first fill reads 32 draws ahead, 256 KiB of words that the
+    # Box-Muller pass turns into draws in place, in five 128 KiB scratch rows.
     rows, per = 16, 64
     streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
-    block, row = 4 * _BLOCK_VALUES * 8, _BLOCK_VALUES * 8
+    block, row = _READ_AHEAD * 8, _BLOCK_VALUES * 8
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
     streams.normals(rows * per)
     peak = _peak_since(base)
-    bound = 2 * block + 5 * row + row  # one row of slack
+    bound = block + 5 * row + row  # one row of slack
     assert peak <= bound, f"first fill peak {peak // 1024} KiB over {bound // 1024} KiB"
 
 
 @pytest.mark.parametrize("rows", [16, 1])
 def test_row_streams_refill_holds_one_block(traced, rows):
+    # The chain keeps its first draw and draws the rest into a buffer it holds.
+    # A refill then holds what the first fill did; 4 KiB covers the loop's own
+    # objects, where a copy of one row's words (256 KiB at one row) would not fit.
     per = 64
     streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
-    per_fill = 4 * _BLOCK_VALUES // (rows * per)  # draws one read-ahead gives
+    buf = np.empty(rows * per)
+    per_fill = _READ_AHEAD // (rows * per)  # draws one read-ahead gives
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    kept = streams.normals(rows * per)  # the first fill; a chain keeps this draw
+    kept = streams.normals(rows * per)  # the first fill
     first = _peak_since(base)
     for _ in range(3 * per_fill):  # three refills
-        streams.normals(rows * per)
+        streams.normals(rows * per, out=buf)
     refills = _peak_since(base)
     assert kept.shape == (rows * per,)
-    assert refills <= first + 64 * 1024, f"refill peak {refills} B against first fill {first} B"
+    assert refills <= first + 4096, f"refill peak {refills} B against first fill {first} B"
+
+
+def test_row_streams_at_one_draw_ahead_hold_one_row_array(traced):
+    # 4096 rows of 64 read one draw ahead: each draw is a refill, of one row
+    # array of words that become the draw, copied into the chain's buffer.
+    rows, per = 4096, 64
+    streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
+    buf = np.empty(rows * per)
+    row, array = _BLOCK_VALUES * 8, rows * per * 8
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    for _ in range(3):  # the first fill and two refills
+        streams.normals(rows * per, out=buf)
+    peak = _peak_since(base)
+    bound = array + 5 * row + row  # one scratch row of slack
+    assert peak <= bound, f"refill peak {peak // 1024} KiB over {bound // 1024} KiB"

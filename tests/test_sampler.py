@@ -238,8 +238,9 @@ class TestChainBuffers:
         platform.libc_ver()[0] != "glibc",
         reason="counts page faults under glibc malloc's trim and mmap thresholds",
     )
-    # The row-batched fuzzy chain faults in only its new RowStreams' read-ahead
-    # and scratch, about 210 pages a chain (4.2 a step at T=50, 2-vCPU Xeon).
+    # The row-batched fuzzy chain faults in at most its new RowStreams'
+    # read-ahead and scratch: 121 pages for the chain after the warm one,
+    # then none, as malloc reuses what the previous chain freed (2-vCPU Xeon).
     @pytest.mark.parametrize(
         "kind, rows, bound", [("gmm", 1000, 40), ("field", 400, 4), ("fuzzy", 16, 8)]
     )
