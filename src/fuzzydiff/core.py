@@ -117,13 +117,17 @@ def _radii(bits: np.ndarray, out: np.ndarray, scratch: "_Scratch") -> None:
 
     It runs in the first two of ``scratch``'s rows, which :func:`_rotate`
     reuses after it, so a block makes no temporaries. Scaling by -2 is exact,
-    so scaling the log in place gives the bytes of ``-2.0 * log(u)``.
+    so scaling the log in place gives the bytes of ``-2.0 * log(u)``. The
+    integers become floats by a cast copy, exact since they are at most
+    2**53, and are then scaled in place: a uint64-by-float multiply would
+    allocate numpy's 64 KiB cast buffer on every call.
     """
     q, u = scratch.rows(bits.shape)[:2]
     q = q.view(np.uint64)
     np.right_shift(bits, 11, out=q)
     q += 1
-    np.multiply(q, 2.0**-53, out=u)  # _uniforms, in place
+    u[...] = q
+    u *= 2.0**-53  # _uniforms, in place
     np.log(u, out=u)
     u *= -2.0
     np.sqrt(u, out=out)
@@ -212,7 +216,8 @@ def _rotate(
     j &= (1 << _TABLE_BITS) - 1
     j = j.view(np.int64)  # np.take's index type; j < 1024
     q &= (1 << _REM_BITS) - 1
-    np.multiply(q, _REM_SCALE, out=cm)  # phi
+    cm[...] = q  # exact, and no cast buffer (see _radii)
+    cm *= _REM_SCALE  # phi
     np.multiply(cm, cm, out=s)  # phi**2, over the spent q
     np.multiply(s, -1.0 / 5040, out=sp)
     sp += 1.0 / 120

@@ -20,6 +20,7 @@ from fuzzydiff import (
     run_correction_experiment,
 )
 from fuzzydiff.config import load_config, section
+from fuzzydiff.harness import _median
 
 from oracle_helpers import ks_critical, ks_two_sample, moment_error
 
@@ -209,6 +210,36 @@ class TestMaskedMse:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             masked_mse(np.zeros((2, 2, 1)), np.zeros((2, 3, 1)), np.zeros((2, 2, 1)))
+
+
+class TestMedian:
+    """The report's medians give ``np.median``'s bytes without calling it."""
+
+    @staticmethod
+    def numpy_median(values):
+        with np.errstate(over="ignore"):  # an even count near the top overflows
+            return float(np.median([v for v in values if v is not None]))
+
+    def test_matches_numpy_with_ties_and_none(self):
+        rng = np.random.default_rng(30)
+        for n in range(1, 42):
+            for _ in range(4):
+                ties = rng.choice([0.0, 0.25, 1.5, 3.0], n)
+                values = np.where(rng.random(n) < 0.5, ties, rng.normal(0.0, 2.0, n)).tolist()
+                for i in rng.integers(0, n + 1, 3):
+                    values.insert(int(i), None)
+                assert _median(values).hex() == self.numpy_median(values).hex(), values
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
+    def test_matches_numpy_near_overflow(self, n):
+        top = np.linspace(1.6e308, 1.79e308, n).tolist()
+        for values in (top, [-v for v in top], top + [None]):
+            assert _median(values).hex() == self.numpy_median(values).hex(), values
+            assert math.isinf(_median(values)) == (n % 2 == 0)
+
+    def test_no_values_give_none(self):
+        assert _median([None, None, None]) is None
+        assert _median([]) is None
 
 
 @functools.cache
