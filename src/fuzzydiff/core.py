@@ -22,16 +22,16 @@ _MASK64 = (1 << 64) - 1
 # when freed and were page-faulted in again on every call: 5.2 ms a call
 # against 1.4 ms blocked (2-vCPU Xeon, glibc malloc). 16384 against 8192
 # values: ~7 % less time per bulk normal (18.0 against 19.3 ns). Its users:
-# GmmPixelModel.predict_array (row blocks, in the model's _Scratch),
-# _box_muller (blocks of whole draws or of one draw's columns),
-# RngStream.normals (how many words a draw reads at a time), RowStreams (it
-# reads one pass of that many pairs ahead) and the scratch those passes hold
-# (_Scratch). Values are independent, so the blocking never changes a byte.
+# GmmPixelModel.predict_array (row blocks), _box_muller (blocks of whole
+# draws), _stream_normals (words read at a time; a RowStreams draw wider than
+# a pass streams each row into the caller's buffer, with no word buffer),
+# RowStreams (it reads one pass of that many pairs ahead) and their _Scratch.
+# Values are independent, so the blocking never changes a byte.
 _BLOCK_VALUES = 16384
 
 # Normals a RowStreams refill reads ahead, always at least one draw: one
 # Box-Muller pass of _BLOCK_VALUES pairs, so a refill holds at most 256 KiB of
-# words beside the pass's scratch, or one draw's words when a draw is larger.
+# words beside the pass's scratch; a wider draw reads none ahead.
 _READ_AHEAD = 2 * _BLOCK_VALUES
 
 
@@ -158,10 +158,11 @@ class _Scratch:
     - :class:`RngStream` and :class:`RowStreams`, five rows: :func:`_rotate`
       works in all five and :func:`_radii` in the first two, before it.
       :func:`_box_muller` keeps a block's angle words in the third, which
-      :func:`_radii` leaves alone and :func:`_rotate` reads before it
-      writes any row. A stream makes them on its first ``normals`` call: the
-      streams a :class:`RowStreams` owns only give it raw words and never
-      draw normals themselves, so they hold none;
+      :func:`_radii` leaves alone and :func:`_rotate` reads before it writes
+      any row; a ``RowStreams`` draw wider than a pass streams each row into
+      the caller's buffer in them, with no word buffer. A stream makes them on
+      its first ``normals`` call; those a :class:`RowStreams` owns only give it
+      raw words and hold none;
     - ``GaussianFieldModel``, one row: the ``(n, D)`` eigenbasis product of
       ``predict_array``, whose other work array is the caller's ``out``;
     - ``GmmPixelModel``, two rows, or three for K > 2: the row-block work
@@ -249,32 +250,20 @@ def _rotate(
 
 
 def _box_muller(bits: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """The pinned transform in place: (draws, words) raw Philox words, C-contiguous,
-    become (draws, words) normals written over them, returned as a float64 view.
+    """The pinned transform in place: C-contiguous (draws, words) raw Philox words,
+    words <= ``_READ_AHEAD``, become the normals written over them, as a float64 view.
 
     Per draw, the first ``pairs = words // 2`` words give the radii and the
-    last ``pairs`` the angles; the cosine and sine halves interleave, so pair
-    p of a draw lands on words 2p and 2p + 1. Every step is elementwise, so a
-    draw's normals do not depend on how many draws share the pass. The pass
-    runs on blocks of about ``_BLOCK_VALUES`` pairs, whole draws or one draw's
-    columns. A block of whole draws writes only its own words: its angle words
-    go to a scratch row first, :func:`_radii` reads the radius words before it
-    writes the cosine slots over them, and :func:`_rotate` then writes the sine
-    slots. A draw wider than one block would overwrite words a later column
-    block has not read, so its words are copied apart, one draw at a time.
+    last ``pairs`` the angles, and pair p lands on words 2p (cosine) and 2p + 1
+    (sine). Every step is elementwise, so a draw's normals do not depend on how
+    many draws share the pass. Each block of whole draws, about
+    ``_BLOCK_VALUES`` pairs, writes only its own words: its angle words go to a
+    scratch row first, :func:`_radii` reads the radius words before it writes
+    the cosines over them, and :func:`_rotate` then writes the sines.
     """
     draws, words = bits.shape
     pairs = words // 2
     z = bits.view(np.float64).reshape(draws, pairs, 2)
-    if pairs > _BLOCK_VALUES:
-        for d in range(draws):
-            src = bits[d].copy()
-            for j in range(0, pairs, _BLOCK_VALUES):
-                end = min(j + _BLOCK_VALUES, pairs)
-                cos, sin = z[d, j:end, 0], z[d, j:end, 1]
-                _radii(src[j:end], cos, scratch)
-                _rotate(cos, sin, src[pairs + j : pairs + end], scratch)
-        return z.reshape(draws, words)
     step = _BLOCK_VALUES // pairs  # whole draws per block
     for i in range(0, draws, step):
         block = bits[i : i + step]
@@ -284,6 +273,25 @@ def _box_muller(bits: np.ndarray, scratch: _Scratch) -> np.ndarray:
         _radii(block[:, :pairs], cos, scratch)
         _rotate(cos, sin, angles, scratch)
     return z.reshape(draws, words)
+
+
+def _stream_normals(raw, flat: np.ndarray, scratch: _Scratch) -> None:
+    """The pinned transform streamed into the 1-d float64 array ``flat``, with the
+    bytes of :func:`_box_muller`: ``raw(k)`` reads the radius words, then the angle
+    words, in blocks of at most ``_BLOCK_VALUES``, so a draw holds one block of
+    words beside ``scratch``. Odd ``len(flat)`` drops the last sine."""
+    cos, sin = flat[0::2], flat[1::2]
+    pairs = len(cos)
+    for i in range(0, pairs, _BLOCK_VALUES):
+        _radii(raw(min(_BLOCK_VALUES, pairs - i)), cos[i : i + _BLOCK_VALUES], scratch)
+    for i in range(0, pairs, _BLOCK_VALUES):
+        c, s = cos[i : i + _BLOCK_VALUES], sin[i : i + _BLOCK_VALUES]
+        bits = raw(len(c))
+        if len(s) < len(c):  # elementwise, so the split gives the same bytes
+            _rotate(c[-1:], np.empty(1), bits[-1:], scratch)
+            c, bits = c[:-1], bits[:-1]
+        _rotate(c, s, bits, scratch)
+        del bits  # so the next block's words do not sit beside these
 
 
 def _draw_buffer(n: int, out: np.ndarray | None) -> np.ndarray:
@@ -366,24 +374,9 @@ class RngStream:
         if n < 0:
             raise ValidationError(f"draw count must be non-negative, got {n}")
         z = _draw_buffer(n, out)
-        # The words are read in blocks, so a large draw makes no (n,)-sized
-        # word or temporary array: all radius words first, then the angles.
-        # Odd n has no slot for the last sine, which is dropped.
-        flat = z.reshape(-1)
-        cos, sin = flat[0::2], flat[1::2]
-        pairs = len(cos)
         if self._scratch is None:
             self._scratch = _Scratch(5)
-        for i in range(0, pairs, _BLOCK_VALUES):
-            bits = self.raw(min(_BLOCK_VALUES, pairs - i))
-            _radii(bits, cos[i : i + _BLOCK_VALUES], self._scratch)
-        for i in range(0, pairs, _BLOCK_VALUES):
-            c, s = cos[i : i + _BLOCK_VALUES], sin[i : i + _BLOCK_VALUES]
-            bits = self.raw(len(c))
-            if len(s) < len(c):  # elementwise, so the split gives the same bytes
-                _rotate(c[-1:], np.empty(1), bits[-1:], self._scratch)
-                c, bits = c[:-1], bits[:-1]
-            _rotate(c, s, bits, self._scratch)
+        _stream_normals(self.raw, z.reshape(-1), self._scratch)
         return z
 
     def __repr__(self) -> str:
@@ -400,23 +393,24 @@ class RowStreams:
     as many normals as the first, or it raises ``ValidationError``. A chain
     that needs another size draws from a :meth:`child`.
 
-    A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per
-    row gives the words of k draws, about ``_READ_AHEAD`` normals in all (at
-    least one draw), and one shared Box-Muller pass, in the same five scratch
-    rows as :meth:`RngStream.normals`, writes the draws over those words
+    A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per row
+    gives the words of k draws, about ``_READ_AHEAD`` normals in all (at least
+    one draw), and one shared Box-Muller pass, in the same five scratch rows as
+    :meth:`RngStream.normals`, writes the draws over those words
     (:func:`_box_muller`). Each refill reads its words into the buffer of the
     spent pass, so a ``RowStreams`` holds one ``(rows, k, words)`` buffer and
-    the scratch; with one row, the array ``raw`` returns replaces it, as a
-    copy of that array would double the refill. The bytes are the ones
-    per-stream draws give, since a Philox stream's words do not depend on how
-    many are taken per call or where they are written; but a stream handed
-    to it must not be drawn from directly afterwards, and no stream may serve
-    two rows.
+    the scratch; with one row, the array ``raw`` returns replaces it, as a copy
+    of that array would double the refill. A draw wider than a pass holds no
+    word buffer: :func:`_stream_normals` streams each row into the caller's
+    buffer. The bytes are the ones per-stream draws give, since a Philox
+    stream's words do not depend on how many are taken per call or where they
+    are written; but a stream handed to it must not be drawn from directly
+    afterwards, and no stream may serve two rows.
 
-    A draw belongs to its caller: it is copied out of the pass into ``out``
-    or a fresh array, so no later refill rewrites a draw's memory, a kept
-    draw does not keep a spent pass alive, and a chain may keep a draw as its
-    state and write into it.
+    A draw belongs to its caller: it is copied out of the pass, or streamed,
+    into ``out`` or a fresh array, so no later refill rewrites a draw's memory,
+    a kept draw does not keep a spent pass alive, and a chain may keep a draw
+    as its state and write into it.
     """
 
     __slots__ = ("streams", "_words", "_ready", "_next", "_scratch")
@@ -448,6 +442,11 @@ class RowStreams:
         _, ready, size = self._ready.shape
         if size and size != per:
             raise ValidationError(f"these row streams draw {size} normals a row, not {per}")
+        if per > _READ_AHEAD:  # wider than a pass: each row streamed into the draw
+            self._ready = np.empty((rows, 0, per))  # no draws ready; it keeps the size
+            for row, stream in zip(draw.reshape(rows, per), self.streams):
+                _stream_normals(stream.raw, row, self._scratch)
+            return draw
         if self._next == ready:  # read the next k draws ahead
             words = 2 * ((per + 1) // 2)
             k = max(1, _READ_AHEAD // (rows * words))

@@ -12,7 +12,8 @@ Draw order per trajectory is part of the determinism contract:
    the reprojection noise (t > 1 only), the reverse-step noise (t > 1 only),
    the renoise draw (only when j < J and t > 1).
 
-Unconditional sampling is the J=1, m=0 special case of the same loop shape.
+``ancestral_sample_array`` shares its law with ``fuzzy_sample`` at m = 0
+(criterion 4's KS arm), not its draws: fuzzy draws a reprojection at each t > 1.
 """
 
 from __future__ import annotations

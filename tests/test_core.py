@@ -337,17 +337,26 @@ class TestRowStreams:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_draws_wider_than_a_block(self, rows):
-        # 2 * _BLOCK_VALUES + 3 normals a row: the pass splits a draw's
-        # columns into blocks, the last one a single pair. Every such draw
-        # refills; they alternate between fresh arrays and out=.
-        per = 2 * _BLOCK_VALUES + 3
-        batch = RowStreams(RngStream(37, 0).child(i) for i in range(rows))
-        alone = [RngStream(37, 0).child(i) for i in range(rows)]
-        buf = np.empty((rows, per))
-        for draw in range(4):
-            expect = np.concatenate([s.normals(per) for s in alone])
-            got = batch.normals(rows * per, out=buf if draw % 2 else None)
-            assert got.tobytes() == expect.tobytes(), draw
+        # 2 * _BLOCK_VALUES + 1 to + 3 normals a row are wider than one pass,
+        # so each row's words are read in blocks of pairs, the last block one
+        # or two pairs; odd sizes drop the last sine. The draws alternate
+        # between fresh arrays and out=, and follow the documented transform
+        # of each stream's words. A RowStreams keeps one size either way.
+        for per in [2 * _BLOCK_VALUES + extra for extra in (1, 2, 3)]:
+            words = 2 * ((per + 1) // 2)
+            batch = RowStreams(RngStream(37, 0).child(i) for i in range(rows))
+            alone = [RngStream(37, 0).child(i) for i in range(rows)]
+            buf = np.empty((rows, per))
+            for draw in range(4):
+                expect = documented_box_muller(np.stack([s.raw(words) for s in alone]), per)
+                got = batch.normals(rows * per, out=buf if draw % 2 else None)
+                assert got.tobytes() == expect.tobytes(), (per, draw)
+            with pytest.raises(ValidationError, match="normals a row"):
+                batch.normals(rows * 64)  # narrow after wide
+        narrow = RowStreams(RngStream(37, 1).child(i) for i in range(rows))
+        narrow.normals(rows * 64)
+        with pytest.raises(ValidationError, match="normals a row"):
+            narrow.normals(rows * per)  # wide after narrow
 
     @pytest.mark.parametrize("rows", [1, 16])
     def test_a_draw_belongs_to_its_caller(self, rows):

@@ -10,7 +10,9 @@ to run in about a second and large enough that the scratch of a block-wise
 pass is a fraction of a row array. A ``RowStreams`` refill holds one
 read-ahead buffer, whose words its Box-Muller pass turns into draws in place,
 and five scratch rows; never the spent buffer beside the next, also when the
-caller keeps a draw of a one-row stream (a view would pin its buffer).
+caller keeps a draw of a one-row stream (a view would pin its buffer). A
+draw wider than one pass reads nothing ahead: it holds one block of words
+beside the scratch rows.
 """
 
 import tracemalloc
@@ -182,3 +184,24 @@ def test_row_streams_at_one_draw_ahead_hold_one_row_array(traced):
     peak = _peak_since(base)
     bound = array + 5 * row + row  # one scratch row of slack
     assert peak <= bound, f"refill peak {peak // 1024} KiB over {bound // 1024} KiB"
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_row_streams_wide_draws_hold_no_read_ahead(traced, rows):
+    # 2 * _BLOCK_VALUES + 3 normals a row are wider than one pass, so each row
+    # is streamed into the draw: beside the draw, a draw holds the five 128 KiB
+    # scratch rows and one block of words, and reads nothing ahead; 16 KiB
+    # covers the loop's own objects. Measured on numpy 2.4: 791 917 B at one
+    # row, 790 476 B at three.
+    per = 2 * _BLOCK_VALUES + 3
+    streams = RowStreams(RngStream(5, 0).child(i) for i in range(rows))
+    buf = np.empty(rows * per)
+    row = _BLOCK_VALUES * 8
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    kept = streams.normals(rows * per)  # the first draw
+    for _ in range(2):
+        streams.normals(rows * per, out=buf)
+    peak = _peak_since(base) - kept.nbytes
+    bound = 6 * row + 16384
+    assert peak <= bound, f"wide draws peak {peak} B over {bound} B beside the draw"
