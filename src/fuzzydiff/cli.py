@@ -142,10 +142,10 @@ def _previous_files(out: Path) -> list[Path]:
         return []
     try:
         listed = read_json(manifest, MAX_MANIFEST_BYTES)["files"].keys()
+        paths = [(out / rel).resolve() for rel in listed]  # a NUL byte raises here
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read previous manifest {manifest}: {exc}") from exc
     root, stage = out.resolve(), (out / _STAGE).resolve()
-    paths = [(out / rel).resolve() for rel in listed]
     return [p for p in paths if root in p.parents and stage not in p.parents and p.is_file()]
 
 

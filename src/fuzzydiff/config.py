@@ -24,8 +24,9 @@ SCHEMA_VERSION = 1
 # Size caps: the longest schedule, the most float64 values one (n, D) row
 # array may hold (2**24 values are 128 MiB; no model may have more values per
 # row), the most rows of a command that gives every row its own RNG stream
-# (a stream and its Philox state take ~0.6 KiB of RSS, so 2**17 of them take
-# ~75 MiB, within the 128 MiB of one row array), and the largest
+# (a stream with its Philox and the Generator over it takes ~0.75 KiB of RSS,
+# 751 B a stream over 2**16 of them, so 2**17 take ~94 MiB, within the
+# 128 MiB of one row array), and the largest
 # gaussian_field, whose D x D covariance and eigenbasis grow as D**2 (a
 # 2**12-pixel field needs 128 MiB per D x D array).
 MAX_T = 10**6
@@ -78,9 +79,11 @@ def _check_range(kind: str, path: str, v, cfg: dict) -> None:
     MAX_ROW_VALUES. streams: rows, one RNG stream each, at most
     MAX_ROW_STREAMS. depth: in [0, T]. depths: non-empty, distinct, each in
     [0, T]. side: in [0, min(height, width)]. map: a scalar in [0, 1] or a
-    path. ``cfg`` holds the checked 'schedule' and 'model' for every rule
-    that needs them.
+    path. A string (a path) holds no NUL byte, which no OS path can. ``cfg``
+    holds the checked 'schedule' and 'model' for every rule that needs them.
     """
+    if isinstance(v, str) and "\0" in v:
+        raise ConfigError(f"'{path}' must not contain a NUL byte")
     if kind == "steps" and v > MAX_T:
         raise ConfigError(f"'{path}' must be <= {MAX_T}, got {v}")
     if kind in ("steps", "count", "rows", "streams") and v < 1:

@@ -23,16 +23,23 @@ _MASK64 = (1 << 64) - 1
 # against 1.4 ms blocked (2-vCPU Xeon, glibc malloc). 16384 against 8192
 # values: ~7 % less time per bulk normal (18.0 against 19.3 ns). Its users:
 # GmmPixelModel.predict_array (row blocks), _box_muller (blocks of whole
-# draws), _stream_normals (words read at a time; a RowStreams draw wider than
-# a pass streams each row into the caller's buffer, with no word buffer),
-# RowStreams (it reads one pass of that many pairs ahead) and their _Scratch.
-# Values are independent, so the blocking never changes a byte.
+# draws), _stream_normals (uniforms filled at a time, in scratch rows; a
+# RowStreams draw wider than a pass streams each row into the caller's buffer
+# the same way), RowStreams (it reads one pass of that many pairs ahead) and
+# their _Scratch. Values are independent, so the blocking never changes a byte.
 _BLOCK_VALUES = 16384
 
 # Normals a RowStreams refill reads ahead, always at least one draw: one
 # Box-Muller pass of _BLOCK_VALUES pairs, so a refill holds at most 256 KiB of
-# words beside the pass's scratch; a wider draw reads none ahead.
+# uniforms beside the pass's scratch; a wider draw reads none ahead.
 _READ_AHEAD = 2 * _BLOCK_VALUES
+
+# The pinned map of a Philox word w onto a uniform in (0, 1], safe to pass to
+# log, is u = ((w >> 11) + 1) * 2**-53. numpy's Generator.random fills
+# (w >> 11) * 2**-53 from the same words, exactly: an integer below 2**53 times
+# a power of two. Adding _TICK once to each filled buffer gives u, also
+# exactly, as the sum is an integer of at most 2**53 times 2**-53.
+_TICK = 2.0**-53
 
 
 class ValidationError(ValueError):
@@ -100,34 +107,11 @@ class Grid:
         return f"Grid({h}x{w}x{c})"
 
 
-def _uniforms(bits: np.ndarray) -> np.ndarray:
-    """The pinned map of raw 64-bit words onto uniforms in (0, 1].
-
-    It spends ``bits``: the words are shifted, incremented and scaled in
-    place, and the uniforms come back in their buffer, so it makes no
-    temporaries.
-    """
-    bits >>= np.uint64(11)
-    bits += np.uint64(1)
-    return np.multiply(bits, 2.0**-53, out=bits.view(np.float64))
-
-
-def _radii(bits: np.ndarray, out: np.ndarray, scratch: "_Scratch") -> None:
-    """The radius half of the pinned transform: out = sqrt(-2 log u(bits)).
-
-    It runs in the first two of ``scratch``'s rows, which :func:`_rotate`
-    reuses after it, so a block makes no temporaries. Scaling by -2 is exact,
-    so scaling the log in place gives the bytes of ``-2.0 * log(u)``. The
-    integers become floats by a cast copy, exact since they are at most
-    2**53, and are then scaled in place: a uint64-by-float multiply would
-    allocate numpy's 64 KiB cast buffer on every call.
-    """
-    q, u = scratch.rows(bits.shape)[:2]
-    q = q.view(np.uint64)
-    np.right_shift(bits, 11, out=q)
-    q += 1
-    u[...] = q
-    u *= 2.0**-53  # _uniforms, in place
+def _radii(u: np.ndarray, out: np.ndarray) -> None:
+    """The radius half of the pinned transform: out = sqrt(-2 log u), spending the
+    contiguous uniforms ``u`` as its work array, so it makes no temporaries.
+    Scaling by -2 is exact, so scaling the log in place gives the bytes of
+    ``-2.0 * log(u)``."""
     np.log(u, out=u)
     u *= -2.0
     np.sqrt(u, out=out)
@@ -135,14 +119,10 @@ def _radii(bits: np.ndarray, out: np.ndarray, scratch: "_Scratch") -> None:
 
 # _rotate's table: cos and sin of 2 pi j / 1024. It is computed once, here,
 # and a test pins its bytes, so the angle follows no libm after that.
-_TABLE_BITS = 10
-_REM_BITS = 53 - _TABLE_BITS
-_ANGLE_TABLE = np.stack(
-    [f(np.arange(1 << _TABLE_BITS) * (2.0 * math.pi / (1 << _TABLE_BITS)))
-     for f in (np.cos, np.sin)]
-)
+_TABLE_SIZE = 1024
+_REM_SCALE = 2.0 * math.pi / _TABLE_SIZE  # radians per unit of the remainder
+_ANGLE_TABLE = np.stack([f(np.arange(_TABLE_SIZE) * _REM_SCALE) for f in (np.cos, np.sin)])
 _ANGLE_TABLE.flags.writeable = False
-_REM_SCALE = 2.0 * math.pi * 2.0**-53  # radians per unit of the remainder
 
 
 class _Scratch:
@@ -155,14 +135,14 @@ class _Scratch:
     seen and never shrink; each owner holds its own and uses all of them. The
     owners:
 
-    - :class:`RngStream` and :class:`RowStreams`, five rows: :func:`_rotate`
-      works in all five and :func:`_radii` in the first two, before it.
-      :func:`_box_muller` keeps a block's angle words in the third, which
-      :func:`_radii` leaves alone and :func:`_rotate` reads before it writes
-      any row; a ``RowStreams`` draw wider than a pass streams each row into
-      the caller's buffer in them, with no word buffer. A stream makes them on
-      its first ``normals`` call; those a :class:`RowStreams` owns only give it
-      raw words and hold none;
+    - :class:`RngStream` and :class:`RowStreams`, five rows: a block's radius
+      uniforms are filled or copied into the first, where :func:`_radii`
+      spends them, and its angle uniforms into the third, which
+      :func:`_rotate` reads before it writes any row and then works in all
+      five; a ``RowStreams`` draw wider than a pass streams each row into the
+      caller's buffer in them. A stream makes them on its first ``normals``
+      call; those a :class:`RowStreams` owns only fill its buffer and hold
+      none;
     - ``GaussianFieldModel``, one row: the ``(n, D)`` eigenbasis product of
       ``predict_array``, whose other work array is the caller's ``out``;
     - ``GmmPixelModel``, two rows, or three for K > 2: the row-block work
@@ -191,35 +171,34 @@ class _Scratch:
 
 
 def _rotate(
-    cos_slots: np.ndarray, sin_slots: np.ndarray, bits: np.ndarray, scratch: _Scratch
+    cos_slots: np.ndarray, sin_slots: np.ndarray, u: np.ndarray, scratch: _Scratch
 ) -> None:
     """The angle half: with the radii in ``cos_slots``, write r*sin(theta) into
-    ``sin_slots`` and r*cos(theta) over the radii, theta = 2 pi u(bits).
-    ``bits`` is read once, into the first scratch row, before any other row or
-    slot is written, so the words may sit in another scratch row or under the
-    slots.
+    ``sin_slots`` and r*cos(theta) over the radii, theta = 2 pi u. ``u`` is read
+    once, into the first scratch row, before any other row or slot is written,
+    so the uniforms may sit in another scratch row or under the slots.
 
-    With q = (bits >> 11) + 1, theta = 2 pi j / 1024 + phi for the table index
-    j = (q >> 43) & 1023 and phi = (q & (2**43 - 1)) * 2 pi * 2**-53, which is
-    below 2 pi / 1024. At q = 2**53 (theta = 2 pi) j wraps to 0 and phi is 0.
-    Horner polynomials give sin phi (to phi**7) and cos phi - 1 (to phi**8),
-    and angle addition with the table's C = cos, S = sin of 2 pi j / 1024 gives
+    t = 1024 u splits into the table index j = floor(t) mod 1024 (``np.take``
+    wraps it) and the remainder t - floor(t), and theta = 2 pi j / 1024 + phi for
+    phi = (t - floor(t)) * 2 pi / 1024, which is below 2 pi / 1024. Each step is
+    exact: u = q 2**-53 for an integer q <= 2**53, so t = q 2**-43, floor(t) is
+    q >> 43, and t - floor(t) is (q mod 2**43) 2**-43. At u = 1 (theta = 2 pi)
+    j wraps to 0 and phi is 0. Horner polynomials give sin phi (to phi**7) and
+    cos phi - 1 (to phi**8), and angle addition with the table's C = cos,
+    S = sin of 2 pi j / 1024 gives
         cos theta = (C (cos phi - 1) - S sin phi) + C,
         sin theta = (S (cos phi - 1) + C sin phi) + S,
     each then multiplied by r. The table term is added last, so the result is
     within about an ulp of the exact rotation.
     """
-    s, t, cm, sp, sin_t = scratch.rows(bits.shape)
-    q, j = s.view(np.uint64), t.view(np.uint64)
-    np.right_shift(bits, 11, out=q)
-    q += 1
-    np.right_shift(q, _REM_BITS, out=j)
-    j &= (1 << _TABLE_BITS) - 1
-    j = j.view(np.int64)  # np.take's index type; j < 1024
-    q &= (1 << _REM_BITS) - 1
-    cm[...] = q  # exact, and no cast buffer (see _radii)
-    cm *= _REM_SCALE  # phi
-    np.multiply(cm, cm, out=s)  # phi**2, over the spent q
+    s, t, cm, sp, sin_t = scratch.rows(u.shape)
+    np.multiply(u, float(_TABLE_SIZE), out=s)
+    np.floor(s, out=cm)
+    s -= cm  # the remainder
+    j = t.view(np.int64)  # np.take's index type
+    j[...] = cm  # exact, and no cast buffer; j = 1024 (u = 1) wraps to 0 below
+    np.multiply(s, _REM_SCALE, out=cm)  # phi
+    np.multiply(cm, cm, out=s)  # phi**2, over the spent remainder
     np.multiply(s, -1.0 / 5040, out=sp)
     sp += 1.0 / 120
     sp *= s
@@ -235,8 +214,8 @@ def _rotate(
     cm += -0.5
     cm *= s  # cos phi - 1
     cos_t = s
-    np.take(_ANGLE_TABLE[0], j, out=cos_t, mode="clip")
-    np.take(_ANGLE_TABLE[1], j, out=sin_t, mode="clip")
+    np.take(_ANGLE_TABLE[0], j, out=cos_t, mode="wrap")
+    np.take(_ANGLE_TABLE[1], j, out=sin_t, mode="wrap")
     np.multiply(sin_t, sp, out=t)  # S sin phi, over the spent j
     np.multiply(sin_t, cm, out=sin_slots)
     cm *= cos_t
@@ -249,49 +228,57 @@ def _rotate(
     cos_slots *= cm
 
 
-def _box_muller(bits: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """The pinned transform in place: C-contiguous (draws, words) raw Philox words,
-    words <= ``_READ_AHEAD``, become the normals written over them, as a float64 view.
+def _box_muller(u: np.ndarray, scratch: _Scratch) -> None:
+    """The pinned transform in place: C-contiguous (draws, words) uniforms,
+    words <= ``_READ_AHEAD``, become the normals written over them.
 
-    Per draw, the first ``pairs = words // 2`` words give the radii and the
-    last ``pairs`` the angles, and pair p lands on words 2p (cosine) and 2p + 1
+    Per draw, the first ``pairs = words // 2`` uniforms give the radii and the
+    last ``pairs`` the angles, and pair p lands on slots 2p (cosine) and 2p + 1
     (sine). Every step is elementwise, so a draw's normals do not depend on how
     many draws share the pass. Each block of whole draws, about
-    ``_BLOCK_VALUES`` pairs, writes only its own words: its angle words go to a
-    scratch row first, :func:`_radii` reads the radius words before it writes
-    the cosines over them, and :func:`_rotate` then writes the sines.
+    ``_BLOCK_VALUES`` pairs, writes only its own slots: its radius uniforms go
+    to the first scratch row and its angle uniforms to the third before any
+    slot is written, so :func:`_radii` reads a contiguous row, and
+    :func:`_rotate` then writes the sines and the cosines.
     """
-    draws, words = bits.shape
+    draws, words = u.shape
     pairs = words // 2
-    z = bits.view(np.float64).reshape(draws, pairs, 2)
+    z = u.reshape(draws, pairs, 2)
     step = _BLOCK_VALUES // pairs  # whole draws per block
     for i in range(0, draws, step):
-        block = bits[i : i + step]
-        angles = scratch.rows((len(block), pairs))[2].view(np.uint64)
+        block = u[i : i + step]
+        radii, _, angles = scratch.rows((len(block), pairs))[:3]
+        np.copyto(radii, block[:, :pairs])
         np.copyto(angles, block[:, pairs:])
         cos, sin = z[i : i + step, :, 0], z[i : i + step, :, 1]
-        _radii(block[:, :pairs], cos, scratch)
+        _radii(radii, cos)
         _rotate(cos, sin, angles, scratch)
-    return z.reshape(draws, words)
 
 
-def _stream_normals(raw, flat: np.ndarray, scratch: _Scratch) -> None:
+def _stream_normals(gen: np.random.Generator, flat: np.ndarray, scratch: _Scratch) -> None:
     """The pinned transform streamed into the 1-d float64 array ``flat``, with the
-    bytes of :func:`_box_muller`: ``raw(k)`` reads the radius words, then the angle
-    words, in blocks of at most ``_BLOCK_VALUES``, so a draw holds one block of
-    words beside ``scratch``. Odd ``len(flat)`` drops the last sine."""
+    bytes of :func:`_box_muller`: ``gen`` fills the radius uniforms, then the
+    angle uniforms, in blocks of at most ``_BLOCK_VALUES`` into the first and
+    third of ``scratch``'s rows, so a draw holds nothing beside them. Odd
+    ``len(flat)`` drops the last sine."""
     cos, sin = flat[0::2], flat[1::2]
     pairs = len(cos)
     for i in range(0, pairs, _BLOCK_VALUES):
-        _radii(raw(min(_BLOCK_VALUES, pairs - i)), cos[i : i + _BLOCK_VALUES], scratch)
+        c = cos[i : i + _BLOCK_VALUES]
+        u = scratch.rows(c.shape)[0]
+        gen.random(out=u)
+        u += _TICK
+        _radii(u, c)
     for i in range(0, pairs, _BLOCK_VALUES):
         c, s = cos[i : i + _BLOCK_VALUES], sin[i : i + _BLOCK_VALUES]
-        bits = raw(len(c))
+        u = scratch.rows(c.shape)[2]
+        gen.random(out=u)
+        u += _TICK
         if len(s) < len(c):  # elementwise, so the split gives the same bytes
-            _rotate(c[-1:], np.empty(1), bits[-1:], scratch)
-            c, bits = c[:-1], bits[:-1]
-        _rotate(c, s, bits, scratch)
-        del bits  # so the next block's words do not sit beside these
+            # The block first: its (len(s),) rows leave u's last uniform alone.
+            _rotate(c[:-1], s, u[:-1], scratch)
+            c, s, u = c[-1:], np.empty(1), u[-1:]
+        _rotate(c, s, u, scratch)
 
 
 def _draw_buffer(n: int, out: np.ndarray | None) -> np.ndarray:
@@ -319,11 +306,12 @@ class RngStream:
 
     Built on the Philox-4x64-10 counter-based generator keyed by
     ``(stream_id << 64) | seed``, so a stream is fully determined by the pair
-    and never by thread scheduling. Uniform doubles are derived from raw
-    64-bit words as ``((raw >> 11) + 1) * 2**-53``, which lies in (0, 1] and
-    is safe to pass to ``log``. Normal variates use the trigonometric
-    Box-Muller transform, consuming uniforms strictly in pairs; an odd request
-    discards the second half of the final pair. The radius takes numpy's
+    and never by thread scheduling. A ``Generator`` over it fills float64
+    uniforms in place, which become ((w >> 11) + 1) * 2**-53 of the words w,
+    in (0, 1] and safe to pass to ``log`` (the map is stated at ``_TICK``).
+    Normal variates use the trigonometric Box-Muller transform, consuming
+    uniforms strictly in pairs; an odd request discards the second half of
+    the final pair. The radius takes numpy's
     ``log`` and ``sqrt``; the angle comes from a pinned 1024-entry cos/sin
     table and short polynomials (see ``_rotate``), not from libm's ``sin`` and
     ``cos``. These transforms are part of the output contract: changing them
@@ -336,7 +324,7 @@ class RngStream:
     each other.
     """
 
-    __slots__ = ("seed", "stream_id", "_bits", "_scratch")
+    __slots__ = ("seed", "stream_id", "_gen", "_scratch")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         seed = int(seed)
@@ -347,7 +335,7 @@ class RngStream:
             raise ValidationError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
         self.seed = seed
         self.stream_id = stream_id
-        self._bits = np.random.Philox(key=(stream_id << 64) | seed)
+        self._gen = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
         self._scratch: _Scratch | None = None  # made by the first normals call
 
     def child(self, index: int) -> "RngStream":
@@ -357,14 +345,13 @@ class RngStream:
         mixed = _mix64(self.stream_id ^ _mix64(int(index)))
         return RngStream(self.seed, mixed)
 
-    def raw(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValidationError(f"draw count must be non-negative, got {n}")
-        return self._bits.random_raw(n)
-
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` i.i.d. uniforms on (0, 1]."""
-        return _uniforms(self.raw(n))
+        if n < 0:
+            raise ValidationError(f"draw count must be non-negative, got {n}")
+        u = self._gen.random(n)
+        u += _TICK
+        return u
 
     def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """``n`` i.i.d. standard normals via pair-consuming Box-Muller, in a fresh
@@ -376,7 +363,7 @@ class RngStream:
         z = _draw_buffer(n, out)
         if self._scratch is None:
             self._scratch = _Scratch(5)
-        _stream_normals(self.raw, z.reshape(-1), self._scratch)
+        _stream_normals(self._gen, z.reshape(-1), self._scratch)
         return z
 
     def __repr__(self) -> str:
@@ -393,27 +380,25 @@ class RowStreams:
     as many normals as the first, or it raises ``ValidationError``. A chain
     that needs another size draws from a :meth:`child`.
 
-    A ``RowStreams`` owns its streams and reads ahead: one ``raw`` call per row
-    gives the words of k draws, about ``_READ_AHEAD`` normals in all (at least
-    one draw), and one shared Box-Muller pass, in the same five scratch rows as
-    :meth:`RngStream.normals`, writes the draws over those words
-    (:func:`_box_muller`). Each refill reads its words into the buffer of the
-    spent pass, so a ``RowStreams`` holds one ``(rows, k, words)`` buffer and
-    the scratch; with one row, the array ``raw`` returns replaces it, as a copy
-    of that array would double the refill. A draw wider than a pass holds no
-    word buffer: :func:`_stream_normals` streams each row into the caller's
-    buffer. The bytes are the ones per-stream draws give, since a Philox
-    stream's words do not depend on how many are taken per call or where they
-    are written; but a stream handed to it must not be drawn from directly
-    afterwards, and no stream may serve two rows.
+    A ``RowStreams`` owns its streams and reads ahead: each refill fills one
+    row per stream of a held ``(rows, k * words)`` float64 buffer with the
+    uniforms of k draws, about ``_READ_AHEAD`` normals in all (at least one
+    draw), and one shared Box-Muller pass, in the same five scratch rows as
+    :meth:`RngStream.normals`, writes the draws over those uniforms
+    (:func:`_box_muller`). So a ``RowStreams`` holds that buffer and the
+    scratch from its first draw on. A draw wider than a pass holds no buffer:
+    :func:`_stream_normals` streams each row into the caller's buffer. The
+    bytes are the ones per-stream draws give, since a Philox stream's words do
+    not depend on how many are taken per call or where they are written; but
+    a stream handed to it must not be drawn from directly afterwards, and no
+    stream may serve two rows.
 
     A draw belongs to its caller: it is copied out of the pass, or streamed,
-    into ``out`` or a fresh array, so no later refill rewrites a draw's memory,
-    a kept draw does not keep a spent pass alive, and a chain may keep a draw
-    as its state and write into it.
+    into ``out`` or a fresh array, so no later refill rewrites a draw's memory
+    and a chain may keep a draw as its state and write into it.
     """
 
-    __slots__ = ("streams", "_words", "_ready", "_next", "_scratch")
+    __slots__ = ("streams", "_pass", "_ready", "_next", "_scratch")
 
     def __init__(self, streams) -> None:
         self.streams = tuple(streams)
@@ -421,7 +406,7 @@ class RowStreams:
             raise ValidationError("row streams need at least one stream")
         if len({id(s) for s in self.streams}) != len(self.streams):
             raise ValidationError("a stream object serves two rows; give each row its own")
-        self._words = None  # the pass's (rows, k * words) buffer, made by the first refill
+        self._pass = None  # the (rows, k * words) buffer, made by the first refill
         self._ready = np.empty((len(self.streams), 0, 0))  # (rows, draws, per) normals
         self._next = 0  # the first ready draw not yet handed out
         self._scratch = _Scratch(5)
@@ -445,21 +430,18 @@ class RowStreams:
         if per > _READ_AHEAD:  # wider than a pass: each row streamed into the draw
             self._ready = np.empty((rows, 0, per))  # no draws ready; it keeps the size
             for row, stream in zip(draw.reshape(rows, per), self.streams):
-                _stream_normals(stream.raw, row, self._scratch)
+                _stream_normals(stream._gen, row, self._scratch)
             return draw
-        if self._next == ready:  # read the next k draws ahead
+        if self._next == ready:  # read the next k draws ahead, over the spent pass
             words = 2 * ((per + 1) // 2)
             k = max(1, _READ_AHEAD // (rows * words))
-            if rows == 1:  # drop the spent pass before raw makes the next
-                self._ready, self._words = np.empty((rows, 0, per)), None
-                self._words = self.streams[0].raw(k * words)
-            else:  # with the draws copied out, the spent pass is free
-                if self._words is None:
-                    self._words = np.empty((rows, k * words), dtype=np.uint64)
-                for row, stream in zip(self._words, self.streams):
-                    row[:] = stream.raw(k * words)
-            z = _box_muller(self._words.reshape(rows * k, words), self._scratch)
-            self._ready, self._next = z.reshape(rows, k, words)[:, :, :per], 0
+            if self._pass is None:
+                self._pass = np.empty((rows, k * words))
+            for row, stream in zip(self._pass, self.streams):
+                stream._gen.random(out=row)
+            self._pass += _TICK  # one pass for all rows, not a ufunc call per row
+            _box_muller(self._pass.reshape(rows * k, words), self._scratch)
+            self._ready, self._next = self._pass.reshape(rows, k, words)[:, :, :per], 0
         draw.reshape(rows, per)[...] = self._ready[:, self._next]
         self._next += 1
         return draw

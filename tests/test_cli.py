@@ -172,6 +172,19 @@ class TestSample:
         assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_VALIDATION
         assert tree_bytes(out) == before
 
+    def test_previous_manifest_listing_a_nul_byte_exits_4(self, tmp_path):
+        # No file can have the name, so the manifest cannot be read as a list
+        # of the previous run's files.
+        out = tmp_path / "out"
+        cfg = make_config(tmp_path)
+        assert run("sample", "--config", cfg, "--out", out) == EXIT_OK
+        manifest = manifest_of(out)
+        manifest["files"]["bad\u0000name.fdg"] = "0" * 64
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        before = tree_bytes(out)
+        assert run("sample", "--config", cfg, "--out", out, "--force") == EXIT_VALIDATION
+        assert tree_bytes(out) == before
+
     def test_force_parses_the_previous_manifest_once(self, tmp_path, monkeypatch):
         # Counted at json.loads, under every name the package reads JSON by.
         out = tmp_path / "out"
@@ -760,6 +773,25 @@ class TestErrors:
             raise AssertionError("the config was accepted and a model was built")
 
         monkeypatch.setattr("fuzzydiff.cli.build_model", no_build)
+        cfg = make_config(tmp_path, sections)
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,sections",
+        [
+            ("fuzzy", {"fuzzy": {"image": "x\0.fdg", "map": 1.0}}),
+            ("fuzzy", {"fuzzy": {"image": "x.fdg", "map": "m\0.fdg"}}),
+            ("degrade", {"degrade": {"image": "x\0.fdg"}}),
+            ("attend", {"attend": {"image": "x\0.fdg", "stats_dir": "s"}}),
+            ("attend", {"attend": {"image": "x.fdg", "stats_dir": "s\0"}}),
+            # Every command builds the model, so a covariance file is read by each.
+            ("stats", {"model": {"type": "gaussian_field", "height": 2, "width": 2,
+                                 "covariance_file": "c\0.fdg"}}),
+        ],
+    )
+    def test_nul_byte_in_a_path_exits_two(self, tmp_path, command, sections):
         cfg = make_config(tmp_path, sections)
         out = tmp_path / "o"
         assert run(command, "--config", cfg, "--out", out) == EXIT_CONFIG

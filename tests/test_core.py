@@ -61,8 +61,8 @@ class TestRngStream:
 
     def test_call_sequence_matters_not_call_sizes_checked(self):
         # Different (seed, stream) pairs give different sequences.
-        assert not np.array_equal(RngStream(123, 7).raw(8), RngStream(123, 8).raw(8))
-        assert not np.array_equal(RngStream(123, 7).raw(8), RngStream(124, 7).raw(8))
+        assert not np.array_equal(RngStream(123, 7).uniforms(8), RngStream(123, 8).uniforms(8))
+        assert not np.array_equal(RngStream(123, 7).uniforms(8), RngStream(124, 7).uniforms(8))
 
     def test_uniforms_are_half_open_at_zero(self):
         u = RngStream(5, 0).uniforms(100_000)
@@ -119,6 +119,17 @@ class TestRngStream:
             RngStream(0, 0).child(-1)
 
 
+def philox(stream: RngStream) -> np.random.Philox:
+    """A Philox keyed as the documented ``(stream_id << 64) | seed`` of ``stream``,
+    at its start: the words a fresh stream's draws are made of."""
+    return np.random.Philox(key=(stream.stream_id << 64) | stream.seed)
+
+
+def documented_uniforms(raw: np.ndarray) -> np.ndarray:
+    """The pinned map of raw 64-bit words onto uniforms in (0, 1]."""
+    return ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+
+
 def documented_rotation(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of theta = 2 pi q 2**-53, as the pinned transform computes them.
 
@@ -139,7 +150,7 @@ def documented_box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     """The pinned transform spelled out on (rows, 2*pairs) words, unblocked."""
     pairs = raw.shape[1] // 2
     q = (raw >> np.uint64(11)) + np.uint64(1)
-    r = np.sqrt(-2.0 * np.log(q[:, :pairs] * 2.0**-53))
+    r = np.sqrt(-2.0 * np.log(documented_uniforms(raw[:, :pairs])))
     cos_theta, sin_theta = documented_rotation(q[:, pairs:])
     expect = np.empty((raw.shape[0], 2 * pairs))
     expect[:, 0::2], expect[:, 1::2] = r * cos_theta, r * sin_theta
@@ -147,9 +158,10 @@ def documented_box_muller(raw: np.ndarray, n: int) -> np.ndarray:
 
 
 def rotate_unit(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The library's (cos theta, sin theta) of angle words, at radius 1."""
+    """The library's (cos theta, sin theta) of the documented uniforms of angle
+    words, at radius 1."""
     out = np.ones((raw.size, 2))
-    _rotate(out[:, 0], out[:, 1], raw, _Scratch(5))
+    _rotate(out[:, 0], out[:, 1], documented_uniforms(raw), _Scratch(5))
     return out[:, 0], out[:, 1]
 
 
@@ -191,14 +203,14 @@ class TestPinnedTransform:
     )
     def test_normals_follow_the_documented_box_muller(self, n):
         # The transform is part of the output contract, so spell it out once.
-        raw = RngStream(12, 3).raw(2 * ((n + 1) // 2))
+        raw = philox(RngStream(12, 3)).random_raw(2 * ((n + 1) // 2))
         expect = documented_box_muller(raw[None], n)[0]
         assert RngStream(12, 3).normals(n).tobytes() == expect.tobytes()
 
     def test_one_pair_wide_blocks_of_many_rows(self):
         rows, per = _BLOCK_VALUES // 2 + 3, 5
         streams = [RngStream(12, 4).child(i) for i in range(rows)]
-        raw = np.stack([RngStream(12, 4).child(i).raw(6) for i in range(rows)])
+        raw = np.stack([philox(s).random_raw(6) for s in streams])
         expect = documented_box_muller(raw, per).reshape(-1)
         assert RowStreams(streams).normals(rows * per).tobytes() == expect.tobytes()
 
@@ -208,10 +220,39 @@ class TestPinnedTransform:
         assert _ANGLE_TABLE.shape == (2, 1024)
         assert digest == "6ab3e4cbe1d27d3c8316ade56658ab44cf8526dd60f090fd86d5849ef7026113"
 
+    # Offsets 0-5 start the fill at each word of Philox's 4-word block and
+    # past it; the edge words are set in the block a fill reads first.
+    EDGE_WORDS = [0, 2047, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("offset", range(6))
+    @pytest.mark.parametrize("edges", [False, True])
+    def test_numpy_fill_is_the_documented_map(self, offset, edges):
+        # Every draw fills uniforms with Generator.random and adds 2**-53 once;
+        # that must be the documented map of the same words, bit for bit.
+        words, fills = philox(RngStream(17, 5)), philox(RngStream(17, 5))
+        if edges:
+            for bits in (words, fills):
+                state = bits.state
+                state["buffer"] = np.array(self.EDGE_WORDS, dtype=np.uint64)
+                state["buffer_pos"] = 0
+                bits.state = state
+        raw = words.random_raw(offset + 1000)[offset:]
+        gen = np.random.Generator(fills)
+        gen.bit_generator.random_raw(offset)
+        got = gen.random(1000) + 2**-53
+        expect = documented_uniforms(raw)
+        if edges and offset < 4:
+            assert raw[: 4 - offset].tolist() == self.EDGE_WORDS[offset:]
+        assert got.tobytes() == expect.tobytes(), (
+            f"numpy {np.__version__}: Generator.random + 2**-53 is not "
+            f"((w >> 11) + 1) * 2**-53 at offset {offset}"
+        )
+
     def test_edge_words(self):
-        # q = (raw >> 11) + 1: raw 0 is the smallest angle, 2**64 - 1 gives
-        # q = 2**53 (theta = 2 pi), and each bin edge j * 2**43 is taken on
-        # both sides, with the low 11 bits both clear and set.
+        # _rotate gets the documented uniforms u = q * 2**-53, q = (raw >> 11)
+        # + 1: raw 0 gives q = 1, the smallest angle, 2**64 - 1 gives q = 2**53
+        # (u = 1, theta = 2 pi), and each bin edge j * 2**43 is taken on both
+        # sides, with the low 11 bits both clear and set.
         edges = np.arange(1, 1025, dtype=np.uint64) << np.uint64(43)
         q = np.concatenate([edges - np.uint64(1), edges, edges[:-1] + np.uint64(1)])
         raw = np.concatenate([(q - np.uint64(1)) << np.uint64(11),
@@ -221,7 +262,7 @@ class TestPinnedTransform:
         expect_cos, expect_sin = documented_rotation((raw >> np.uint64(11)) + np.uint64(1))
         assert cos_t.tobytes() == expect_cos.tobytes()
         assert sin_t.tobytes() == expect_sin.tobytes()
-        theta = 2.0 * np.pi * (((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
+        theta = 2.0 * np.pi * documented_uniforms(raw)
         assert np.abs(cos_t - np.cos(theta)).max() <= 1e-15
         assert np.abs(sin_t - np.sin(theta)).max() <= 1e-15
         assert (cos_t[-2], sin_t[-2]) == (1.0, 2.0 * np.pi * 2.0**-53)
@@ -229,8 +270,8 @@ class TestPinnedTransform:
 
     def test_within_an_ulp_scale_of_libm_and_on_the_unit_circle(self):
         n = 1_000_000  # words: half give radii, half angles
-        raw = RngStream(14, 0).raw(n)
-        u = ((raw >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        raw = philox(RngStream(14, 0)).random_raw(n)
+        u = documented_uniforms(raw)
         r, theta = np.sqrt(-2.0 * np.log(u[: n // 2])), 2.0 * np.pi * u[n // 2 :]
         z = RngStream(14, 0).normals(n).reshape(-1, 2)
         assert np.all(np.abs(z[:, 0] - r * np.cos(theta)) <= 1e-15 * r)
@@ -289,7 +330,7 @@ class TestRowStreams:
                 assert got.tobytes() == expect.tobytes(), draw
             else:
                 for s in alone:
-                    s.raw(words)
+                    s.uniforms(words)  # the words of one draw
 
     def test_child_rows_are_the_streams_children(self):
         streams = [RngStream(4, i) for i in range(3)]
@@ -345,10 +386,10 @@ class TestRowStreams:
         for per in [2 * _BLOCK_VALUES + extra for extra in (1, 2, 3)]:
             words = 2 * ((per + 1) // 2)
             batch = RowStreams(RngStream(37, 0).child(i) for i in range(rows))
-            alone = [RngStream(37, 0).child(i) for i in range(rows)]
+            alone = [philox(RngStream(37, 0).child(i)) for i in range(rows)]
             buf = np.empty((rows, per))
             for draw in range(4):
-                expect = documented_box_muller(np.stack([s.raw(words) for s in alone]), per)
+                expect = documented_box_muller(np.stack([p.random_raw(words) for p in alone]), per)
                 got = batch.normals(rows * per, out=buf if draw % 2 else None)
                 assert got.tobytes() == expect.tobytes(), (per, draw)
             with pytest.raises(ValidationError, match="normals a row"):

@@ -2,7 +2,7 @@
 
 Configs are small (T <= 8, 2x2 grids) and mix valid values with out-of-range
 depths, non-positive counts and trials, a number that is not finite, missing
-input files and a corrupted statistics directory.
+input files, paths with a NUL byte and a corrupted statistics directory.
 """
 
 import json
@@ -40,14 +40,15 @@ MODELS = [
     FIELD,
     GMM,
     dict(FIELD, covariance_file="absent.fdg"),
+    dict(FIELD, covariance_file="nul\0.fdg"),
     dict(GMM, variances=[0.1, -1.0]),
     dict(FIELD, marginal_variance=float("inf")),
 ]
 
 # Input files as the config names them; each is written, missing, or malformed.
-IMAGES = ["probe.fdg", "wide.fdg", "absent.fdg"]
-MAPS = [0.5, 1.0, 1.5, "weights.fdg", "wide.fdg", "absent.fdg"]
-STATS_DIRS = ["stats", "absent"]
+IMAGES = ["probe.fdg", "wide.fdg", "absent.fdg", "nul\0.fdg"]
+MAPS = [0.5, 1.0, 1.5, "weights.fdg", "wide.fdg", "absent.fdg", "nul\0.fdg"]
+STATS_DIRS = ["stats", "absent", "st\0ats"]
 STATS_DAMAGE = [None, "not json", "missing key", "missing grid", "wrong shape", "all wide"]
 
 counts = st.integers(-2, 3)
